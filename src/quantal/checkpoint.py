@@ -4,7 +4,8 @@ Layout: an ASCII magic line, one JSON header line (model config, optional
 train config, optional tokenizer hash, step counter, tensor names with
 shapes), then the raw tensors as little-endian float32 in header order.
 The tensor order is the init order of model.param_specs.  Optimizer
-moments are not stored; a loaded state scores and resumes-from-zero only.
+moments are not stored, so a loaded state can score but not train:
+training.train refuses a state without moments.
 """
 
 from __future__ import annotations
@@ -78,8 +79,8 @@ def load_checkpoint(path: str | Path) -> tuple[ModelState, dict]:
     state = ModelState(
         config=cfg,
         params=params,
-        opt_m={n: np.zeros_like(p) for n, p in params.items()},
-        opt_v={n: np.zeros_like(p) for n, p in params.items()},
+        opt_m=None,
+        opt_v=None,
         step=header["step"],
     )
     meta = {

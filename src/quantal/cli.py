@@ -18,7 +18,8 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .model import ModelConfig, TrainConfig, init_model
 from .scoring import MODES, PLL, evaluate_pairs, write_eval_report
 from .sweep import (
-    TARGET_VOCAB,
+    cell_data,
+    cell_tokenizer,
     column_slice,
     load_results,
     load_sweep_config,
@@ -30,7 +31,7 @@ from .training import train
 from .util import sha256_bytes, stable_seed
 
 WORKERS_ENV = "QUANTAL_WORKERS"
-GEN_MANIFEST_FORMAT = "quantal-gen v1"
+GEN_MANIFEST_FORMAT = "quantal-gen v2"
 
 EXPERIMENT_BY_FLAG = {1: corpora.WORD_ORDER, 2: corpora.BINARY}
 
@@ -80,24 +81,11 @@ def cmd_gen(args) -> int:
     experiment = EXPERIMENT_BY_FLAG[args.exp]
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    corpus_seed = stable_seed(args.seed, "corpus")
-    pairs_seed = stable_seed(args.seed, "pairs")
+    vocab, corpus, pairs = cell_data(experiment, args.seed, args.n, args.prop, args.pairs)
     written = {}
-    if experiment == corpora.WORD_ORDER:
-        vocab = corpora.gen_vocabulary(
-            args.vocab_words, 3, 13, seed=stable_seed(args.seed, "vocab")
-        )
+    if vocab is not None:
         corpora.write_vocabulary(vocab, out_dir / "vocabulary.txt")
         written["vocabulary"] = "vocabulary.txt"
-        corpus = corpora.gen_exp1_corpus(vocab, args.n, args.prop, seed=corpus_seed)
-        pairs = corpora.gen_exp1_test_pairs(vocab, args.pairs, seed=pairs_seed)
-    else:
-        corpus = corpora.gen_exp2_corpus(
-            args.n, args.prop, string_len=args.string_len, seed=corpus_seed
-        )
-        pairs = corpora.gen_exp2_test_pairs(
-            args.pairs, string_len=args.string_len, seed=pairs_seed
-        )
     corpora.write_corpus(corpus, out_dir / "corpus.txt")
     corpora.write_pairs(pairs, out_dir / "pairs.tsv")
     written["corpus"] = "corpus.txt"
@@ -107,7 +95,7 @@ def cmd_gen(args) -> int:
         "experiment": experiment,
         "n": args.n,
         "prop": args.prop,
-        "seed": args.seed,
+        "base_seed": args.seed,
         "n_pairs": args.pairs,
         "exception_count": corpus.exception_count,
         "files": written,
@@ -128,12 +116,8 @@ def cmd_train(args) -> int:
         raise UsageError("--epochs is required unless --init-only is set")
     experiment = EXPERIMENT_BY_FLAG[args.exp]
     corpus = corpora.read_corpus(args.corpus, experiment)
-    texts = []
-    if args.vocab:
-        texts.append(Path(args.vocab).read_text(encoding="utf-8"))
-    texts.append(corpus.to_text())
-    target = args.target_vocab or TARGET_VOCAB[experiment]
-    tok = bpe.train_tokenizer(texts, target)
+    vocab = corpora.read_vocabulary(args.vocab) if args.vocab else None
+    tok = cell_tokenizer(experiment, corpus, vocab)
     tok_path = args.tokenizer_out or _default_tokenizer_path(args.out)
     bpe.save_tokenizer(tok, tok_path)
     tok_hash = sha256_bytes(bpe.save_tokenizer_text(tok).encode("utf-8"))
@@ -143,13 +127,7 @@ def cmd_train(args) -> int:
     )
     train_config = None
     if not args.init_only:
-        train_config = TrainConfig(
-            epochs=args.epochs,
-            seed=stable_seed(args.seed, "train"),
-            learning_rate=args.learning_rate,
-            batch_size=args.batch_size,
-            mask_probability=args.mask_probability,
-        )
+        train_config = TrainConfig(epochs=args.epochs, seed=stable_seed(args.seed, "train"))
         train(state, corpus, tok, train_config)
     save_checkpoint(state, args.out, train_config=train_config, tokenizer_sha256=tok_hash)
     print(f"wrote {tok_path}")
@@ -186,7 +164,7 @@ def cmd_sweep(args) -> int:
         artifacts_dir=args.artifacts,
         workers=workers,
         reuse=args.reuse,
-        log=print,
+        log=lambda line: print(line, flush=True),
     )
     print(
         f"sweep finished: {len(results)} cells run, {len(skipped)} reused, "
@@ -259,11 +237,9 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--exp", type=int, choices=(1, 2), required=True)
     gen.add_argument("--n", type=int, required=True, help="training sentences")
     gen.add_argument("--prop", type=float, required=True, help="exception proportion")
-    gen.add_argument("--seed", type=int, required=True)
+    gen.add_argument("--seed", type=int, required=True, help="a sweep config's base_seed")
     gen.add_argument("--out-dir", required=True)
-    gen.add_argument("--pairs", type=int, default=1000, help="test pairs to generate")
-    gen.add_argument("--string-len", type=int, default=16)
-    gen.add_argument("--vocab-words", type=int, default=10_000)
+    gen.add_argument("--pairs", type=int, default=1000, help="test pairs (a config's n_test_pairs)")
     gen.set_defaults(func=cmd_gen)
 
     tr = sub.add_parser("train", help="train a model and tokenizer on a corpus file")
@@ -272,12 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--epochs", type=int)
     tr.add_argument("--seed", type=int, required=True)
     tr.add_argument("--out", required=True, help="checkpoint path")
-    tr.add_argument("--vocab", help="extra tokenizer training text (vocabulary file)")
+    tr.add_argument("--vocab", help="vocabulary.txt from gen; the tokenizer trains on it too")
     tr.add_argument("--tokenizer-out", help="default: <out>.tok")
-    tr.add_argument("--target-vocab", type=int)
-    tr.add_argument("--learning-rate", type=float, default=1e-4)
-    tr.add_argument("--batch-size", type=int, default=16)
-    tr.add_argument("--mask-probability", type=float, default=0.15)
     tr.add_argument(
         "--init-only",
         action="store_true",

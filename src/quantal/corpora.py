@@ -52,6 +52,9 @@ class Vocabulary:
     def test_words(self) -> tuple[str, ...]:
         return self.words[self.split_index :]
 
+    def to_text(self) -> str:
+        return "".join(w + "\n" for w in self.words)
+
 
 @dataclass(frozen=True)
 class Sentence:
@@ -275,7 +278,7 @@ def gen_exp2_test_pairs(n_pairs: int, string_len: int = 16, seed: int = 0) -> Mi
 
 def write_vocabulary(vocab: Vocabulary, path: str | Path) -> None:
     """One word per line, training half first."""
-    Path(path).write_bytes("".join(w + "\n" for w in vocab.words).encode("utf-8"))
+    Path(path).write_bytes(vocab.to_text().encode("utf-8"))
 
 
 def read_vocabulary(path: str | Path) -> Vocabulary:

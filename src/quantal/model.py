@@ -107,8 +107,8 @@ def param_specs(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...], str]]:
 class ModelState:
     config: ModelConfig
     params: dict[str, np.ndarray]
-    opt_m: dict[str, np.ndarray]
-    opt_v: dict[str, np.ndarray]
+    opt_m: dict[str, np.ndarray] | None  # None: loaded from a checkpoint
+    opt_v: dict[str, np.ndarray] | None
     step: int = 0
     loss_history: list[float] = field(default_factory=list)
 

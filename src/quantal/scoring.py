@@ -17,6 +17,7 @@ import numpy as np
 from . import bpe
 from .corpora import MinimalPairSet
 from .model import ModelState, forward_batch, log_softmax
+from .training import encode_texts, pad_batch
 
 PLL = "pll"
 UNMASKED = "unmasked"
@@ -48,16 +49,6 @@ def _check_mode(mode: str) -> None:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
 
 
-def _encode_checked(state: ModelState, tok: bpe.TokenizerModel, sentences) -> list[np.ndarray]:
-    out = []
-    for text in sentences:
-        ids = np.asarray(bpe.encode(tok, text), dtype=np.int64)
-        if ids.size > state.config.max_positions:
-            raise ValueError(f"sentence too long to score ({ids.size} tokens): {text!r}")
-        out.append(ids)
-    return out
-
-
 def _scored_positions(state: ModelState, hidden: np.ndarray, rows, cols) -> np.ndarray:
     """Log-probability rows of the tied output head at selected positions."""
     h_sel = hidden[rows, cols]
@@ -79,7 +70,7 @@ def surprisal_many(
     the chunking because padded keys are excluded from attention.
     """
     _check_mode(mode)
-    encoded = _encode_checked(state, tok, sentences)
+    encoded = encode_texts(tok, sentences, state.config.max_positions)
     totals = np.zeros(len(encoded), dtype=np.float64)
     # (sentence index, masked position or -1 for the intact pass)
     if mode == PLL:
@@ -90,25 +81,19 @@ def surprisal_many(
 
     for start in range(0, len(jobs), chunk_rows):
         chunk = jobs[start : start + chunk_rows]
-        width = max(encoded[j].size for j, _ in chunk)
-        ids = np.full((len(chunk), width), tok.pad_id, dtype=np.int64)
-        mask = np.zeros((len(chunk), width), dtype=bool)
-        for row, (j, i) in enumerate(chunk):
-            seq = encoded[j]
-            ids[row, : seq.size] = seq
-            mask[row, : seq.size] = True
-            if i >= 0:
-                ids[row, i] = tok.mask_id
-        hidden, _ = forward_batch(state, ids, mask)
+        ids, mask = pad_batch([encoded[j] for j, _ in chunk], tok.pad_id)
         if mode == PLL:
             rows = np.arange(len(chunk))
             cols = np.array([i for _, i in chunk])
-            logp = _scored_positions(state, hidden, rows, cols)
+            ids[rows, cols] = tok.mask_id
+        else:
+            rows, cols = np.nonzero(mask)
+        hidden, _ = forward_batch(state, ids, mask)
+        logp = _scored_positions(state, hidden, rows, cols)
+        if mode == PLL:
             for row, (j, i) in enumerate(chunk):
                 totals[j] -= logp[row, encoded[j][i]]
         else:
-            rows, cols = np.nonzero(mask)
-            logp = _scored_positions(state, hidden, rows, cols)
             true_ids = np.concatenate([encoded[j] for j, _ in chunk])
             taken = logp[np.arange(rows.size), true_ids]
             for row, (j, _) in enumerate(chunk):

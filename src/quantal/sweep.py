@@ -5,6 +5,8 @@ setting), and for each cell generates a corpus and test pairs, trains a
 tokenizer on the cell's text, trains one model per replicate (replicates
 differ only in their weight-initialization seed), evaluates on minimal
 pairs, and appends one aggregated row to an append-only CSV store.
+The cell's data and tokenizer come from cell_data and cell_tokenizer,
+which `quantal gen` and `quantal train` call too.
 
 An epoch setting of 0 makes an untrained baseline cell: the same corpus,
 tokenizer, test pairs and scoring path as its trained neighbours, with
@@ -15,7 +17,11 @@ shares weights with the starting point of a trained replicate.
 
 from __future__ import annotations
 
+import contextlib
+import csv
 import fcntl
+import functools
+import itertools
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -33,12 +39,36 @@ from .tp import above_chance_test
 from .training import train
 from .util import sha256_bytes, stable_seed
 
-CSV_HEADER = (
-    "experiment,n_train,exception_prop,epochs,replicates,seeds,accuracies,"
-    "mean_accuracy,n_types,above_chance_p,surprisal_mode,corpus_hash,wall_seconds"
+
+def _listed(fmt, parse):
+    """(format, parse) of a tuple column stored as ';'-separated items."""
+    return (lambda items: ";".join(map(fmt, items)), lambda text: tuple(map(parse, text.split(";"))))
+
+
+# The store format, defined once: (column, format, parse) in file order.
+COLUMNS = (
+    ("experiment", str, str),
+    ("n_train", str, int),
+    ("exception_prop", repr, float),
+    ("epochs", str, int),
+    ("replicates", str, int),
+    ("seeds", *_listed(str, int)),
+    ("accuracies", *_listed(repr, float)),
+    ("mean_accuracy", repr, float),
+    ("n_types", str, int),
+    ("above_chance_p", repr, float),
+    ("surprisal_mode", str, str),
+    ("corpus_hash", str, str),
+    ("wall_seconds", "{:.3f}".format, float),
 )
+COLUMN_NAMES = [name for name, _, _ in COLUMNS]
+CSV_HEADER = ",".join(COLUMN_NAMES)
 # wall_seconds is the only column allowed to differ between identical runs
 TIMING_COLUMNS = ("wall_seconds",)
+# The columns that make two rows the same cell for --reuse.  The seeds hash
+# base_seed and the replicate count.  n_test_pairs has no column, so two
+# cells that differ only in it are still confused.
+KEY_COLUMNS = ("experiment", "n_train", "exception_prop", "epochs", "seeds", "surprisal_mode")
 
 CONFIG_FORMAT = "quantal-sweep v1"
 MANIFEST_FORMAT = "quantal-manifest v1"
@@ -187,12 +217,9 @@ def expand_grid(cfg: SweepConfig) -> list[CellJob]:
     return jobs
 
 
-def group_cells(jobs: list[CellJob]) -> list[list[CellJob]]:
-    """Jobs regrouped into per-cell lists, replicate order preserved."""
-    groups: dict[int, list[CellJob]] = {}
-    for job in jobs:
-        groups.setdefault(job.cell_index, []).append(job)
-    return [groups[i] for i in sorted(groups)]
+def _data_seeds(base_seed: int, experiment: str, n_train: int, prop: float) -> dict[str, int]:
+    tag = (experiment, n_train, repr(prop))
+    return {f"{kind}_seed": stable_seed(base_seed, kind, *tag) for kind in ("vocab", "corpus", "pairs")}
 
 
 def derived_seeds(cfg: SweepConfig, job: CellJob) -> dict[str, int]:
@@ -204,36 +231,64 @@ def derived_seeds(cfg: SweepConfig, job: CellJob) -> dict[str, int]:
     stream is shared across replicates so that replicates differ only in
     their initial weights.
     """
-    tag = (cfg.experiment, job.n_train, repr(job.exception_prop))
     return {
-        "vocab_seed": stable_seed(cfg.base_seed, "vocab", *tag),
-        "corpus_seed": stable_seed(cfg.base_seed, "corpus", *tag),
-        "pairs_seed": stable_seed(cfg.base_seed, "pairs", *tag),
+        **_data_seeds(cfg.base_seed, cfg.experiment, job.n_train, job.exception_prop),
         "train_seed": stable_seed(cfg.base_seed, "train", job.cell_index),
     }
 
 
-def _cell_inputs(cfg: SweepConfig, job: CellJob):
-    seeds = derived_seeds(cfg, job)
-    if cfg.experiment == WORD_ORDER:
-        vocab = corpora.gen_vocabulary(
-            EXP1_VOCAB_WORDS, *WORD_LEN_RANGE, seed=seeds["vocab_seed"]
-        )
-        corpus = corpora.gen_exp1_corpus(
-            vocab, job.n_train, job.exception_prop, seed=seeds["corpus_seed"]
-        )
-        pairs = corpora.gen_exp1_test_pairs(vocab, cfg.n_test_pairs, seed=seeds["pairs_seed"])
-        tok_texts = ["".join(w + "\n" for w in vocab.words), corpus.to_text()]
-    else:
-        corpus = corpora.gen_exp2_corpus(
-            job.n_train, job.exception_prop, string_len=STRING_LEN, seed=seeds["corpus_seed"]
-        )
-        pairs = corpora.gen_exp2_test_pairs(
-            cfg.n_test_pairs, string_len=STRING_LEN, seed=seeds["pairs_seed"]
-        )
-        tok_texts = [corpus.to_text()]
-    tok = bpe.train_tokenizer(tok_texts, TARGET_VOCAB[cfg.experiment])
-    return seeds, corpus, pairs, tok
+def cell_data(experiment: str, base_seed: int, n_train: int, prop: float, n_test_pairs: int):
+    """(vocabulary or None, corpus, test pairs) of one cell.
+
+    The same arguments give the same data whether a sweep or `quantal gen`
+    asks; only word order has a vocabulary.
+    """
+    seeds = _data_seeds(base_seed, experiment, n_train, prop)
+    if experiment == WORD_ORDER:
+        vocab = corpora.gen_vocabulary(EXP1_VOCAB_WORDS, *WORD_LEN_RANGE, seed=seeds["vocab_seed"])
+        corpus = corpora.gen_exp1_corpus(vocab, n_train, prop, seed=seeds["corpus_seed"])
+        pairs = corpora.gen_exp1_test_pairs(vocab, n_test_pairs, seed=seeds["pairs_seed"])
+        return vocab, corpus, pairs
+    corpus = corpora.gen_exp2_corpus(n_train, prop, string_len=STRING_LEN, seed=seeds["corpus_seed"])
+    pairs = corpora.gen_exp2_test_pairs(n_test_pairs, string_len=STRING_LEN, seed=seeds["pairs_seed"])
+    return None, corpus, pairs
+
+
+def cell_tokenizer(experiment: str, corpus, vocab=None) -> bpe.TokenizerModel:
+    """BPE trained on the vocabulary listing (if any), then the corpus."""
+    texts = [corpus.to_text()] if vocab is None else [vocab.to_text(), corpus.to_text()]
+    return bpe.train_tokenizer(texts, TARGET_VOCAB[experiment])
+
+
+def _cell_coords(cfg: SweepConfig, jobs: list[CellJob]) -> dict:
+    """The KEY_COLUMNS values of a cell, known before it runs."""
+    job = jobs[0]
+    return {
+        "experiment": cfg.experiment,
+        "n_train": job.n_train,
+        "exception_prop": job.exception_prop,
+        "epochs": job.epochs,
+        "seeds": tuple(j.init_seed for j in jobs),
+        "surprisal_mode": cfg.surprisal_mode,
+    }
+
+
+def _cell_key(row: dict) -> tuple:
+    return tuple(row[name] for name in KEY_COLUMNS)
+
+
+def _label(coords: dict) -> str:
+    return (
+        f"{coords['experiment']} n={coords['n_train']} "
+        f"prop={coords['exception_prop']} epochs={coords['epochs']}"
+    )
+
+
+def _cell_stem(coords: dict) -> str:
+    return (
+        f"{coords['experiment']}_n{coords['n_train']}_p{coords['exception_prop']}"
+        f"_e{coords['epochs']}"
+    )
 
 
 def run_cell(
@@ -242,81 +297,69 @@ def run_cell(
     """Generate, tokenize, train each replicate, evaluate, and aggregate.
 
     A 0-epoch cell skips training and scores the freshly initialized
-    models.  With artifacts_dir set, the corpus/pairs/tokenizer/checkpoint
-    files are written there for later inspection; hashes are recorded
-    either way.
+    models.  With artifacts_dir set, the corpus/pairs/tokenizer files, a
+    checkpoint per replicate as it finishes, and finally the manifest are
+    written there; hashes are recorded either way.  Only one replicate's
+    model is held in memory at a time.
     """
     if not jobs:
         raise ValueError("run_cell needs at least one job")
-    if len({(j.cell_index) for j in jobs}) != 1:
+    if len({j.cell_index for j in jobs}) != 1:
         raise ValueError("jobs must all belong to one cell")
     t0 = time.perf_counter()
-    job = jobs[0]
-    seeds, corpus, pairs, tok = _cell_inputs(cfg, job)
-    train_config = (
-        TrainConfig(epochs=job.epochs, seed=seeds["train_seed"]) if job.epochs else None
+    jobs = sorted(jobs, key=lambda j: j.replicate_index)
+    coords = _cell_coords(cfg, jobs)
+    seeds = derived_seeds(cfg, jobs[0])
+    vocab, corpus, pairs = cell_data(
+        cfg.experiment, cfg.base_seed, coords["n_train"], coords["exception_prop"], cfg.n_test_pairs
     )
+    tok = cell_tokenizer(cfg.experiment, corpus, vocab)
+    tokenizer_hash = sha256_bytes(bpe.save_tokenizer_text(tok).encode("utf-8"))
+    epochs = coords["epochs"]
+    train_config = TrainConfig(epochs=epochs, seed=seeds["train_seed"]) if epochs else None
+    cell_dir = None
+    if artifacts_dir is not None:
+        cell_dir = Path(artifacts_dir) / _cell_stem(coords)
+        cell_dir.mkdir(parents=True, exist_ok=True)
+        corpora.write_corpus(corpus, cell_dir / "corpus.txt")
+        corpora.write_pairs(pairs, cell_dir / "pairs.tsv")
+        bpe.save_tokenizer(tok, cell_dir / "tokenizer.txt")
 
     accuracies = []
     ckpt_hashes = []
-    states = []
-    for j in sorted(jobs, key=lambda j: j.replicate_index):
-        state = init_model(ModelConfig(vocab_size=tok.vocab_size), seed=j.init_seed)
+    for r, job in enumerate(jobs):
+        state = init_model(ModelConfig(vocab_size=tok.vocab_size), seed=job.init_seed)
         if train_config is not None:
             train(state, corpus, tok, train_config)
         report = evaluate_pairs(state, tok, pairs, mode=cfg.surprisal_mode)
         accuracies.append(report.accuracy)
         ckpt_hashes.append(state_digest(state))
-        states.append(state)
+        if cell_dir is not None:
+            save_checkpoint(
+                state,
+                cell_dir / f"replicate{r}.ckpt",
+                train_config=train_config,
+                tokenizer_sha256=tokenizer_hash,
+            )
+        del state  # frees this replicate's weights and Adam moments before the next init
 
     mean_accuracy = float(np.mean(accuracies))
     result = SweepCellResult(
-        experiment=cfg.experiment,
-        n_train=job.n_train,
-        exception_prop=job.exception_prop,
-        epochs=job.epochs,
-        seeds=tuple(j.init_seed for j in sorted(jobs, key=lambda j: j.replicate_index)),
+        **coords,
         accuracies=tuple(accuracies),
         mean_accuracy=mean_accuracy,
         n_types=corpus.n_types,
         above_chance_p=above_chance_test(
             mean_accuracy * cfg.n_test_pairs, cfg.n_test_pairs
         ),
-        surprisal_mode=cfg.surprisal_mode,
         corpus_hash=sha256_bytes(corpus.to_text().encode("utf-8")),
-        tokenizer_hash=sha256_bytes(bpe.save_tokenizer_text(tok).encode("utf-8")),
+        tokenizer_hash=tokenizer_hash,
         checkpoint_hashes=tuple(ckpt_hashes),
         wall_seconds=time.perf_counter() - t0,
     )
-    if artifacts_dir is not None:
-        _write_artifacts(
-            Path(artifacts_dir), cfg, result, seeds, corpus, pairs, tok, states, train_config
-        )
+    if cell_dir is not None:
+        write_manifest(cell_dir / "manifest.json", cfg, result, seeds)
     return result
-
-
-def _cell_stem(result: SweepCellResult) -> str:
-    return (
-        f"{result.experiment}_n{result.n_train}_p{result.exception_prop}"
-        f"_e{result.epochs}"
-    )
-
-
-def _write_artifacts(root, cfg, result, seeds, corpus, pairs, tok, states, train_config) -> None:
-    stem = _cell_stem(result)
-    cell_dir = root / stem
-    cell_dir.mkdir(parents=True, exist_ok=True)
-    corpora.write_corpus(corpus, cell_dir / "corpus.txt")
-    corpora.write_pairs(pairs, cell_dir / "pairs.tsv")
-    bpe.save_tokenizer(tok, cell_dir / "tokenizer.txt")
-    for r, state in enumerate(states):
-        save_checkpoint(
-            state,
-            cell_dir / f"replicate{r}.ckpt",
-            train_config=train_config,
-            tokenizer_sha256=result.tokenizer_hash,
-        )
-    write_manifest(cell_dir / "manifest.json", cfg, result, seeds)
 
 
 def write_manifest(path: str | Path, cfg: SweepConfig, result: SweepCellResult, seeds) -> None:
@@ -332,44 +375,7 @@ def write_manifest(path: str | Path, cfg: SweepConfig, result: SweepCellResult, 
 
 def result_to_row(result: SweepCellResult) -> dict:
     """The CSV-visible view of a result, keyed by header column."""
-    return {
-        "experiment": result.experiment,
-        "n_train": result.n_train,
-        "exception_prop": result.exception_prop,
-        "epochs": result.epochs,
-        "replicates": result.replicates,
-        "seeds": result.seeds,
-        "accuracies": result.accuracies,
-        "mean_accuracy": result.mean_accuracy,
-        "n_types": result.n_types,
-        "above_chance_p": result.above_chance_p,
-        "surprisal_mode": result.surprisal_mode,
-        "corpus_hash": result.corpus_hash,
-        "wall_seconds": result.wall_seconds,
-    }
-
-
-def _format_row(result: SweepCellResult) -> str:
-    row = result_to_row(result)
-    fields = [
-        row["experiment"],
-        str(row["n_train"]),
-        repr(row["exception_prop"]),
-        str(row["epochs"]),
-        str(row["replicates"]),
-        ";".join(str(s) for s in row["seeds"]),
-        ";".join(repr(a) for a in row["accuracies"]),
-        repr(row["mean_accuracy"]),
-        str(row["n_types"]),
-        repr(row["above_chance_p"]),
-        row["surprisal_mode"],
-        row["corpus_hash"],
-        f"{row['wall_seconds']:.3f}",
-    ]
-    for field in fields:
-        if "," in field or "\n" in field:
-            raise ValueError(f"field not CSV-safe: {field!r}")
-    return ",".join(fields)
+    return {name: getattr(result, name) for name in COLUMN_NAMES}
 
 
 def append_result(store: str | Path, result: SweepCellResult) -> None:
@@ -378,18 +384,19 @@ def append_result(store: str | Path, result: SweepCellResult) -> None:
     Concurrent appends from separate processes serialize on the lock, so
     rows never interleave.
     """
-    line = _format_row(result)
-    with open(store, "a+", encoding="utf-8") as f:
+    fields = [fmt(getattr(result, name)) for name, fmt, _ in COLUMNS]
+    with open(store, "a+", encoding="utf-8", newline="") as f:
         fcntl.flock(f.fileno(), fcntl.LOCK_EX)
         try:
             f.seek(0)
-            first = f.readline().rstrip("\n")
-            if first and first != CSV_HEADER:
+            header = next(csv.reader(f), None)
+            if header is not None and header != COLUMN_NAMES:
                 raise ValueError(f"store has a different schema: {store}")
             f.seek(0, 2)
+            writer = csv.writer(f, lineterminator="\n")
             if f.tell() == 0:
-                f.write(CSV_HEADER + "\n")
-            f.write(line + "\n")
+                writer.writerow(COLUMN_NAMES)
+            writer.writerow(fields)
             f.flush()
         finally:
             fcntl.flock(f.fileno(), fcntl.LOCK_UN)
@@ -400,33 +407,17 @@ def load_results(store: str | Path) -> list[dict]:
     path = Path(store)
     if not path.exists():
         return []
-    lines = path.read_text(encoding="utf-8").splitlines()
+    with open(path, encoding="utf-8", newline="") as f:
+        lines = list(csv.reader(f))
     if not lines:
         return []
-    if lines[0] != CSV_HEADER:
+    if lines[0] != COLUMN_NAMES:
         raise ValueError(f"store has a different schema: {store}")
     rows = []
-    for line in lines[1:]:
-        parts = line.split(",")
-        if len(parts) != len(CSV_HEADER.split(",")):
-            raise ValueError(f"malformed row: {line!r}")
-        rows.append(
-            {
-                "experiment": parts[0],
-                "n_train": int(parts[1]),
-                "exception_prop": float(parts[2]),
-                "epochs": int(parts[3]),
-                "replicates": int(parts[4]),
-                "seeds": tuple(int(s) for s in parts[5].split(";")),
-                "accuracies": tuple(float(a) for a in parts[6].split(";")),
-                "mean_accuracy": float(parts[7]),
-                "n_types": int(parts[8]),
-                "above_chance_p": float(parts[9]),
-                "surprisal_mode": parts[10],
-                "corpus_hash": parts[11],
-                "wall_seconds": float(parts[12]),
-            }
-        )
+    for fields in lines[1:]:
+        if len(fields) != len(COLUMNS):
+            raise ValueError(f"malformed row: {fields!r}")
+        rows.append({name: parse(text) for (name, _, parse), text in zip(COLUMNS, fields)})
     return rows
 
 
@@ -461,21 +452,10 @@ def load_sweep_config(path: str | Path) -> SweepConfig:
     return SweepConfig(**payload)
 
 
-def _cell_key(row_or_result) -> tuple:
-    get = row_or_result.get if isinstance(row_or_result, dict) else (
-        lambda k: getattr(row_or_result, k)
-    )
-    return (
-        get("experiment"),
-        get("n_train"),
-        get("exception_prop"),
-        get("epochs"),
-        get("replicates"),
-        get("surprisal_mode"),
-    )
-
-
 def _cell_task(cfg: SweepConfig, jobs: list[CellJob], artifacts_dir):
+    # The pool entry is this module-level function, which looks run_cell up
+    # only when it is called: perfbench's tracer (perfbench/spans.py)
+    # replaces run_cell with a closure, and a closure cannot be pickled.
     return run_cell(cfg, jobs, artifacts_dir=artifacts_dir)
 
 
@@ -490,54 +470,40 @@ def run_sweep(
     """Run every cell of the grid, appending rows as cells finish.
 
     Cells are independent: one failure is recorded and the rest proceed.
-    With reuse=True, cells whose key already appears in the store are
-    skipped, which makes interrupted sweeps resumable.  Returns
+    With reuse=True, cells whose KEY_COLUMNS already appear in the store
+    are skipped, which makes interrupted sweeps resumable.  Returns
     (results, skipped, failures); failures hold (cell label, error text).
     """
-    groups = group_cells(expand_grid(cfg))
     done = {_cell_key(row) for row in load_results(store)} if reuse else set()
     results, skipped, failures = [], [], []
-
-    def label(jobs):
-        j = jobs[0]
-        return f"{j.experiment} n={j.n_train} prop={j.exception_prop} epochs={j.epochs}"
-
-    pending = []
-    for jobs in groups:
-        j = jobs[0]
-        key = (cfg.experiment, j.n_train, j.exception_prop, j.epochs, len(jobs), cfg.surprisal_mode)
-        if key in done:
-            skipped.append(label(jobs))
-            if log:
-                log(f"skip {label(jobs)} (already in store)")
-            continue
-        pending.append(jobs)
-
-    def finish(jobs, result):
-        append_result(store, result)
-        results.append(result)
-        if log:
-            log(
-                f"done {label(jobs)}: mean accuracy {result.mean_accuracy:.3f} "
-                f"(p={result.above_chance_p:.3g}, {result.wall_seconds:.0f}s)"
-            )
-
-    if workers <= 1:
-        for jobs in pending:
-            try:
-                finish(jobs, _cell_task(cfg, jobs, artifacts_dir))
-            except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
-                failures.append((label(jobs), repr(exc)))
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    with pool or contextlib.nullcontext():
+        # A pool starts every cell at once; serially, each runs when the loop below reaches it.
+        tasks = []
+        for _, group in itertools.groupby(expand_grid(cfg), key=lambda j: j.cell_index):
+            jobs = list(group)
+            coords = _cell_coords(cfg, jobs)
+            if _cell_key(coords) in done:
+                skipped.append(_label(coords))
                 if log:
-                    log(f"FAILED {label(jobs)}: {exc!r}")
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [(jobs, pool.submit(_cell_task, cfg, jobs, artifacts_dir)) for jobs in pending]
-            for jobs, fut in futures:
-                try:
-                    finish(jobs, fut.result())
-                except Exception as exc:  # noqa: BLE001
-                    failures.append((label(jobs), repr(exc)))
-                    if log:
-                        log(f"FAILED {label(jobs)}: {exc!r}")
+                    log(f"skip {_label(coords)} (already in store)")
+            elif pool is None:
+                tasks.append((coords, functools.partial(_cell_task, cfg, jobs, artifacts_dir)))
+            else:
+                tasks.append((coords, pool.submit(_cell_task, cfg, jobs, artifacts_dir).result))
+        for coords, outcome in tasks:
+            try:
+                result = outcome()
+                append_result(store, result)
+            except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
+                failures.append((_label(coords), repr(exc)))
+                if log:
+                    log(f"FAILED {_label(coords)}: {exc!r}")
+                continue
+            results.append(result)
+            if log:
+                log(
+                    f"done {_label(coords)}: mean accuracy {result.mean_accuracy:.3f} "
+                    f"(p={result.above_chance_p:.3g}, {result.wall_seconds:.0f}s)"
+                )
     return results, skipped, failures

@@ -1,10 +1,9 @@
-"""Small shared helpers: rounding, seed derivation, file hashing."""
+"""Small shared helpers: rounding, seed derivation, hashing."""
 
 from __future__ import annotations
 
 import hashlib
 import math
-from pathlib import Path
 
 import numpy as np
 
@@ -35,14 +34,6 @@ def make_rng(seed: int) -> np.random.Generator:
     if seed < 0:
         raise ValueError(f"seed must be unsigned, got {seed}")
     return np.random.Generator(np.random.PCG64(seed))
-
-
-def sha256_file(path: str | Path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(1 << 16), b""):
-            h.update(chunk)
-    return h.hexdigest()
 
 
 def sha256_bytes(data: bytes) -> str:

@@ -44,15 +44,18 @@ class TestRoundTrip:
             assert np.array_equal(loaded.params[name], state.params[name])
             assert loaded.params[name].dtype == np.float32
 
-    def test_moments_reset_to_zero(self, tmp_path):
-        state, _ = trained_state()
-        assert any(np.abs(m).sum() > 0 for m in state.opt_m.values())
+    def test_loaded_state_refuses_training(self, tmp_path):
+        # moments are not stored, so resuming would pair step-N bias
+        # correction with fresh moments; train refuses instead
+        state, tok = trained_state()
         path = tmp_path / "model.ckpt"
         save_checkpoint(state, path)
         loaded, _ = load_checkpoint(path)
-        for name in loaded.opt_m:
-            assert not loaded.opt_m[name].any()
-            assert not loaded.opt_v[name].any()
+        assert loaded.opt_m is None and loaded.opt_v is None
+        corpus = corpora.gen_exp2_corpus(12, 0.0, string_len=6, seed=2)
+        with pytest.raises(ValueError, match="optimizer moments"):
+            train(loaded, corpus, tok, TrainConfig(epochs=1, seed=3))
+        assert loaded.step == state.step
 
     def test_loaded_state_scores_identically(self, tmp_path):
         state, tok = trained_state()

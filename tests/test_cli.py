@@ -1,7 +1,10 @@
 """Command-line behavior: artifacts, exit codes, JSON diagnostics."""
 
-import json
 import hashlib
+import io
+import json
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,9 +16,13 @@ from quantal.sweep import (
     SweepCellResult,
     SweepConfig,
     append_result,
+    expand_grid,
     load_results,
+    run_cell,
     save_sweep_config,
 )
+
+ACCEPTANCE_DIR = Path(__file__).resolve().parents[1] / "results" / "acceptance"
 
 
 def run(*argv):
@@ -90,13 +97,46 @@ class TestGen:
     def test_missing_flag_is_usage_error(self, capsys):
         assert run("gen", "--exp", 2) == 2
 
+    @pytest.mark.parametrize("exp, experiment, n_train", [
+        (2, corpora.BINARY, 50),
+        (1, corpora.WORD_ORDER, 1000),
+    ])
+    def test_seed_is_base_seed_of_stored_cell(self, tmp_path, exp, experiment, n_train):
+        # --seed 101 is the committed configs' base_seed, so gen writes the
+        # corpus of the stored (n, 0.0) cell
+        out = tmp_path / "d"
+        assert run("gen", "--exp", exp, "--n", n_train, "--prop", 0.0,
+                   "--seed", 101, "--out-dir", out, "--pairs", 10) == 0
+        stored = {
+            row["corpus_hash"]
+            for row in load_results(ACCEPTANCE_DIR / f"{experiment}.csv")
+            if (row["n_train"], row["exception_prop"]) == (n_train, 0.0)
+        }
+        assert stored == {file_hash(out / "corpus.txt")}
+
+    @pytest.mark.parametrize("exp, experiment", [(1, corpora.WORD_ORDER), (2, corpora.BINARY)])
+    def test_gen_then_train_replays_a_sweep_cell(self, tmp_path, exp, experiment):
+        cfg = SweepConfig(experiment=experiment, sizes=(4,), proportions=(0.25,),
+                          epoch_settings=(0,), replicates=1, base_seed=13, n_test_pairs=4)
+        cell = run_cell(cfg, expand_grid(cfg), artifacts_dir=tmp_path / "art")
+        cell_dir = tmp_path / "art" / f"{experiment}_n4_p0.25_e0"
+        out = tmp_path / "d"
+        assert run("gen", "--exp", exp, "--n", 4, "--prop", 0.25,
+                   "--seed", 13, "--out-dir", out, "--pairs", 4) == 0
+        vocab = ["--vocab", out / "vocabulary.txt"] if exp == 1 else []
+        assert run("train", "--corpus", out / "corpus.txt", "--exp", exp, "--seed", 13,
+                   "--out", tmp_path / "m.ckpt", "--init-only", *vocab) == 0
+        assert file_hash(out / "corpus.txt") == cell.corpus_hash
+        assert file_hash(out / "pairs.tsv") == file_hash(cell_dir / "pairs.tsv")
+        assert file_hash(tmp_path / "m.ckpt.tok") == cell.tokenizer_hash
+
 
 @pytest.fixture(scope="module")
 def artifacts(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli")
     data = root / "data"
     assert run("gen", "--exp", 2, "--n", 8, "--prop", 0, "--seed", 11,
-               "--out-dir", data, "--pairs", 4, "--string-len", 6) == 0
+               "--out-dir", data, "--pairs", 4) == 0
     ckpt = root / "model.ckpt"
     assert run("train", "--corpus", data / "corpus.txt", "--exp", 2,
                "--epochs", 1, "--seed", 3, "--out", ckpt) == 0
@@ -182,6 +222,24 @@ class TestSweepCommand:
         assert run("sweep", "--config", cfg, "--store", store, "--reuse") == 0
         assert "1 reused" in capsys.readouterr().out
         assert len(load_results(store)) == 1
+
+    def test_log_lines_are_flushed(self, tmp_path, monkeypatch):
+        # with stdout redirected to a file, progress must not wait for exit
+        class FlushRecorder(io.StringIO):
+            def __init__(self):
+                super().__init__()
+                self.flushed = []
+
+            def flush(self):
+                self.flushed.append(self.getvalue())
+                super().flush()
+
+        out = FlushRecorder()
+        monkeypatch.setattr(sys, "stdout", out)
+        cfg = tmp_path / "sweep.json"
+        self.write_config(cfg)
+        assert run("sweep", "--config", cfg, "--store", tmp_path / "r.csv") == 0
+        assert any("done binary n=5" in text for text in out.flushed)
 
     def test_untrained_cell_artifacts_have_no_train_config(self, tmp_path):
         cfg = tmp_path / "sweep.json"

@@ -2,6 +2,7 @@
 
 import json
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,13 +15,13 @@ from quantal.model import ModelConfig, init_model
 from quantal.scoring import PLL, UNMASKED
 from quantal.sweep import (
     CSV_HEADER,
+    SweepCellResult,
     SweepConfig,
     append_result,
     column_slice,
     default_config,
     derived_seeds,
     expand_grid,
-    group_cells,
     load_results,
     load_sweep_config,
     result_to_row,
@@ -29,6 +30,8 @@ from quantal.sweep import (
     save_sweep_config,
 )
 from quantal.util import sha256_bytes, stable_seed
+
+ACCEPTANCE_DIR = Path(__file__).resolve().parents[1] / "results" / "acceptance"
 
 
 def tiny_config(**overrides):
@@ -144,14 +147,6 @@ class TestExpandGrid:
             if job.epochs:
                 assert job.init_seed == stable_seed(77, job.cell_index, job.replicate_index)
 
-    def test_group_cells_preserves_replicate_order(self):
-        cfg = tiny_config(sizes=(10, 20), replicates=3)
-        groups = group_cells(expand_grid(cfg))
-        assert len(groups) == 2
-        for group in groups:
-            assert [j.replicate_index for j in group] == [0, 1, 2]
-            assert len({j.cell_index for j in group}) == 1
-
 
 class TestDerivedSeeds:
     def test_epoch_settings_share_data_seeds(self):
@@ -206,6 +201,15 @@ class TestRunCell:
         a = {**result_to_row(first), "wall_seconds": None}
         b = {**result_to_row(second), "wall_seconds": None}
         assert a == b
+
+    def test_seeds_follow_replicate_order(self, tiny_cell_result):
+        # jobs given out of order still run, store and checkpoint in
+        # replicate order
+        cfg, jobs, result = tiny_cell_result
+        reordered = run_cell(cfg, list(reversed(jobs)))
+        assert [j.replicate_index for j in jobs] == [0, 1]
+        assert reordered.seeds == result.seeds == tuple(j.init_seed for j in jobs)
+        assert reordered.checkpoint_hashes == result.checkpoint_hashes
 
     def test_rejects_mixed_cells(self):
         cfg = tiny_config(sizes=(6, 7), replicates=1)
@@ -296,6 +300,16 @@ class TestStore:
         with pytest.raises(ValueError, match="schema"):
             load_results(store)
 
+    @pytest.mark.parametrize("name", ["binary.csv", "word_order.csv"])
+    def test_committed_store_rewrites_byte_for_byte(self, tmp_path, name):
+        committed = ACCEPTANCE_DIR / name
+        store = tmp_path / name
+        for row in load_results(committed):
+            fields = {k: v for k, v in row.items() if k != "replicates"}
+            empty = ("",) * row["replicates"]
+            append_result(store, SweepCellResult(**fields, tokenizer_hash="", checkpoint_hashes=empty))
+        assert store.read_bytes() == committed.read_bytes()
+
     def test_concurrent_appends_do_not_interleave(self, tmp_path, tiny_cell_result):
         _, _, result = tiny_cell_result
         store = tmp_path / "results.csv"
@@ -357,6 +371,19 @@ class TestRunSweep:
         assert again[0] == [] and len(again[1]) == 2 and again[2] == []
         assert len(load_results(store)) == 2
 
+    @pytest.mark.parametrize("changed", [dict(base_seed=2), dict(replicates=2)])
+    def test_reuse_tells_cells_apart(self, tmp_path, changed):
+        # same coordinates, different seeds: the second sweep must run
+        store = tmp_path / "results.csv"
+        run_sweep(tiny_config(sizes=(5,), replicates=1, base_seed=1), store)
+        results, skipped, failures = run_sweep(
+            tiny_config(**{"sizes": (5,), "replicates": 1, "base_seed": 1, **changed}),
+            store,
+            reuse=True,
+        )
+        assert (len(results), skipped, failures) == (1, [], [])
+        assert len(load_results(store)) == 2
+
     def test_cell_failure_is_isolated(self, tmp_path):
         # 70000 binary strings cannot be unique at length 16, so that
         # cell fails during generation while the other cell completes
@@ -382,3 +409,21 @@ class TestRunSweep:
             return sorted(rows, key=lambda r: r["exception_prop"])
 
         assert keyed(serial_store) == keyed(pooled_store)
+
+
+class TestCommittedStores:
+    @pytest.mark.parametrize(
+        "config", sorted(p.name for p in (ACCEPTANCE_DIR / "configs").glob("*.json"))
+    )
+    def test_every_configured_cell_is_stored(self, config, monkeypatch):
+        # replaying a committed config against its store must train nothing
+        def no_training(*args, **kwargs):
+            raise AssertionError("cell missing from the committed store")
+
+        monkeypatch.setattr(sweep, "run_cell", no_training)
+        cfg = load_sweep_config(ACCEPTANCE_DIR / "configs" / config)
+        store = ACCEPTANCE_DIR / f"{cfg.experiment}.csv"
+        results, skipped, failures = run_sweep(cfg, store, reuse=True)
+        n_cells = len(cfg.sizes) * len(cfg.proportions) * len(cfg.epoch_settings)
+        assert (results, failures) == ([], [])
+        assert len(skipped) == n_cells

@@ -10,7 +10,7 @@ from quantal.model import (
     TrainConfig,
     init_model,
 )
-from quantal.training import encode_corpus, pad_batch, train
+from quantal.training import encode_texts, pad_batch, train
 
 TINY = dict(
     vocab_size=None,  # filled from the tokenizer per test
@@ -38,8 +38,11 @@ class TestPadBatch:
             np.array([7]),
             np.array([IGNORE_INDEX, 9]),
         ]
-        ids, labs, mask = pad_batch(seqs, labels, pad_id=0)
+        ids, mask = pad_batch(seqs, 0)
+        labs, label_mask = pad_batch(labels, IGNORE_INDEX)
         assert ids.shape == labs.shape == mask.shape == (3, 3)
+        assert ids.dtype == labs.dtype == np.int64
+        assert np.array_equal(mask, label_mask)
         assert ids.tolist() == [[4, 5, 6], [7, 0, 0], [8, 9, 0]]
         assert labs.tolist() == [
             [IGNORE_INDEX, 5, IGNORE_INDEX],
@@ -53,7 +56,7 @@ class TestPadBatch:
         ]
 
     def test_single_sequence_keeps_width(self):
-        ids, labs, mask = pad_batch([np.array([3, 1])], [np.array([3, 1])], pad_id=9)
+        ids, mask = pad_batch([np.array([3, 1])], 9)
         assert ids.tolist() == [[3, 1]]
         assert mask.all()
 
@@ -61,7 +64,7 @@ class TestPadBatch:
 class TestEncodeCorpus:
     def test_matches_direct_encoding(self):
         corpus, tok, cfg = tiny_setup()
-        encoded = encode_corpus(tok, corpus, cfg.max_positions)
+        encoded = encode_texts(tok, [s.text for s in corpus.sentences], cfg.max_positions)
         assert len(encoded) == len(corpus.sentences)
         for arr, s in zip(encoded, corpus.sentences):
             assert arr.tolist() == bpe.encode(tok, s.text)
@@ -69,7 +72,7 @@ class TestEncodeCorpus:
     def test_rejects_over_limit(self):
         corpus, tok, _ = tiny_setup()
         with pytest.raises(ValueError, match="position limit"):
-            encode_corpus(tok, corpus, 2)
+            encode_texts(tok, [s.text for s in corpus.sentences], 2)
 
 
 class TestTrainLoop:

@@ -68,10 +68,3 @@ def test_sha256_bytes_known_vector():
         == "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
     )
 
-
-def test_sha256_file(tmp_path):
-    from quantal.util import sha256_file
-
-    p = tmp_path / "x.bin"
-    p.write_bytes(b"abc")
-    assert sha256_file(p) == sha256_bytes(b"abc")

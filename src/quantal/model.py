@@ -182,6 +182,29 @@ def _gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return y, s
 
 
+def _gelu_inplace(x: np.ndarray) -> tuple[np.ndarray, None]:
+    """_gelu without the backward's s, overwriting x; returns (x, None).
+
+    Uses the sigmoid form x / (1 + exp(-2c*x*(1 + a*x^2))) of the same
+    tanh approximation, which takes fewer passes.  For large negative x
+    the exp overflows to inf and the quotient is the correct -0.
+    """
+    rows = max(1, _GELU_BLOCK // x.shape[-1])
+    u = np.empty_like(x[:rows])
+    with np.errstate(over="ignore"):
+        for i in range(0, x.shape[0], rows):
+            xb = x[i : i + rows]
+            ub = u[: xb.shape[0]]
+            np.multiply(xb, xb, out=ub)
+            ub *= -2.0 * _GELU_C * _GELU_A
+            ub -= 2.0 * _GELU_C
+            ub *= xb
+            np.exp(ub, out=ub)
+            ub += 1.0
+            xb /= ub
+    return x, None
+
+
 def _gelu_backward(dy: np.ndarray, x: np.ndarray, s: np.ndarray) -> np.ndarray:
     # d/dx [0.5x(1+t)] with t = 1 - s:  1 - s/2 + 0.5*x*s*(2-s)*c*(1+3a*x^2)
     # dy is consumed and returned.
@@ -215,6 +238,19 @@ def _layer_norm(x, scale, offset):
     return y, (xhat, inv_std)
 
 
+def _layer_norm_inplace(x, scale, offset):
+    """_layer_norm without the backward cache, overwriting x; returns (x, None).
+
+    The same arithmetic in the same order, so the output is bit-identical.
+    """
+    x -= x.mean(axis=-1, keepdims=True)
+    var = np.einsum("blh,blh->bl", x, x) / x.shape[-1]
+    x *= 1.0 / np.sqrt(var + LN_EPS)[:, :, None]
+    x *= scale
+    x += offset
+    return x, None
+
+
 def _layer_norm_backward(dy, cache, scale):
     xhat, inv_std = cache
     n = dy.shape[-1]
@@ -237,11 +273,18 @@ def _dropout(x, p, rng):
     return x * keep, keep
 
 
-def forward_batch(state: ModelState, ids: np.ndarray, attn_mask: np.ndarray, dropout_rng=None):
+def forward_batch(
+    state: ModelState, ids: np.ndarray, attn_mask: np.ndarray, dropout_rng=None, *, keep_cache=True
+):
     """Hidden states (B, L, H) for a padded batch, plus backward caches.
 
     attn_mask is True at real positions; padded keys are excluded from
     every attention row, so real positions never read padded ones.
+
+    keep_cache=False is the inference pass: LayerNorm and GELU overwrite
+    their inputs, nothing is kept for the backward pass, and the cache
+    returned is None.  Its hidden states equal the cached pass's up to
+    rounding, because its GELU is the sigmoid form of the same formula.
     """
     cfg = state.config
     p = state.params
@@ -253,6 +296,7 @@ def forward_batch(state: ModelState, ids: np.ndarray, attn_mask: np.ndarray, dro
     if ids.min() < 0 or ids.max() >= cfg.vocab_size:
         raise ValueError("token id out of range")
 
+    layer_norm, gelu = (_layer_norm, _gelu) if keep_cache else (_layer_norm_inplace, _gelu_inplace)
     drop_p = cfg.dropout if dropout_rng is not None else 0.0
     nh, dh = cfg.n_heads, cfg.head_dim
     scale = 1.0 / np.sqrt(dh)
@@ -262,16 +306,17 @@ def forward_batch(state: ModelState, ids: np.ndarray, attn_mask: np.ndarray, dro
         attn_bias = np.zeros((B, 1, 1, L), dtype=state.dtype)
         attn_bias[:, 0, 0, :][~attn_mask] = NEG_INF
 
-    emb_sum = p["tok_emb"][ids] + p["pos_emb"][:L]
-    x, emb_ln_cache = _layer_norm(emb_sum, p["emb_ln_scale"], p["emb_ln_offset"])
+    emb_sum = p["tok_emb"][ids]
+    emb_sum += p["pos_emb"][:L]
+    x, emb_ln_cache = layer_norm(emb_sum, p["emb_ln_scale"], p["emb_ln_offset"])
     x, emb_keep = _dropout(x, drop_p, dropout_rng)
 
     layer_caches = []
     for n in range(cfg.n_layers):
         x_in = x
-        x2d = x.reshape(B * L, -1)
-        qkv = (x2d @ p[f"l{n}.qkv_w"] + p[f"l{n}.qkv_b"]).reshape(B, L, 3, nh, dh)
-        qkv = qkv.transpose(2, 0, 3, 1, 4)  # (3, B, nh, L, dh)
+        qkv = x.reshape(B * L, -1) @ p[f"l{n}.qkv_w"]
+        qkv += p[f"l{n}.qkv_b"]
+        qkv = qkv.reshape(B, L, 3, nh, dh).transpose(2, 0, 3, 1, 4)  # (3, B, nh, L, dh)
         q, k, v = qkv[0], qkv[1], qkv[2]
         scores = np.matmul(q, k.swapaxes(-1, -2))
         scores *= scale
@@ -280,28 +325,33 @@ def forward_batch(state: ModelState, ids: np.ndarray, attn_mask: np.ndarray, dro
         probs = _softmax_inplace(scores)
         ctx = np.matmul(probs, v)  # (B, nh, L, dh)
         ctx2d = ctx.transpose(0, 2, 1, 3).reshape(B * L, -1)
-        attn = ctx2d @ p[f"l{n}.attn_out_w"] + p[f"l{n}.attn_out_b"]
-        attn = attn.reshape(B, L, -1)
-        attn, attn_keep = _dropout(attn, drop_p, dropout_rng)
-        r1 = x + attn
-        h1, ln1_cache = _layer_norm(r1, p[f"l{n}.ln1_scale"], p[f"l{n}.ln1_offset"])
+        attn = ctx2d @ p[f"l{n}.attn_out_w"]
+        attn += p[f"l{n}.attn_out_b"]
+        attn, attn_keep = _dropout(attn.reshape(B, L, -1), drop_p, dropout_rng)
+        attn += x
+        h1, ln1_cache = layer_norm(attn, p[f"l{n}.ln1_scale"], p[f"l{n}.ln1_offset"])
 
         h1_2d = h1.reshape(B * L, -1)
-        f1 = h1_2d @ p[f"l{n}.ff1_w"] + p[f"l{n}.ff1_b"]
-        g, tanh_t = _gelu(f1)
-        f2 = (g @ p[f"l{n}.ff2_w"] + p[f"l{n}.ff2_b"]).reshape(B, L, -1)
-        f2, ff_keep = _dropout(f2, drop_p, dropout_rng)
-        r2 = h1 + f2
-        x, ln2_cache = _layer_norm(r2, p[f"l{n}.ln2_scale"], p[f"l{n}.ln2_offset"])
+        f1 = h1_2d @ p[f"l{n}.ff1_w"]
+        f1 += p[f"l{n}.ff1_b"]
+        g, tanh_t = gelu(f1)
+        f2 = g @ p[f"l{n}.ff2_w"]
+        f2 += p[f"l{n}.ff2_b"]
+        f2, ff_keep = _dropout(f2.reshape(B, L, -1), drop_p, dropout_rng)
+        f2 += h1
+        x, ln2_cache = layer_norm(f2, p[f"l{n}.ln2_scale"], p[f"l{n}.ln2_offset"])
 
-        layer_caches.append(
-            dict(
-                x_in=x_in, q=q, k=k, v=v, probs=probs, ctx2d=ctx2d,
-                attn_keep=attn_keep, ln1_cache=ln1_cache, h1_2d=h1_2d,
-                f1=f1, tanh_t=tanh_t, g=g, ff_keep=ff_keep, ln2_cache=ln2_cache,
+        if keep_cache:
+            layer_caches.append(
+                dict(
+                    x_in=x_in, q=q, k=k, v=v, probs=probs, ctx2d=ctx2d,
+                    attn_keep=attn_keep, ln1_cache=ln1_cache, h1_2d=h1_2d,
+                    f1=f1, tanh_t=tanh_t, g=g, ff_keep=ff_keep, ln2_cache=ln2_cache,
+                )
             )
-        )
 
+    if not keep_cache:
+        return x, None
     cache = dict(
         ids=ids, attn_mask=attn_mask, emb_ln_cache=emb_ln_cache,
         emb_keep=emb_keep, layers=layer_caches, shape=(B, L),
@@ -375,7 +425,7 @@ def forward(state: ModelState, token_ids, attention_mask=None) -> np.ndarray:
         mask = np.ones_like(ids, dtype=bool)
     else:
         mask = np.asarray(attention_mask, dtype=bool)[None, :]
-    hidden, _ = forward_batch(state, ids, mask)
+    hidden, _ = forward_batch(state, ids, mask, keep_cache=False)
     h2d = hidden.reshape(-1, state.config.hidden)
     return h2d @ state.params["tok_emb"].T + state.params["out_bias"]
 

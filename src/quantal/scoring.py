@@ -3,7 +3,9 @@
 Default scoring is pseudo-log-likelihood: mask each position in turn and
 sum the cross-entropy of the true token at the masked slot.  The cheaper
 single-pass mode scores every position from one intact forward pass.
-Neither mode touches the model parameters.
+Both run the model's cache-free forward pass (``keep_cache=False``),
+which keeps no backward caches and differs from the training pass only
+by float rounding.  Neither mode touches the model parameters.
 """
 
 from __future__ import annotations
@@ -88,7 +90,7 @@ def surprisal_many(
             ids[rows, cols] = tok.mask_id
         else:
             rows, cols = np.nonzero(mask)
-        hidden, _ = forward_batch(state, ids, mask)
+        hidden, _ = forward_batch(state, ids, mask, keep_cache=False)
         logp = _scored_positions(state, hidden, rows, cols)
         if mode == PLL:
             for row, (j, i) in enumerate(chunk):

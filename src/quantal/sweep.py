@@ -102,6 +102,14 @@ class SweepConfig:
     surprisal_mode: str = PLL
 
     def __post_init__(self):
+        # Seeds hash repr(prop) and str(n), so 0 and 0.0 (or 6 and 6.0) would
+        # derive different data for what --reuse reads back as one cell.
+        object.__setattr__(self, "proportions", tuple(float(p) for p in self.proportions))
+        for name in ("sizes", "epoch_settings"):
+            values = tuple(getattr(self, name))
+            if any(int(v) != v for v in values):
+                raise ValueError(f"{name} must be integers, got {values}")
+            object.__setattr__(self, name, tuple(int(v) for v in values))
         if self.experiment not in (WORD_ORDER, BINARY):
             raise ValueError(f"unknown experiment {self.experiment!r}")
         for name in ("sizes", "proportions", "epoch_settings"):
@@ -446,9 +454,6 @@ def load_sweep_config(path: str | Path) -> SweepConfig:
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     if payload.pop("format", None) != CONFIG_FORMAT:
         raise ValueError(f"not a {CONFIG_FORMAT!r} file: {path}")
-    payload["sizes"] = tuple(payload["sizes"])
-    payload["proportions"] = tuple(payload["proportions"])
-    payload["epoch_settings"] = tuple(payload["epoch_settings"])
     return SweepConfig(**payload)
 
 

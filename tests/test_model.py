@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from quantal import model
 from quantal.model import (
     IGNORE_INDEX,
     ModelConfig,
@@ -167,6 +170,74 @@ class TestForward:
             st.params[name][...] = 0.0
         logits = forward(st, [3, 4, 5])
         npt.assert_array_equal(logits, 0.0)
+
+
+def lively_state(dtype, seed=6):
+    """TINY model with every parameter redrawn at unit scale, so LayerNorm
+    scales and offsets, biases and GELU's saturated tails all matter."""
+    st = init_model(ModelConfig(**TINY), seed=seed, dtype=dtype)
+    rng = np.random.default_rng(seed)
+    for name, arr in st.params.items():
+        base = 1.0 if name.endswith("_scale") else 0.0
+        arr[...] = base + rng.normal(0.0, 0.7, size=arr.shape)
+    return st
+
+
+def masked_ragged_batch():
+    """tiny_batch with MASK (id 2) in some real slots, as PLL rows have."""
+    ids, mask, _ = tiny_batch()
+    ids = ids.copy()
+    ids[0, 1] = ids[1, 4] = ids[2, 0] = 2
+    return ids, mask
+
+
+class TestCacheFreeForward:
+    @pytest.mark.parametrize("dtype, rtol, atol", [(np.float64, 1e-12, 1e-12), (np.float32, 1e-5, 1e-6)])
+    def test_matches_cached_pass(self, dtype, rtol, atol, monkeypatch):
+        # A small block makes _gelu_inplace run several row blocks, the last one partial.
+        monkeypatch.setattr(model, "_GELU_BLOCK", 3 * TINY["intermediate"])
+        st = lively_state(dtype)
+        ids, mask = masked_ragged_batch()
+        ref, _ = forward_batch(st, ids, mask)
+        got, cache = forward_batch(st, ids, mask, keep_cache=False)
+        assert cache is None
+        assert got.dtype == dtype
+        npt.assert_allclose(got, ref, rtol=rtol, atol=atol)
+
+    def test_dropout_draws_match_cached_pass(self):
+        st = lively_state(np.float64)
+        ids, mask = masked_ragged_batch()
+        ref, _ = forward_batch(st, ids, mask, dropout_rng=make_rng(4))
+        got, _ = forward_batch(st, ids, mask, dropout_rng=make_rng(4), keep_cache=False)
+        npt.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
+
+    def test_parameters_untouched(self):
+        st = lively_state(np.float32)
+        before = {name: arr.tobytes() for name, arr in st.params.items()}
+        forward_batch(st, *masked_ragged_batch(), keep_cache=False)
+        assert {name: arr.tobytes() for name, arr in st.params.items()} == before
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gelu_inplace_matches_gelu_without_overflow_warnings(self, dtype):
+        x = np.linspace(-120.0, 120.0, 4001, dtype=dtype).reshape(-1, 1)
+        ref, _ = model._gelu(x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, s = model._gelu_inplace(x.copy())
+        assert s is None
+        # _gelu's x - x*s/2 cancels in the negative tail, so allow eps*|x| there.
+        eps = np.finfo(dtype).eps
+        bound = 8 * eps * (np.abs(ref) + np.abs(x)) + np.finfo(dtype).tiny
+        npt.assert_array_less(np.abs(got - ref), bound)
+
+    def test_layer_norm_inplace_is_bit_identical(self):
+        x = np.random.default_rng(0).normal(size=(3, 5, 16)).astype(np.float32)
+        scale = np.linspace(0.5, 1.5, 16, dtype=np.float32)
+        offset = np.linspace(-1.0, 1.0, 16, dtype=np.float32)
+        ref, _ = model._layer_norm(x, scale, offset)
+        got, cache = model._layer_norm_inplace(x.copy(), scale, offset)
+        assert cache is None
+        npt.assert_array_equal(got, ref)
 
 
 class TestLogSoftmax:

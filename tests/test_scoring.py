@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from quantal import bpe, corpora, scoring
-from quantal.model import ModelConfig, init_model
+from quantal.model import ModelConfig, TrainConfig, forward_batch, init_model, log_softmax
 from quantal.scoring import (
     PLL,
     UNMASKED,
@@ -18,6 +18,7 @@ from quantal.scoring import (
     surprisal_many,
     write_eval_report,
 )
+from quantal.training import train
 
 CFG = dict(
     n_layers=2,
@@ -140,6 +141,37 @@ class TestInvariances:
         pll = surprisal_many(self.state, self.tok, self.texts, mode=PLL)
         un = surprisal_many(self.state, self.tok, self.texts, mode=UNMASKED)
         assert not np.allclose(pll, un)
+
+
+class TestFixedCheckpoint:
+    # Scoring runs forward_batch's cache-free pass; its PLL scores must stay
+    # within 1e-5 relative of the cached (training) pass on a trained model.
+
+    def test_pll_matches_cached_forward_reference(self):
+        corpus = corpora.gen_exp2_corpus(48, 0.25, string_len=8, seed=9)
+        tok = bpe.train_tokenizer([corpus.to_text()], 16)
+        state = init_model(ModelConfig(**{**CFG, "vocab_size": tok.vocab_size}), seed=3)
+        train(state, corpus, tok, TrainConfig(epochs=2, seed=5, learning_rate=1e-3))
+        assert state.step == 6
+        texts = [s.text for s in corpus.sentences[:6]]
+
+        reference = []
+        for text in texts:
+            ids = np.asarray(bpe.encode(tok, text))
+            n = np.arange(ids.size)
+            rows = np.tile(ids, (ids.size, 1))
+            rows[n, n] = tok.mask_id
+            hidden, cache = forward_batch(state, rows, np.ones(rows.shape, bool), keep_cache=True)
+            assert cache is not None
+            logits = hidden[n, n] @ state.params["tok_emb"].T + state.params["out_bias"]
+            reference.append(-log_softmax(logits)[n, ids].sum())
+
+        # Rows are scored shortest sentence first; one row past the shortest
+        # sentence puts the first chunk boundary inside the next sentence.
+        lengths = sorted(len(bpe.encode(tok, t)) for t in texts)
+        assert lengths[1] > 1
+        got = surprisal_many(state, tok, texts, chunk_rows=lengths[0] + 1)
+        np.testing.assert_allclose(got, reference, rtol=1e-5)
 
 
 class TestEvaluatePairs:

@@ -86,6 +86,29 @@ class TestConfig:
     def test_accepts_untrained_epoch_setting(self):
         assert tiny_config(epoch_settings=(0, 1)).epoch_settings == (0, 1)
 
+    def test_integral_values_normalised(self):
+        cfg = tiny_config(sizes=[6.0], proportions=[0], epoch_settings=[1.0])
+        assert cfg == tiny_config()
+        assert (type(cfg.sizes[0]), type(cfg.proportions[0]), type(cfg.epoch_settings[0])) == (int, float, int)
+        with pytest.raises(ValueError, match="sizes must be integers"):
+            tiny_config(sizes=(6.5,))
+        with pytest.raises(ValueError, match="epoch_settings must be integers"):
+            tiny_config(epoch_settings=(1.5,))
+
+    def test_int_and_float_proportion_are_one_cell(self):
+        # --reuse reads a stored 0 back as 0.0, so both spellings must derive
+        # the same seeds and the same corpus
+        as_int, as_float = tiny_config(proportions=(0,)), tiny_config(proportions=(0.0,))
+        for a, b in zip(expand_grid(as_int), expand_grid(as_float)):
+            assert derived_seeds(as_int, a) == derived_seeds(as_float, b)
+            assert a.init_seed == b.init_seed
+
+        def corpus_hash(cfg):
+            return run_cell(cfg, expand_grid(cfg)).corpus_hash
+
+        untrained = dict(epoch_settings=(0,), replicates=1)
+        assert corpus_hash(tiny_config(proportions=(0,), **untrained)) == corpus_hash(tiny_config(**untrained))
+
     def test_json_round_trip(self, tmp_path):
         cfg = tiny_config(surprisal_mode=UNMASKED, proportions=(0.0, 0.25))
         path = tmp_path / "sweep.json"

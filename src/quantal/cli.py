@@ -272,7 +272,9 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--artifacts", help="directory for per-cell artifact files")
     sw.add_argument("--reuse", action="store_true", help="skip cells already in store")
     sw.add_argument(
-        "--workers", type=int, help=f"parallel cells (default ${WORKERS_ENV} or 1)"
+        "--workers",
+        type=int,
+        help=f"parallel cells, each worker on one BLAS thread (default ${WORKERS_ENV} or 1)",
     )
     sw.set_defaults(func=cmd_sweep)
 

@@ -182,18 +182,21 @@ def _gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return y, s
 
 
-def _gelu_inplace(x: np.ndarray) -> tuple[np.ndarray, None]:
-    """_gelu without the backward's s, overwriting x; returns (x, None).
+def _gelu_inplace(x: np.ndarray, bias: np.ndarray) -> tuple[np.ndarray, None]:
+    """_gelu(x + bias) without the backward's s, overwriting x; returns (x, None).
 
-    Uses the sigmoid form x / (1 + exp(-2c*x*(1 + a*x^2))) of the same
-    tanh approximation, which takes fewer passes.  For large negative x
-    the exp overflows to inf and the quotient is the correct -0.
+    The bias is added block by block, while each block is in cache, which
+    gives the same values as adding it to all of x first.  GELU takes the
+    sigmoid form x / (1 + exp(-2c*x*(1 + a*x^2))) of the same tanh
+    approximation, which takes fewer passes.  For large negative x the
+    exp overflows to inf and the quotient is the correct -0.
     """
     rows = max(1, _GELU_BLOCK // x.shape[-1])
     u = np.empty_like(x[:rows])
     with np.errstate(over="ignore"):
         for i in range(0, x.shape[0], rows):
             xb = x[i : i + rows]
+            xb += bias
             ub = u[: xb.shape[0]]
             np.multiply(xb, xb, out=ub)
             ub *= -2.0 * _GELU_C * _GELU_A
@@ -296,7 +299,7 @@ def forward_batch(
     if ids.min() < 0 or ids.max() >= cfg.vocab_size:
         raise ValueError("token id out of range")
 
-    layer_norm, gelu = (_layer_norm, _gelu) if keep_cache else (_layer_norm_inplace, _gelu_inplace)
+    layer_norm = _layer_norm if keep_cache else _layer_norm_inplace
     drop_p = cfg.dropout if dropout_rng is not None else 0.0
     nh, dh = cfg.n_heads, cfg.head_dim
     scale = 1.0 / np.sqrt(dh)
@@ -333,8 +336,11 @@ def forward_batch(
 
         h1_2d = h1.reshape(B * L, -1)
         f1 = h1_2d @ p[f"l{n}.ff1_w"]
-        f1 += p[f"l{n}.ff1_b"]
-        g, tanh_t = gelu(f1)
+        if keep_cache:
+            f1 += p[f"l{n}.ff1_b"]
+            g, tanh_t = _gelu(f1)
+        else:
+            g, tanh_t = _gelu_inplace(f1, p[f"l{n}.ff1_b"])
         f2 = g @ p[f"l{n}.ff2_w"]
         f2 += p[f"l{n}.ff2_b"]
         f2, ff_keep = _dropout(f2.reshape(B, L, -1), drop_p, dropout_rng)

@@ -6,17 +6,26 @@ single-pass mode scores every position from one intact forward pass.
 Both run the model's cache-free forward pass (``keep_cache=False``),
 which keeps no backward caches and differs from the training pass only
 by float rounding.  Neither mode touches the model parameters.
+
+A call with more than one chunk scores its chunks on every CPU the
+process may use, one chunk per thread, with BLAS pinned to one thread
+while it runs (``blas.one_thread``).  Each sentence's total is summed in
+chunk order, so scores are bit-identical to scoring the chunks one at a
+time.  Where no OpenBLAS is found to pin, chunks run one at a time.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from . import bpe
+from . import blas, bpe
 from .corpora import MinimalPairSet
 from .model import ModelState, forward_batch, log_softmax
 from .training import encode_texts, pad_batch
@@ -58,6 +67,10 @@ def _scored_positions(state: ModelState, hidden: np.ndarray, rows, cols) -> np.n
     return log_softmax(logits, axis=-1)
 
 
+def _usable_cpus() -> int:
+    return len(os.sched_getaffinity(0))
+
+
 def surprisal_many(
     state: ModelState,
     tok: bpe.TokenizerModel,
@@ -81,25 +94,34 @@ def surprisal_many(
         jobs = [(j, -1) for j in range(len(encoded))]
     jobs.sort(key=lambda job: (encoded[job[0]].size, job[0], job[1]))
 
-    for start in range(0, len(jobs), chunk_rows):
-        chunk = jobs[start : start + chunk_rows]
+    chunks = [jobs[start : start + chunk_rows] for start in range(0, len(jobs), chunk_rows)]
+
+    def score(chunk):
+        """Surprisal of each row's scored positions, in the model's dtype."""
         ids, mask = pad_batch([encoded[j] for j, _ in chunk], tok.pad_id)
         if mode == PLL:
             rows = np.arange(len(chunk))
             cols = np.array([i for _, i in chunk])
             ids[rows, cols] = tok.mask_id
+            true_ids = np.array([encoded[j][i] for j, i in chunk])
         else:
             rows, cols = np.nonzero(mask)
-        hidden, _ = forward_batch(state, ids, mask, keep_cache=False)
-        logp = _scored_positions(state, hidden, rows, cols)
-        if mode == PLL:
-            for row, (j, i) in enumerate(chunk):
-                totals[j] -= logp[row, encoded[j][i]]
-        else:
             true_ids = np.concatenate([encoded[j] for j, _ in chunk])
-            taken = logp[np.arange(rows.size), true_ids]
-            for row, (j, _) in enumerate(chunk):
-                totals[j] -= taken[rows == row].sum()
+        hidden, _ = forward_batch(state, ids, mask, keep_cache=False)
+        taken = _scored_positions(state, hidden, rows, cols)[np.arange(rows.size), true_ids]
+        if mode == PLL:
+            return taken
+        return np.array([taken[rows == row].sum() for row in range(len(chunk))])
+
+    # Chunks run on every usable CPU only while BLAS is pinned to one thread
+    # per caller; unpinned, OpenBLAS serializes concurrent callers.  Totals
+    # are summed here in chunk order, so scores equal the one-thread loop's.
+    with blas.one_thread() if len(chunks) > 1 else contextlib.nullcontext(0) as pinned:
+        threads = min(len(chunks), _usable_cpus()) if pinned else 1
+        with ThreadPoolExecutor(threads) if threads > 1 else contextlib.nullcontext() as pool:
+            for chunk, row_scores in zip(chunks, (pool.map if pool else map)(score, chunks)):
+                for (j, _), value in zip(chunk, row_scores):
+                    totals[j] -= value
     return totals
 
 

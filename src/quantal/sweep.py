@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import bpe, corpora
+from . import blas, bpe, corpora
 from .checkpoint import save_checkpoint, state_digest
 from .corpora import BINARY, WORD_ORDER
 from .model import ModelConfig, TrainConfig, init_model
@@ -481,7 +481,9 @@ def run_sweep(
     """
     done = {_cell_key(row) for row in load_results(store)} if reuse else set()
     results, skipped, failures = [], [], []
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    # Each worker runs one BLAS thread: workers that each bring a pool of one
+    # thread per core oversubscribe the cores.
+    pool = ProcessPoolExecutor(max_workers=workers, initializer=blas.pin_one_thread) if workers > 1 else None
     with pool or contextlib.nullcontext():
         # A pool starts every cell at once; serially, each runs when the loop below reaches it.
         tasks = []

@@ -197,6 +197,8 @@ class TestCacheFreeForward:
         # A small block makes _gelu_inplace run several row blocks, the last one partial.
         monkeypatch.setattr(model, "_GELU_BLOCK", 3 * TINY["intermediate"])
         st = lively_state(dtype)
+        # _gelu_inplace adds ff1_b block by block; a zero bias would hide a slip there.
+        assert all(st.params[f"l{n}.ff1_b"].all() for n in range(TINY["n_layers"]))
         ids, mask = masked_ragged_batch()
         ref, _ = forward_batch(st, ids, mask)
         got, cache = forward_batch(st, ids, mask, keep_cache=False)
@@ -223,12 +225,22 @@ class TestCacheFreeForward:
         ref, _ = model._gelu(x)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got, s = model._gelu_inplace(x.copy())
+            got, s = model._gelu_inplace(x.copy(), np.zeros(1, dtype))
         assert s is None
         # _gelu's x - x*s/2 cancels in the negative tail, so allow eps*|x| there.
         eps = np.finfo(dtype).eps
         bound = 8 * eps * (np.abs(ref) + np.abs(x)) + np.finfo(dtype).tiny
         npt.assert_array_less(np.abs(got - ref), bound)
+
+    def test_gelu_inplace_bias_in_blocks_is_bit_identical(self, monkeypatch):
+        # Adding the bias per row block gives the values of one add over all rows.
+        monkeypatch.setattr(model, "_GELU_BLOCK", 3 * 16)
+        rng = np.random.default_rng(1)
+        x = rng.normal(0.0, 3.0, size=(10, 16)).astype(np.float32)
+        bias = rng.normal(0.0, 1.0, size=16).astype(np.float32)
+        ref, _ = model._gelu_inplace(x + bias, np.zeros(16, np.float32))
+        got, _ = model._gelu_inplace(x.copy(), bias)
+        npt.assert_array_equal(got, ref)
 
     def test_layer_norm_inplace_is_bit_identical(self):
         x = np.random.default_rng(0).normal(size=(3, 5, 16)).astype(np.float32)

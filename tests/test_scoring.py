@@ -1,11 +1,12 @@
 """Surprisal scoring oracles: uniform-model values, ties, invariances."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
 
-from quantal import bpe, corpora, scoring
+from quantal import blas, bpe, corpora, scoring
 from quantal.model import ModelConfig, TrainConfig, forward_batch, init_model, log_softmax
 from quantal.scoring import (
     PLL,
@@ -172,6 +173,75 @@ class TestFixedCheckpoint:
         assert lengths[1] > 1
         got = surprisal_many(state, tok, texts, chunk_rows=lengths[0] + 1)
         np.testing.assert_allclose(got, reference, rtol=1e-5)
+
+
+def hex_scores(scores):
+    return [float(v).hex() for v in scores]
+
+
+@pytest.fixture
+def blas_at_two_threads():
+    """The OpenBLAS libraries, set to two threads for the test, then restored."""
+    libs = blas.libraries()
+    if not libs:
+        pytest.skip("no OpenBLAS mapped into this process")
+    old = [lib.get_threads() for lib in libs]
+    for lib in libs:
+        lib.set_threads(2)
+    yield libs
+    for lib, n in zip(libs, old):
+        lib.set_threads(n)
+
+
+class TestThreadedScoring:
+    def setup_method(self):
+        self.corpus = corpora.gen_exp2_corpus(24, 0.25, string_len=8, seed=9)
+        self.tok = bpe.train_tokenizer([self.corpus.to_text()], 16)
+        self.state = init_model(ModelConfig(**{**CFG, "vocab_size": self.tok.vocab_size}), seed=3)
+        self.texts = [s.text for s in self.corpus.sentences[:10]]
+
+    def score(self, monkeypatch, cpus, mode):
+        """Scores, and the ident of each thread that ran a forward pass."""
+        threads = []
+
+        def recording_forward(*args, **kwargs):
+            threads.append(threading.get_ident())
+            return forward_batch(*args, **kwargs)
+
+        monkeypatch.setattr(scoring, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(scoring, "forward_batch", recording_forward)
+        # 7 rows per chunk: more chunks than threads, and in PLL mode chunk
+        # boundaries fall inside sentences.
+        scores = surprisal_many(self.state, self.tok, self.texts, mode=mode, chunk_rows=7)
+        return hex_scores(scores), set(threads)
+
+    @pytest.mark.parametrize("mode", [PLL, UNMASKED])
+    def test_threads_give_one_thread_scores(self, mode, monkeypatch, blas_at_two_threads):
+        serial, serial_threads = self.score(monkeypatch, 1, mode)
+        threaded, threaded_threads = self.score(monkeypatch, 3, mode)
+        assert serial_threads == {threading.get_ident()}
+        assert threading.get_ident() not in threaded_threads
+        assert threaded == serial
+        assert blas.thread_counts() == [2] * len(blas_at_two_threads)
+
+    def test_no_openblas_scores_on_one_thread(self, monkeypatch):
+        serial, _ = self.score(monkeypatch, 1, PLL)
+        monkeypatch.setattr(blas, "libraries", lambda: [])
+        fallback, threads = self.score(monkeypatch, 3, PLL)
+        assert threads == {threading.get_ident()}
+        assert fallback == serial
+
+    def test_one_thread_block_restores_counts(self, blas_at_two_threads):
+        n = len(blas_at_two_threads)
+        with blas.one_thread() as pinned:
+            assert pinned == n
+            assert blas.thread_counts() == [1] * n
+        assert blas.thread_counts() == [2] * n
+        with pytest.raises(KeyError):
+            with blas.one_thread():
+                assert blas.thread_counts() == [1] * n
+                raise KeyError("inside the block")
+        assert blas.thread_counts() == [2] * n
 
 
 class TestEvaluatePairs:

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quantal import corpora, sweep
+from quantal import blas, corpora, sweep
 from quantal.bpe import load_tokenizer
 from quantal.checkpoint import load_checkpoint, state_digest
 from quantal.corpora import BINARY, WORD_ORDER
@@ -432,6 +432,29 @@ class TestRunSweep:
             return sorted(rows, key=lambda r: r["exception_prop"])
 
         assert keyed(serial_store) == keyed(pooled_store)
+
+
+    def test_pool_workers_run_one_blas_thread(self, tmp_path, monkeypatch):
+        libs = blas.libraries()
+        if not libs:
+            pytest.skip("no OpenBLAS mapped into this process")
+
+        def report_threads(*args, **kwargs):
+            raise RuntimeError(blas.thread_counts())
+
+        # Workers are forked, so they see this replacement of run_cell.
+        monkeypatch.setattr(sweep, "run_cell", report_threads)
+        cfg = tiny_config(sizes=(5,), proportions=(0.0, 0.5), replicates=1)
+        old = [lib.get_threads() for lib in libs]
+        try:
+            for lib in libs:
+                lib.set_threads(2)
+            _, _, failures = run_sweep(cfg, tmp_path / "results.csv", workers=2)
+            assert blas.thread_counts() == [2] * len(libs)
+        finally:
+            for lib, n in zip(libs, old):
+                lib.set_threads(n)
+        assert [why for _, why in failures] == [repr(RuntimeError([1] * len(libs)))] * 2
 
 
 class TestCommittedStores:

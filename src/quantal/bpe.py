@@ -16,6 +16,8 @@ from __future__ import annotations
 import heapq
 from pathlib import Path
 
+from .util import sha256_bytes
+
 MARKER = "▁"
 PAD, UNK, MASK = "<pad>", "<unk>", "<mask>"
 SPECIALS = (PAD, UNK, MASK)
@@ -238,6 +240,11 @@ def save_tokenizer_text(tok: TokenizerModel) -> str:
 
 def save_tokenizer(tok: TokenizerModel, path: str | Path) -> None:
     Path(path).write_bytes(save_tokenizer_text(tok).encode("utf-8"))
+
+
+def tokenizer_sha256(tok: TokenizerModel) -> str:
+    """SHA-256 of the file save_tokenizer writes; checkpoints record it."""
+    return sha256_bytes(save_tokenizer_text(tok).encode("utf-8"))
 
 
 def load_tokenizer(path: str | Path) -> TokenizerModel:

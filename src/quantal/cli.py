@@ -8,14 +8,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import bpe, corpora
 from .checkpoint import load_checkpoint, save_checkpoint
-from .model import ModelConfig, TrainConfig, init_model
 from .scoring import MODES, PLL, evaluate_pairs, write_eval_report
 from .sweep import (
     cell_data,
@@ -24,13 +21,13 @@ from .sweep import (
     load_results,
     load_sweep_config,
     run_sweep,
+    train_replicate,
+    write_cell_inputs,
 )
 from .svgplot import column_svg, heatmap_svg, write_svg
 from .tp import analyze_column, write_report
-from .training import train
 from .util import sha256_bytes, stable_seed
 
-WORKERS_ENV = "QUANTAL_WORKERS"
 GEN_MANIFEST_FORMAT = "quantal-gen v2"
 
 EXPERIMENT_BY_FLAG = {1: corpora.WORD_ORDER, 2: corpora.BINARY}
@@ -42,23 +39,6 @@ class UsageError(ValueError):
 
 def _emit_error(kind: str, exc: BaseException) -> None:
     print(json.dumps({"kind": kind, "error": str(exc)}), file=sys.stderr)
-
-
-@dataclass(frozen=True)
-class PlotSpec:
-    kind: str
-    table: str
-    out: str
-    epochs: int
-    n_train: int | None = None
-    x_range: tuple[float, float] | None = None
-    y_range: tuple[float, float] | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("heatmap", "column_regression"):
-            raise UsageError(f"unknown plot kind {self.kind!r}")
-        if self.kind == "column_regression" and self.n_train is None:
-            raise UsageError("column_regression plots need --n-train")
 
 
 def _parse_range(text: str | None) -> tuple[float, float] | None:
@@ -80,16 +60,8 @@ def cmd_gen(args) -> int:
         raise UsageError(f"--prop must be in [0, 1], got {args.prop}")
     experiment = EXPERIMENT_BY_FLAG[args.exp]
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     vocab, corpus, pairs = cell_data(experiment, args.seed, args.n, args.prop, args.pairs)
-    written = {}
-    if vocab is not None:
-        corpora.write_vocabulary(vocab, out_dir / "vocabulary.txt")
-        written["vocabulary"] = "vocabulary.txt"
-    corpora.write_corpus(corpus, out_dir / "corpus.txt")
-    corpora.write_pairs(pairs, out_dir / "pairs.tsv")
-    written["corpus"] = "corpus.txt"
-    written["pairs"] = "pairs.tsv"
+    written = write_cell_inputs(out_dir, vocab, corpus, pairs)
     manifest = {
         "format": GEN_MANIFEST_FORMAT,
         "experiment": experiment,
@@ -107,29 +79,21 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _default_tokenizer_path(checkpoint_path: str) -> str:
-    return str(checkpoint_path) + ".tok"
-
-
 def cmd_train(args) -> int:
-    if not args.init_only and args.epochs is None:
-        raise UsageError("--epochs is required unless --init-only is set")
+    if args.epochs < 0:
+        raise UsageError(f"--epochs must be >= 0 (0 = untrained), got {args.epochs}")
     experiment = EXPERIMENT_BY_FLAG[args.exp]
     corpus = corpora.read_corpus(args.corpus, experiment)
     vocab = corpora.read_vocabulary(args.vocab) if args.vocab else None
     tok = cell_tokenizer(experiment, corpus, vocab)
-    tok_path = args.tokenizer_out or _default_tokenizer_path(args.out)
+    tok_path = f"{args.out}.tok"
     bpe.save_tokenizer(tok, tok_path)
-    tok_hash = sha256_bytes(bpe.save_tokenizer_text(tok).encode("utf-8"))
-
-    state = init_model(
-        ModelConfig(vocab_size=tok.vocab_size), seed=stable_seed(args.seed, "init")
+    state, train_config = train_replicate(
+        tok, corpus, stable_seed(args.seed, "init"), args.epochs, stable_seed(args.seed, "train")
     )
-    train_config = None
-    if not args.init_only:
-        train_config = TrainConfig(epochs=args.epochs, seed=stable_seed(args.seed, "train"))
-        train(state, corpus, tok, train_config)
-    save_checkpoint(state, args.out, train_config=train_config, tokenizer_sha256=tok_hash)
+    save_checkpoint(
+        state, args.out, train_config=train_config, tokenizer_sha256=bpe.tokenizer_sha256(tok)
+    )
     print(f"wrote {tok_path}")
     print(f"wrote {args.out}")
     if state.loss_history:
@@ -147,6 +111,13 @@ def cmd_eval(args) -> int:
             f"tokenizer vocab {tok.vocab_size} does not match model vocab "
             f"{state.config.vocab_size}"
         )
+    # a checkpoint saved without a tokenizer hash cannot be checked
+    tok_hash = bpe.tokenizer_sha256(tok)
+    if meta["tokenizer_sha256"] not in (None, tok_hash):
+        raise ValueError(
+            f"tokenizer {args.tokenizer} has sha256 {tok_hash}, but the checkpoint "
+            f"records tokenizer sha256 {meta['tokenizer_sha256']}"
+        )
     pairs = corpora.read_pairs(args.pairs, EXPERIMENT_BY_FLAG[args.exp])
     report = evaluate_pairs(state, tok, pairs, mode=args.mode)
     write_eval_report(report, args.out)
@@ -157,12 +128,11 @@ def cmd_eval(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = load_sweep_config(args.config)
-    workers = args.workers or int(os.environ.get(WORKERS_ENV, "1"))
     results, skipped, failures = run_sweep(
         cfg,
         args.store,
         artifacts_dir=args.artifacts,
-        workers=workers,
+        workers=args.workers,
         reuse=args.reuse,
         log=lambda line: print(line, flush=True),
     )
@@ -194,35 +164,29 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    spec = PlotSpec(
-        kind=args.kind,
-        table=args.table,
-        out=args.out,
-        epochs=args.epochs,
-        n_train=args.n_train,
-        x_range=_parse_range(args.x_range),
-        y_range=_parse_range(args.y_range),
-    )
-    table = load_results(spec.table)
+    x_range, y_range = _parse_range(args.x_range), _parse_range(args.y_range)
+    if args.kind == "column_regression" and args.n_train is None:
+        raise UsageError("column_regression plots need --n-train")
+    table = load_results(args.table)
     if not table:
-        raise ValueError(f"results table is empty: {spec.table}")
-    if spec.kind == "heatmap":
+        raise ValueError(f"results table is empty: {args.table}")
+    if args.kind == "heatmap":
         svg = heatmap_svg(
             table,
-            epochs=spec.epochs,
-            x_range=spec.x_range,
-            y_range=spec.y_range,
-            title=f"mean accuracy, {spec.epochs} epochs",
+            epochs=args.epochs,
+            x_range=x_range,
+            y_range=y_range,
+            title=f"mean accuracy, {args.epochs} epochs",
         )
     else:
-        points, n_types = _column_inputs(table, spec.n_train, spec.epochs)
+        points, n_types = _column_inputs(table, args.n_train, args.epochs)
         svg = column_svg(
             points,
             n_types,
-            title=f"n={spec.n_train}, {spec.epochs} epochs",
+            title=f"n={args.n_train}, {args.epochs} epochs",
         )
-    write_svg(svg, spec.out)
-    print(f"wrote {spec.out}")
+    write_svg(svg, args.out)
+    print(f"wrote {args.out}")
     return 0
 
 
@@ -245,16 +209,10 @@ def build_parser() -> argparse.ArgumentParser:
     tr = sub.add_parser("train", help="train a model and tokenizer on a corpus file")
     tr.add_argument("--corpus", required=True)
     tr.add_argument("--exp", type=int, choices=(1, 2), required=True)
-    tr.add_argument("--epochs", type=int)
+    tr.add_argument("--epochs", type=int, required=True, help="0 writes the untrained model")
     tr.add_argument("--seed", type=int, required=True)
-    tr.add_argument("--out", required=True, help="checkpoint path")
+    tr.add_argument("--out", required=True, help="checkpoint path; the tokenizer goes to <out>.tok")
     tr.add_argument("--vocab", help="vocabulary.txt from gen; the tokenizer trains on it too")
-    tr.add_argument("--tokenizer-out", help="default: <out>.tok")
-    tr.add_argument(
-        "--init-only",
-        action="store_true",
-        help="write the freshly initialized model without training",
-    )
     tr.set_defaults(func=cmd_train)
 
     ev = sub.add_parser("eval", help="score minimal pairs with a trained checkpoint")
@@ -272,9 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--artifacts", help="directory for per-cell artifact files")
     sw.add_argument("--reuse", action="store_true", help="skip cells already in store")
     sw.add_argument(
-        "--workers",
-        type=int,
-        help=f"parallel cells, each worker on one BLAS thread (default ${WORKERS_ENV} or 1)",
+        "--workers", type=int, default=1, help="parallel cells, each worker on one BLAS thread"
     )
     sw.set_defaults(func=cmd_sweep)
 

@@ -72,7 +72,6 @@ class Corpus:
     experiment: str
     n_types: int
     exception_count: int
-    seed: int | None
 
     def to_text(self) -> str:
         return "".join(s.text + "\n" for s in self.sentences)
@@ -181,7 +180,7 @@ def gen_exp1_corpus(
             made += 1
     order = rng.permutation(len(sentences))
     shuffled = tuple(sentences[i] for i in order)
-    return Corpus(shuffled, WORD_ORDER, n_types=len(shuffled), exception_count=n_exc, seed=seed)
+    return Corpus(shuffled, WORD_ORDER, n_types=len(shuffled), exception_count=n_exc)
 
 
 def gen_exp1_test_pairs(vocab: Vocabulary, n_pairs: int, seed: int) -> MinimalPairSet:
@@ -240,7 +239,7 @@ def gen_exp2_corpus(
             sentences.append(Sentence((first + suffix,), is_exception=(first == "0")))
     order = rng.permutation(len(sentences))
     shuffled = tuple(sentences[i] for i in order)
-    return Corpus(shuffled, BINARY, n_types=len(shuffled), exception_count=n_exc, seed=seed)
+    return Corpus(shuffled, BINARY, n_types=len(shuffled), exception_count=n_exc)
 
 
 def gen_exp2_test_pairs(n_pairs: int, string_len: int = 16, seed: int = 0) -> MinimalPairSet:
@@ -306,7 +305,7 @@ def classify_shift_sentence(tokens: tuple[str, ...]) -> str:
     raise ValueError(f"tokens 4-6 are not a known permutation of tokens 1-3: {tokens}")
 
 
-def read_corpus(path: str | Path, experiment: str, seed: int | None = None) -> Corpus:
+def read_corpus(path: str | Path, experiment: str) -> Corpus:
     """Re-parse a corpus file, recomputing pattern flags and type counts."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     sentences = []
@@ -323,7 +322,7 @@ def read_corpus(path: str | Path, experiment: str, seed: int | None = None) -> C
             raise ValueError(f"unknown experiment {experiment!r}")
     n_types = len({s.tokens for s in sentences})
     n_exc = sum(s.is_exception for s in sentences)
-    return Corpus(tuple(sentences), experiment, n_types=n_types, exception_count=n_exc, seed=seed)
+    return Corpus(tuple(sentences), experiment, n_types=n_types, exception_count=n_exc)
 
 
 def write_pairs(pairset: MinimalPairSet, path: str | Path) -> None:

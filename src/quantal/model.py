@@ -424,6 +424,11 @@ def backward_batch(state: ModelState, d_hidden: np.ndarray, cache) -> dict[str, 
     return grads
 
 
+def output_head(state: ModelState, h: np.ndarray) -> np.ndarray:
+    """Vocabulary logits of hidden rows h: the output head tied to tok_emb."""
+    return h @ state.params["tok_emb"].T + state.params["out_bias"]
+
+
 def forward(state: ModelState, token_ids, attention_mask=None) -> np.ndarray:
     """Full-vocabulary logits (positions x vocab) for one sequence, no dropout."""
     ids = np.asarray(token_ids, dtype=np.int64)[None, :]
@@ -432,8 +437,7 @@ def forward(state: ModelState, token_ids, attention_mask=None) -> np.ndarray:
     else:
         mask = np.asarray(attention_mask, dtype=bool)[None, :]
     hidden, _ = forward_batch(state, ids, mask, keep_cache=False)
-    h2d = hidden.reshape(-1, state.config.hidden)
-    return h2d @ state.params["tok_emb"].T + state.params["out_bias"]
+    return output_head(state, hidden.reshape(-1, state.config.hidden))
 
 
 def apply_masking(token_ids, p: float, rng, mask_id: int):
@@ -467,8 +471,7 @@ def loss_and_grads(state: ModelState, ids, attn_mask, labels, dropout_rng=None):
     if n_masked == 0:
         return 0.0, None, 0
     h_sel = hidden[sel]  # (M, H)
-    logits = h_sel @ state.params["tok_emb"].T + state.params["out_bias"]
-    logp = log_softmax(logits, axis=-1)
+    logp = log_softmax(output_head(state, h_sel), axis=-1)
     true_ids = labels[sel]
     rows = np.arange(n_masked)
     loss = float(-logp[rows, true_ids].mean())

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import blas, bpe
 from .corpora import MinimalPairSet
-from .model import ModelState, forward_batch, log_softmax
+from .model import ModelState, forward_batch, log_softmax, output_head
 from .training import encode_texts, pad_batch
 
 PLL = "pll"
@@ -58,13 +58,6 @@ class EvalReport:
 def _check_mode(mode: str) -> None:
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-
-
-def _scored_positions(state: ModelState, hidden: np.ndarray, rows, cols) -> np.ndarray:
-    """Log-probability rows of the tied output head at selected positions."""
-    h_sel = hidden[rows, cols]
-    logits = h_sel @ state.params["tok_emb"].T + state.params["out_bias"]
-    return log_softmax(logits, axis=-1)
 
 
 def _usable_cpus() -> int:
@@ -108,7 +101,8 @@ def surprisal_many(
             rows, cols = np.nonzero(mask)
             true_ids = np.concatenate([encoded[j] for j, _ in chunk])
         hidden, _ = forward_batch(state, ids, mask, keep_cache=False)
-        taken = _scored_positions(state, hidden, rows, cols)[np.arange(rows.size), true_ids]
+        logp = log_softmax(output_head(state, hidden[rows, cols]), axis=-1)
+        taken = logp[np.arange(rows.size), true_ids]
         if mode == PLL:
             return taken
         return np.array([taken[rows == row].sum() for row in range(len(chunk))])

@@ -5,8 +5,9 @@ setting), and for each cell generates a corpus and test pairs, trains a
 tokenizer on the cell's text, trains one model per replicate (replicates
 differ only in their weight-initialization seed), evaluates on minimal
 pairs, and appends one aggregated row to an append-only CSV store.
-The cell's data and tokenizer come from cell_data and cell_tokenizer,
-which `quantal gen` and `quantal train` call too.
+The cell's data, tokenizer, input files and replicate models come from
+cell_data, cell_tokenizer, write_cell_inputs and train_replicate, which
+`quantal gen` and `quantal train` call too.
 
 An epoch setting of 0 makes an untrained baseline cell: the same corpus,
 tokenizer, test pairs and scoring path as its trained neighbours, with
@@ -268,6 +269,38 @@ def cell_tokenizer(experiment: str, corpus, vocab=None) -> bpe.TokenizerModel:
     return bpe.train_tokenizer(texts, TARGET_VOCAB[experiment])
 
 
+def write_cell_inputs(out_dir: str | Path, vocab, corpus, pairs) -> dict[str, str]:
+    """Write a cell's vocabulary (word order only), corpus and test pairs.
+
+    Returns the written file names keyed by kind.
+    """
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    written = {}
+    if vocab is not None:
+        corpora.write_vocabulary(vocab, out_dir / "vocabulary.txt")
+        written["vocabulary"] = "vocabulary.txt"
+    corpora.write_corpus(corpus, out_dir / "corpus.txt")
+    corpora.write_pairs(pairs, out_dir / "pairs.tsv")
+    written["corpus"] = "corpus.txt"
+    written["pairs"] = "pairs.tsv"
+    return written
+
+
+def train_replicate(tok: bpe.TokenizerModel, corpus, init_seed: int, epochs: int, train_seed: int):
+    """(state, train config) of one replicate: a model initialized from
+    init_seed, then trained for epochs passes on the train_seed stream.
+
+    0 epochs leaves the model untrained, and the train config is None.
+    """
+    state = init_model(ModelConfig(vocab_size=tok.vocab_size), seed=init_seed)
+    train_config = TrainConfig(epochs=epochs, seed=train_seed) if epochs else None
+    if train_config is not None:
+        # looked up in this module, where perfbench's tracer wraps it
+        train(state, corpus, tok, train_config)
+    return state, train_config
+
+
 def _cell_coords(cfg: SweepConfig, jobs: list[CellJob]) -> dict:
     """The KEY_COLUMNS values of a cell, known before it runs."""
     job = jobs[0]
@@ -305,10 +338,11 @@ def run_cell(
     """Generate, tokenize, train each replicate, evaluate, and aggregate.
 
     A 0-epoch cell skips training and scores the freshly initialized
-    models.  With artifacts_dir set, the corpus/pairs/tokenizer files, a
-    checkpoint per replicate as it finishes, and finally the manifest are
-    written there; hashes are recorded either way.  Only one replicate's
-    model is held in memory at a time.
+    models.  With artifacts_dir set, the cell's input files (those
+    `quantal gen` writes) and tokenizer, a checkpoint per replicate as it
+    finishes, and finally the manifest are written there; hashes are
+    recorded either way.  Only one replicate's model is held in memory at
+    a time.
     """
     if not jobs:
         raise ValueError("run_cell needs at least one job")
@@ -322,23 +356,19 @@ def run_cell(
         cfg.experiment, cfg.base_seed, coords["n_train"], coords["exception_prop"], cfg.n_test_pairs
     )
     tok = cell_tokenizer(cfg.experiment, corpus, vocab)
-    tokenizer_hash = sha256_bytes(bpe.save_tokenizer_text(tok).encode("utf-8"))
-    epochs = coords["epochs"]
-    train_config = TrainConfig(epochs=epochs, seed=seeds["train_seed"]) if epochs else None
+    tokenizer_hash = bpe.tokenizer_sha256(tok)
     cell_dir = None
     if artifacts_dir is not None:
         cell_dir = Path(artifacts_dir) / _cell_stem(coords)
-        cell_dir.mkdir(parents=True, exist_ok=True)
-        corpora.write_corpus(corpus, cell_dir / "corpus.txt")
-        corpora.write_pairs(pairs, cell_dir / "pairs.tsv")
+        write_cell_inputs(cell_dir, vocab, corpus, pairs)
         bpe.save_tokenizer(tok, cell_dir / "tokenizer.txt")
 
     accuracies = []
     ckpt_hashes = []
     for r, job in enumerate(jobs):
-        state = init_model(ModelConfig(vocab_size=tok.vocab_size), seed=job.init_seed)
-        if train_config is not None:
-            train(state, corpus, tok, train_config)
+        state, train_config = train_replicate(
+            tok, corpus, job.init_seed, coords["epochs"], seeds["train_seed"]
+        )
         report = evaluate_pairs(state, tok, pairs, mode=cfg.surprisal_mode)
         accuracies.append(report.accuracy)
         ckpt_hashes.append(state_digest(state))

@@ -1,5 +1,6 @@
 """Command-line behavior: artifacts, exit codes, JSON diagnostics."""
 
+import argparse
 import hashlib
 import io
 import json
@@ -10,7 +11,7 @@ import pytest
 
 from quantal import bpe, corpora
 from quantal.checkpoint import load_checkpoint
-from quantal.cli import main
+from quantal.cli import build_parser, main
 from quantal.scoring import read_eval_report
 from quantal.sweep import (
     SweepCellResult,
@@ -125,9 +126,16 @@ class TestGen:
                    "--seed", 13, "--out-dir", out, "--pairs", 4) == 0
         vocab = ["--vocab", out / "vocabulary.txt"] if exp == 1 else []
         assert run("train", "--corpus", out / "corpus.txt", "--exp", exp, "--seed", 13,
-                   "--out", tmp_path / "m.ckpt", "--init-only", *vocab) == 0
+                   "--out", tmp_path / "m.ckpt", "--epochs", 0, *vocab) == 0
+        # every file gen writes is the artifact cell directory's file, byte for byte
+        written = json.loads((out / "manifest.json").read_text())["files"].values()
+        shared = ["corpus.txt", "pairs.tsv"] + (["vocabulary.txt"] if exp == 1 else [])
+        assert sorted(written) == sorted(shared)
+        assert (cell_dir / "vocabulary.txt").exists() == (exp == 1)
+        for name in shared:
+            assert file_hash(out / name) == file_hash(cell_dir / name), name
         assert file_hash(out / "corpus.txt") == cell.corpus_hash
-        assert file_hash(out / "pairs.tsv") == file_hash(cell_dir / "pairs.tsv")
+        assert file_hash(tmp_path / "m.ckpt.tok") == file_hash(cell_dir / "tokenizer.txt")
         assert file_hash(tmp_path / "m.ckpt.tok") == cell.tokenizer_hash
 
 
@@ -169,19 +177,51 @@ class TestTrainEval:
         assert rc == 1
         assert "vocab" in json.loads(capsys.readouterr().err)["error"]
 
-    def test_init_only_skips_training(self, artifacts, tmp_path, capsys):
+    def test_eval_tokenizer_hash_mismatch(self, artifacts, tmp_path, capsys):
+        # same vocabulary size, so only the recorded tokenizer hash tells them apart
+        root, data, ckpt = artifacts
+        tok = bpe.load_tokenizer(root / "model.ckpt.tok")
+        swapped = dict(tok.token_to_id, **{"0": tok.token_to_id["1"], "1": tok.token_to_id["0"]})
+        tok_path = tmp_path / "swapped.tok"
+        bpe.save_tokenizer(bpe.TokenizerModel(tok.merges, swapped), tok_path)
+        rc = run("eval", "--checkpoint", ckpt, "--tokenizer", tok_path,
+                 "--pairs", data / "pairs.tsv", "--exp", 2, "--out", tmp_path / "r.json")
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["kind"] == "runtime"
+        assert file_hash(tok_path) in err["error"]
+        assert file_hash(root / "model.ckpt.tok") in err["error"]
+        assert not (tmp_path / "r.json").exists()
+
+    def test_epochs_zero_writes_untrained_checkpoint(self, artifacts, tmp_path, capsys):
         root, data, ckpt = artifacts
         out = tmp_path / "fresh.ckpt"
         assert run("train", "--corpus", data / "corpus.txt", "--exp", 2,
-                   "--seed", 3, "--out", out, "--init-only") == 0
+                   "--epochs", 0, "--seed", 3, "--out", out) == 0
         assert "untrained checkpoint" in capsys.readouterr().out
+        state, meta = load_checkpoint(out)
+        assert state.step == 0
+        assert meta["train_config"] is None
+        assert meta["tokenizer_sha256"] == file_hash(tmp_path / "fresh.ckpt.tok")
 
-    def test_epochs_required_without_init_only(self, artifacts, capsys):
+    def test_negative_epochs_is_usage_error(self, artifacts, tmp_path, capsys):
         root, data, ckpt = artifacts
         rc = run("train", "--corpus", data / "corpus.txt", "--exp", 2,
-                 "--seed", 3, "--out", root / "x.ckpt")
+                 "--epochs", -1, "--seed", 3, "--out", tmp_path / "x.ckpt")
         assert rc == 2
-        assert json.loads(capsys.readouterr().err)["kind"] == "usage"
+        err = json.loads(capsys.readouterr().err)
+        assert err["kind"] == "usage"
+        assert "epochs" in err["error"]
+        assert not (tmp_path / "x.ckpt").exists()
+
+    @pytest.mark.parametrize("flags", [[], ["--epochs", 0, "--init-only"]],
+                             ids=["missing-epochs", "init-only"])
+    def test_epochs_is_the_only_training_switch(self, artifacts, tmp_path, flags):
+        root, data, ckpt = artifacts
+        rc = run("train", "--corpus", data / "corpus.txt", "--exp", 2,
+                 "--seed", 3, "--out", tmp_path / "x.ckpt", *flags)
+        assert rc == 2
+        assert not (tmp_path / "x.ckpt").exists()
 
     def test_missing_checkpoint_is_runtime_error(self, tmp_path, capsys):
         rc = run("eval", "--checkpoint", tmp_path / "nope.ckpt",
@@ -190,6 +230,27 @@ class TestTrainEval:
                  "--out", tmp_path / "r.json")
         assert rc == 1
         assert json.loads(capsys.readouterr().err)["kind"] == "runtime"
+
+
+# Every option of every subcommand.  A new knob must be added here, so it
+# shows up in review.
+OPTIONS = {
+    "gen": {"--exp", "--n", "--prop", "--seed", "--out-dir", "--pairs"},
+    "train": {"--corpus", "--exp", "--epochs", "--seed", "--out", "--vocab"},
+    "eval": {"--checkpoint", "--tokenizer", "--pairs", "--exp", "--mode", "--out"},
+    "sweep": {"--config", "--store", "--artifacts", "--reuse", "--workers"},
+    "analyze": {"--table", "--n-train", "--epochs", "--alpha", "--out"},
+    "plot": {"--kind", "--table", "--epochs", "--n-train", "--x-range", "--y-range", "--out"},
+}
+
+
+def test_option_sets_are_pinned():
+    (subparsers,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    found = {
+        name: {opt for action in sub._actions for opt in action.option_strings} - {"-h", "--help"}
+        for name, sub in subparsers.choices.items()
+    }
+    assert found == OPTIONS
 
 
 class TestSweepCommand:

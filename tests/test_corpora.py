@@ -249,7 +249,7 @@ class TestFileRoundTrips:
         c = gen_exp1_corpus(v, 60, 0.25, seed=3)
         p = tmp_path / "train.txt"
         write_corpus(c, p)
-        back = read_corpus(p, WORD_ORDER, seed=3)
+        back = read_corpus(p, WORD_ORDER)
         assert back == c
         # line endings are bare LF
         raw = p.read_bytes()
@@ -259,7 +259,7 @@ class TestFileRoundTrips:
         c = gen_exp2_corpus(60, 0.25, seed=3)
         p = tmp_path / "train.txt"
         write_corpus(c, p)
-        assert read_corpus(p, BINARY, seed=3) == c
+        assert read_corpus(p, BINARY) == c
 
     def test_read_corpus_rejects_garbage(self, tmp_path):
         p = tmp_path / "bad.txt"

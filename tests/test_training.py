@@ -145,7 +145,6 @@ class TestTrainErrors:
             experiment=corpus.experiment,
             n_types=0,
             exception_count=0,
-            seed=0,
         )
         with pytest.raises(ValueError, match="empty"):
             train(init_model(cfg, seed=1), empty, tok, TrainConfig(epochs=1, seed=7))

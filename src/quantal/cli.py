@@ -26,7 +26,7 @@ from .sweep import (
 )
 from .svgplot import column_svg, heatmap_svg, write_svg
 from .tp import analyze_column, write_report
-from .util import sha256_bytes, stable_seed
+from .util import stable_seed
 
 GEN_MANIFEST_FORMAT = "quantal-gen v2"
 
@@ -58,6 +58,8 @@ def cmd_gen(args) -> int:
         raise UsageError(f"--n must be >= 1, got {args.n}")
     if not 0.0 <= args.prop <= 1.0:
         raise UsageError(f"--prop must be in [0, 1], got {args.prop}")
+    if args.pairs < 1:
+        raise UsageError(f"--pairs must be >= 1, got {args.pairs}")
     experiment = EXPERIMENT_BY_FLAG[args.exp]
     out_dir = Path(args.out_dir)
     vocab, corpus, pairs = cell_data(experiment, args.seed, args.n, args.prop, args.pairs)
@@ -71,7 +73,7 @@ def cmd_gen(args) -> int:
         "n_pairs": args.pairs,
         "exception_count": corpus.exception_count,
         "files": written,
-        "corpus_sha256": sha256_bytes(corpus.to_text().encode("utf-8")),
+        "corpus_sha256": corpora.corpus_sha256(corpus),
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=1) + "\n")
     for name in [*written.values(), "manifest.json"]:

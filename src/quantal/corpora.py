@@ -21,7 +21,7 @@ import string
 from dataclasses import dataclass
 from pathlib import Path
 
-from .util import make_rng, round_half_up
+from .util import make_rng, round_half_up, sha256_bytes
 
 WORD_ORDER = "word_order"
 BINARY = "binary"
@@ -290,6 +290,11 @@ def read_vocabulary(path: str | Path) -> Vocabulary:
 def write_corpus(corpus: Corpus, path: str | Path) -> None:
     """One sentence per line; word-order lines end with ' .'."""
     Path(path).write_bytes(corpus.to_text().encode("utf-8"))
+
+
+def corpus_sha256(corpus: Corpus) -> str:
+    """SHA-256 of the file write_corpus writes; manifests and stores record it."""
+    return sha256_bytes(corpus.to_text().encode("utf-8"))
 
 
 def classify_shift_sentence(tokens: tuple[str, ...]) -> str:

@@ -8,6 +8,27 @@ embedding matrix (separate output bias).
 
 Arrays inherit the dtype of the parameters, so the same code runs float32
 for training and float64 for finite-difference gradient checks.
+
+Row layout.  A batch arrives padded, as (B, L) ids with a mask of real
+positions.  Every op that treats positions independently (the
+embedding sum and LayerNorm, the QKV, attention-output and feed-forward
+matmuls, GELU, the other LayerNorms, dropout and the residual adds, and
+their backward) runs on an (N, H) matrix of rows.  Only attention needs
+the padded layout: Q, K and V are scattered into zero-padded
+(B, heads, L, head_dim) arrays for the scores and the context, and the
+context is gathered back into rows.
+
+forward_batch makes every one of the B*L positions a row, so scoring
+and the inference pass see padded positions as before.  loss_and_grads
+makes only the real positions rows: padded positions take no part in
+the loss, and attention masks them out as keys, so dropping them leaves
+every real row's values unchanged.  Dropout still draws its uniforms for
+all B*L positions and keeps the real rows' share, so the generator's
+stream is what a padded pass consumes.  The loss and every gradient but
+one group are bit-identical to the padded pass's.  That group is each
+layer's qkv_w, attn_out_w, ff1_w and ff2_w: their matmuls sum over the
+real rows only, and a BLAS that blocks that sum by row count may round
+it differently (about 1e-6 of the largest entry in float32).
 """
 
 from __future__ import annotations
@@ -210,31 +231,35 @@ def _gelu_inplace(x: np.ndarray, bias: np.ndarray) -> tuple[np.ndarray, None]:
 
 def _gelu_backward(dy: np.ndarray, x: np.ndarray, s: np.ndarray) -> np.ndarray:
     # d/dx [0.5x(1+t)] with t = 1 - s:  1 - s/2 + 0.5*x*s*(2-s)*c*(1+3a*x^2)
-    # dy is consumed and returned.
+    # dy is consumed and returned; two block-sized temporaries serve every block.
     rows = max(1, _GELU_BLOCK // x.shape[-1])
+    w = np.empty_like(x[:rows])
+    v = np.empty_like(s[:rows])
     for i in range(0, x.shape[0], rows):
         xb = x[i : i + rows]
         sb = s[i : i + rows]
-        w = xb * xb
-        w *= 3.0 * _GELU_A
-        w += 1.0
-        w *= _GELU_C
-        w *= xb
-        v = 2.0 - sb
-        v *= sb
-        v *= w
-        v -= sb
-        v *= 0.5
-        v += 1.0
-        dy[i : i + rows] *= v
+        wb = w[: xb.shape[0]]
+        vb = v[: xb.shape[0]]
+        np.multiply(xb, xb, out=wb)
+        wb *= 3.0 * _GELU_A
+        wb += 1.0
+        wb *= _GELU_C
+        wb *= xb
+        np.subtract(2.0, sb, out=vb)
+        vb *= sb
+        vb *= wb
+        vb -= sb
+        vb *= 0.5
+        vb += 1.0
+        dy[i : i + rows] *= vb
     return dy
 
 
 def _layer_norm(x, scale, offset):
     mu = x.mean(axis=-1, keepdims=True)
     xhat = x - mu
-    var = np.einsum("blh,blh->bl", xhat, xhat) / x.shape[-1]
-    inv_std = 1.0 / np.sqrt(var + LN_EPS)[:, :, None]
+    var = np.einsum("...h,...h->...", xhat, xhat) / x.shape[-1]
+    inv_std = 1.0 / np.sqrt(var + LN_EPS)[..., None]
     xhat *= inv_std
     y = xhat * scale
     y += offset
@@ -247,33 +272,84 @@ def _layer_norm_inplace(x, scale, offset):
     The same arithmetic in the same order, so the output is bit-identical.
     """
     x -= x.mean(axis=-1, keepdims=True)
-    var = np.einsum("blh,blh->bl", x, x) / x.shape[-1]
-    x *= 1.0 / np.sqrt(var + LN_EPS)[:, :, None]
+    var = np.einsum("...h,...h->...", x, x) / x.shape[-1]
+    x *= 1.0 / np.sqrt(var + LN_EPS)[..., None]
     x *= scale
     x += offset
     return x, None
 
 
 def _layer_norm_backward(dy, cache, scale):
+    """(dx, dscale, doffset); dy is consumed and returned as dx."""
     xhat, inv_std = cache
     n = dy.shape[-1]
-    dscale = np.einsum("blh,blh->h", dy, xhat)
-    doffset = dy.sum(axis=(0, 1))
-    dxhat = dy * scale
-    m1 = dxhat.mean(axis=-1, keepdims=True)
-    m2 = np.einsum("blh,blh->bl", dxhat, xhat)[:, :, None] / n
-    dxhat -= m1
-    dxhat -= xhat * m2
-    dxhat *= inv_std
-    return dxhat, dscale, doffset
+    dscale = np.einsum("nh,nh->h", dy.reshape(-1, n), xhat.reshape(-1, n))
+    doffset = dy.reshape(-1, n).sum(axis=0)
+    dy *= scale
+    m1 = dy.mean(axis=-1, keepdims=True)
+    m2 = np.einsum("...h,...h->...", dy, xhat)[..., None] / n
+    dy -= m1
+    dy -= xhat * m2
+    dy *= inv_std
+    return dy, dscale, doffset
 
 
-def _dropout(x, p, rng):
+class _Rows:
+    """The positions of a padded (B, L) batch that the row-wise ops run on.
+
+    With real_only, the rows are the real positions of attn_mask, else
+    every position.  index holds the flat position b*L + l of each row,
+    ascending, or is None when every position is a row.  take gathers
+    rows out of a padded array and put scatters (N, C) rows into a
+    zero-padded (B, L, C) one.
+    """
+
+    def __init__(self, attn_mask: np.ndarray, real_only: bool):
+        self.B, self.L = attn_mask.shape
+        real = attn_mask.reshape(-1)
+        self.index = np.flatnonzero(real) if real_only and not real.all() else None
+        if self.index is None:
+            self.n = self.B * self.L
+        else:
+            self.n = self.index.size
+            self.b, self.l = np.divmod(self.index, self.L)
+            self.pad = np.flatnonzero(~real)
+
+    def take(self, a: np.ndarray) -> np.ndarray:
+        """(B, L, ...) -> (N, ...); a copy unless a reshape can view it."""
+        if self.index is None:
+            return a.reshape(self.B * self.L, *a.shape[2:])
+        return a[self.b, self.l]
+
+    def put(self, rows: np.ndarray) -> np.ndarray:
+        """(N, C) -> (B, L, C), zero at padded positions.
+
+        Padded keys and values must be finite: attention gives them
+        weight exactly 0, and 0 * inf or 0 * nan would not be 0.
+        """
+        if self.index is None:
+            return rows.reshape(self.B, self.L, -1)
+        full = np.empty((self.B * self.L, rows.shape[1]), dtype=rows.dtype)
+        full[self.index] = rows
+        full[self.pad] = 0.0
+        return full.reshape(self.B, self.L, -1)
+
+
+def _dropout(x, p, rng, rows: _Rows):
+    """Inverted dropout of the (N, H) rows x, in place; returns (x, keep).
+
+    The uniform draw covers every (B, L, H) position, padded ones too, so
+    the generator's stream does not depend on which rows are real.
+    """
     if rng is None or p <= 0.0:
         return x, None
-    keep = (rng.random(x.shape, dtype=np.float32) >= p).astype(x.dtype)
+    draw = rng.random((rows.B * rows.L, x.shape[1]), dtype=np.float32)
+    if rows.index is not None:
+        draw = draw[rows.index]
+    keep = (draw >= p).astype(x.dtype)
     keep *= 1.0 / (1.0 - p)
-    return x * keep, keep
+    x *= keep
+    return x, keep
 
 
 def forward_batch(
@@ -283,15 +359,22 @@ def forward_batch(
 
     attn_mask is True at real positions; padded keys are excluded from
     every attention row, so real positions never read padded ones.
+    Every position, padded ones too, is a row here.
 
     keep_cache=False is the inference pass: LayerNorm and GELU overwrite
     their inputs, nothing is kept for the backward pass, and the cache
     returned is None.  Its hidden states equal the cached pass's up to
     rounding, because its GELU is the sigmoid form of the same formula.
     """
+    ids = np.asarray(ids)
+    x, cache = _forward(state, ids, attn_mask, dropout_rng, keep_cache, real_only=False)
+    return x.reshape(*ids.shape, -1), cache
+
+
+def _forward(state: ModelState, ids, attn_mask, dropout_rng, keep_cache, real_only):
+    """Hidden states (N, H) of the rows _Rows(attn_mask, real_only) picks."""
     cfg = state.config
     p = state.params
-    ids = np.asarray(ids)
     attn_mask = np.asarray(attn_mask, dtype=bool)
     B, L = ids.shape
     if L > cfg.max_positions:
@@ -299,6 +382,7 @@ def forward_batch(
     if ids.min() < 0 or ids.max() >= cfg.vocab_size:
         raise ValueError("token id out of range")
 
+    rows = _Rows(attn_mask, real_only)
     layer_norm = _layer_norm if keep_cache else _layer_norm_inplace
     drop_p = cfg.dropout if dropout_rng is not None else 0.0
     nh, dh = cfg.n_heads, cfg.head_dim
@@ -309,118 +393,139 @@ def forward_batch(
         attn_bias = np.zeros((B, 1, 1, L), dtype=state.dtype)
         attn_bias[:, 0, 0, :][~attn_mask] = NEG_INF
 
-    emb_sum = p["tok_emb"][ids]
-    emb_sum += p["pos_emb"][:L]
+    row_ids = rows.take(ids)
+    emb_sum = p["tok_emb"][row_ids]
+    if rows.index is None:  # every position is a row: add the (L, H) table across the batch
+        by_position = emb_sum.reshape(B, L, -1)
+        by_position += p["pos_emb"][:L]
+    else:
+        emb_sum += p["pos_emb"][rows.l]
     x, emb_ln_cache = layer_norm(emb_sum, p["emb_ln_scale"], p["emb_ln_offset"])
-    x, emb_keep = _dropout(x, drop_p, dropout_rng)
+    x, emb_keep = _dropout(x, drop_p, dropout_rng, rows)
 
     layer_caches = []
     for n in range(cfg.n_layers):
         x_in = x
-        qkv = x.reshape(B * L, -1) @ p[f"l{n}.qkv_w"]
+        qkv = x @ p[f"l{n}.qkv_w"]
         qkv += p[f"l{n}.qkv_b"]
-        qkv = qkv.reshape(B, L, 3, nh, dh).transpose(2, 0, 3, 1, 4)  # (3, B, nh, L, dh)
+        qkv = rows.put(qkv).reshape(B, L, 3, nh, dh).transpose(2, 0, 3, 1, 4)  # (3, B, nh, L, dh)
         q, k, v = qkv[0], qkv[1], qkv[2]
         scores = np.matmul(q, k.swapaxes(-1, -2))
         scores *= scale
         if attn_bias is not None:
             scores += attn_bias
         probs = _softmax_inplace(scores)
-        ctx = np.matmul(probs, v)  # (B, nh, L, dh)
-        ctx2d = ctx.transpose(0, 2, 1, 3).reshape(B * L, -1)
-        attn = ctx2d @ p[f"l{n}.attn_out_w"]
+        ctx = rows.take(np.matmul(probs, v).transpose(0, 2, 1, 3)).reshape(rows.n, -1)
+        attn = ctx @ p[f"l{n}.attn_out_w"]
         attn += p[f"l{n}.attn_out_b"]
-        attn, attn_keep = _dropout(attn.reshape(B, L, -1), drop_p, dropout_rng)
+        attn, attn_keep = _dropout(attn, drop_p, dropout_rng, rows)
         attn += x
         h1, ln1_cache = layer_norm(attn, p[f"l{n}.ln1_scale"], p[f"l{n}.ln1_offset"])
 
-        h1_2d = h1.reshape(B * L, -1)
-        f1 = h1_2d @ p[f"l{n}.ff1_w"]
+        f1 = h1 @ p[f"l{n}.ff1_w"]
         if keep_cache:
             f1 += p[f"l{n}.ff1_b"]
-            g, tanh_t = _gelu(f1)
+            g, gelu_s = _gelu(f1)
         else:
-            g, tanh_t = _gelu_inplace(f1, p[f"l{n}.ff1_b"])
+            g, gelu_s = _gelu_inplace(f1, p[f"l{n}.ff1_b"])
         f2 = g @ p[f"l{n}.ff2_w"]
         f2 += p[f"l{n}.ff2_b"]
-        f2, ff_keep = _dropout(f2.reshape(B, L, -1), drop_p, dropout_rng)
+        f2, ff_keep = _dropout(f2, drop_p, dropout_rng, rows)
         f2 += h1
         x, ln2_cache = layer_norm(f2, p[f"l{n}.ln2_scale"], p[f"l{n}.ln2_offset"])
 
         if keep_cache:
             layer_caches.append(
                 dict(
-                    x_in=x_in, q=q, k=k, v=v, probs=probs, ctx2d=ctx2d,
-                    attn_keep=attn_keep, ln1_cache=ln1_cache, h1_2d=h1_2d,
-                    f1=f1, tanh_t=tanh_t, g=g, ff_keep=ff_keep, ln2_cache=ln2_cache,
+                    x_in=x_in, q=q, k=k, v=v, probs=probs, ctx=ctx,
+                    attn_keep=attn_keep, ln1_cache=ln1_cache, h1=h1,
+                    f1=f1, gelu_s=gelu_s, g=g, ff_keep=ff_keep, ln2_cache=ln2_cache,
                 )
             )
 
     if not keep_cache:
         return x, None
     cache = dict(
-        ids=ids, attn_mask=attn_mask, emb_ln_cache=emb_ln_cache,
-        emb_keep=emb_keep, layers=layer_caches, shape=(B, L),
+        rows=rows, row_ids=row_ids, emb_ln_cache=emb_ln_cache,
+        emb_keep=emb_keep, layers=layer_caches,
     )
     return x, cache
 
 
 def backward_batch(state: ModelState, d_hidden: np.ndarray, cache) -> dict[str, np.ndarray]:
-    """Gradients for every parameter given d(loss)/d(final hidden states)."""
+    """Gradients for every parameter given d(loss)/d(final hidden states).
+
+    d_hidden is (B, L, H), like forward_batch's hidden states; it is not
+    modified.  out_bias, which the hidden states do not depend on, gets a
+    zero gradient.
+    """
+    dx = np.array(d_hidden).reshape(-1, state.config.hidden)  # a copy, which _backward consumes
+    grads = _backward(state, dx, cache)
+    grads["out_bias"] = np.zeros_like(state.params["out_bias"])
+    return grads
+
+
+def _backward(state: ModelState, dx: np.ndarray, cache) -> dict[str, np.ndarray]:
+    """Gradients of every parameter but out_bias from the (N, H) rows dx.
+
+    dx is consumed.  Each gradient is assigned where it is first computed;
+    only tok_emb and pos_emb, which collect rows by token and position,
+    start from zeroed buffers.
+    """
     cfg = state.config
     p = state.params
-    B, L = cache["shape"]
+    rows = cache["rows"]
+    B, L = rows.B, rows.L
     nh, dh = cfg.n_heads, cfg.head_dim
     scale = 1.0 / np.sqrt(dh)
-    grads = {name: np.zeros_like(arr) for name, arr in p.items()}
+    grads = {}
 
-    dx = d_hidden
     for n in reversed(range(cfg.n_layers)):
         c = cache["layers"][n]
-        dr2, dscale2, doffset2 = _layer_norm_backward(dx, c["ln2_cache"], p[f"l{n}.ln2_scale"])
-        grads[f"l{n}.ln2_scale"] += dscale2
-        grads[f"l{n}.ln2_offset"] += doffset2
+        dr2, grads[f"l{n}.ln2_scale"], grads[f"l{n}.ln2_offset"] = _layer_norm_backward(
+            dx, c["ln2_cache"], p[f"l{n}.ln2_scale"]
+        )
+        # dr2 also flows down the residual path, so dropout gets a copy
         df2 = dr2 if c["ff_keep"] is None else dr2 * c["ff_keep"]
-        df2_2d = df2.reshape(B * L, -1)
-        grads[f"l{n}.ff2_w"] += c["g"].T @ df2_2d
-        grads[f"l{n}.ff2_b"] += df2_2d.sum(axis=0)
-        dg = df2_2d @ p[f"l{n}.ff2_w"].T
-        df1 = _gelu_backward(dg, c["f1"], c["tanh_t"])
-        grads[f"l{n}.ff1_w"] += c["h1_2d"].T @ df1
-        grads[f"l{n}.ff1_b"] += df1.sum(axis=0)
-        dh1 = dr2 + (df1 @ p[f"l{n}.ff1_w"].T).reshape(B, L, -1)
+        grads[f"l{n}.ff2_w"] = c["g"].T @ df2
+        grads[f"l{n}.ff2_b"] = df2.sum(axis=0)
+        df1 = _gelu_backward(df2 @ p[f"l{n}.ff2_w"].T, c["f1"], c["gelu_s"])
+        grads[f"l{n}.ff1_w"] = c["h1"].T @ df1
+        grads[f"l{n}.ff1_b"] = df1.sum(axis=0)
+        dh1 = df1 @ p[f"l{n}.ff1_w"].T
+        dh1 += dr2
 
-        dr1, dscale1, doffset1 = _layer_norm_backward(dh1, c["ln1_cache"], p[f"l{n}.ln1_scale"])
-        grads[f"l{n}.ln1_scale"] += dscale1
-        grads[f"l{n}.ln1_offset"] += doffset1
+        dr1, grads[f"l{n}.ln1_scale"], grads[f"l{n}.ln1_offset"] = _layer_norm_backward(
+            dh1, c["ln1_cache"], p[f"l{n}.ln1_scale"]
+        )
         dattn = dr1 if c["attn_keep"] is None else dr1 * c["attn_keep"]
-        dattn_2d = dattn.reshape(B * L, -1)
-        grads[f"l{n}.attn_out_w"] += c["ctx2d"].T @ dattn_2d
-        grads[f"l{n}.attn_out_b"] += dattn_2d.sum(axis=0)
-        dctx = (dattn_2d @ p[f"l{n}.attn_out_w"].T).reshape(B, L, nh, dh).transpose(0, 2, 1, 3)
-        dprobs = np.matmul(dctx, c["v"].swapaxes(-1, -2))
-        dv = np.matmul(c["probs"].swapaxes(-1, -2), dctx)
+        grads[f"l{n}.attn_out_w"] = c["ctx"].T @ dattn
+        grads[f"l{n}.attn_out_b"] = dattn.sum(axis=0)
+        dctx = rows.put(dattn @ p[f"l{n}.attn_out_w"].T).reshape(B, L, nh, dh).transpose(0, 2, 1, 3)
         probs = c["probs"]
-        dscores = probs * (dprobs - (dprobs * probs).sum(axis=-1, keepdims=True))
-        dq = np.matmul(dscores, c["k"]) * scale
-        dk = np.matmul(dscores.swapaxes(-1, -2), c["q"]) * scale
-        dqkv = np.empty((B, L, 3 * nh * dh), dtype=dx.dtype)
-        h = nh * dh
-        dqkv[:, :, 0:h] = dq.transpose(0, 2, 1, 3).reshape(B, L, h)
-        dqkv[:, :, h : 2 * h] = dk.transpose(0, 2, 1, 3).reshape(B, L, h)
-        dqkv[:, :, 2 * h :] = dv.transpose(0, 2, 1, 3).reshape(B, L, h)
-        dqkv_2d = dqkv.reshape(B * L, -1)
-        grads[f"l{n}.qkv_w"] += c["x_in"].reshape(B * L, -1).T @ dqkv_2d
-        grads[f"l{n}.qkv_b"] += dqkv_2d.sum(axis=0)
-        dx = dr1 + (dqkv_2d @ p[f"l{n}.qkv_w"].T).reshape(B, L, -1)
+        dqkv = np.empty((3, *dctx.shape), dtype=dctx.dtype)  # dq, dk, dv: (3, B, nh, L, dh)
+        np.matmul(probs.swapaxes(-1, -2), dctx, out=dqkv[2])
+        dscores = np.matmul(dctx, c["v"].swapaxes(-1, -2))
+        dscores -= (dscores * probs).sum(axis=-1, keepdims=True)
+        dscores *= probs
+        np.matmul(dscores, c["k"], out=dqkv[0])
+        np.matmul(dscores.swapaxes(-1, -2), c["q"], out=dqkv[1])
+        dqkv[:2] *= scale
+        dqkv = rows.take(dqkv.transpose(1, 3, 0, 2, 4)).reshape(rows.n, -1)  # (N, 3H)
+        grads[f"l{n}.qkv_w"] = c["x_in"].T @ dqkv
+        grads[f"l{n}.qkv_b"] = dqkv.sum(axis=0)
+        dx = dqkv @ p[f"l{n}.qkv_w"].T
+        dx += dr1
 
     if cache["emb_keep"] is not None:
-        dx = dx * cache["emb_keep"]
-    demb, dscale_e, doffset_e = _layer_norm_backward(dx, cache["emb_ln_cache"], p["emb_ln_scale"])
-    grads["emb_ln_scale"] += dscale_e
-    grads["emb_ln_offset"] += doffset_e
-    grads["pos_emb"][:L] += demb.sum(axis=0)
-    np.add.at(grads["tok_emb"], cache["ids"].reshape(-1), demb.reshape(B * L, -1))
+        dx *= cache["emb_keep"]
+    demb, grads["emb_ln_scale"], grads["emb_ln_offset"] = _layer_norm_backward(
+        dx, cache["emb_ln_cache"], p["emb_ln_scale"]
+    )
+    grads["pos_emb"] = np.zeros_like(p["pos_emb"])
+    grads["pos_emb"][:L] += rows.put(demb).sum(axis=0)
+    grads["tok_emb"] = np.zeros_like(p["tok_emb"])
+    np.add.at(grads["tok_emb"], cache["row_ids"], demb)
     return grads
 
 
@@ -458,14 +563,19 @@ def apply_masking(token_ids, p: float, rng, mask_id: int):
 def loss_and_grads(state: ModelState, ids, attn_mask, labels, dropout_rng=None):
     """Mean masked-token cross-entropy and gradients for one padded batch.
 
-    The output projection runs only at labeled positions; everything else
-    contributes zero loss gradient there.  Returns (loss, grads, n_masked);
-    grads is None when the batch has no labeled positions.
+    Only real positions are rows: padded ones take part in attention as
+    masked-out keys and nothing else.  Labels must be IGNORE_INDEX at
+    padded positions.  The output projection runs only at labeled
+    positions.  Returns (loss, grads, n_masked); grads is None when the
+    batch has no labeled positions.
     """
     ids = np.asarray(ids)
+    attn_mask = np.asarray(attn_mask, dtype=bool)
     labels = np.asarray(labels)
-    hidden, cache = forward_batch(state, ids, attn_mask, dropout_rng=dropout_rng)
-    B, L = ids.shape
+    if (labels[~attn_mask] != IGNORE_INDEX).any():
+        raise ValueError("labels at padded positions")
+    hidden, cache = _forward(state, ids, attn_mask, dropout_rng, keep_cache=True, real_only=True)  # (N, H)
+    labels = cache["rows"].take(labels)
     sel = labels != IGNORE_INDEX
     n_masked = int(sel.sum())
     if n_masked == 0:
@@ -481,18 +591,24 @@ def loss_and_grads(state: ModelState, ids, attn_mask, labels, dropout_rng=None):
     dlogits /= n_masked
     d_hidden = np.zeros_like(hidden)
     d_hidden[sel] = dlogits @ state.params["tok_emb"]
-    grads = backward_batch(state, d_hidden, cache)
+    grads = _backward(state, d_hidden, cache)
     grads["tok_emb"] += dlogits.T @ h_sel
-    grads["out_bias"] += dlogits.sum(axis=0)
+    grads["out_bias"] = dlogits.sum(axis=0)
     return loss, grads, n_masked
+
+
+_ADAM_BLOCK = 1 << 14  # elements per block; keeps m, v, the weights and temporaries in cache
 
 
 def adam_step(state: ModelState, grads: dict[str, np.ndarray], lr: float) -> None:
     """One Adam update with bias correction, in place.
 
     The update is computed as lr*sqrt(c2)/c1 * m / (sqrt(v) + eps*sqrt(c2)),
-    algebraically identical to m_hat / (sqrt(v_hat) + eps) but with one
-    temporary per tensor.
+    algebraically identical to m_hat / (sqrt(v_hat) + eps).  Each tensor
+    is updated in row blocks of about _ADAM_BLOCK elements, every block
+    through the whole formula before the next, with two block-sized
+    temporaries; the per-element operations are those of one pass over
+    the tensor.  The grads buffers are consumed.
     """
     state.step += 1
     t = state.step
@@ -502,13 +618,22 @@ def adam_step(state: ModelState, grads: dict[str, np.ndarray], lr: float) -> Non
     for name, g in grads.items():
         m = state.opt_m[name]
         v = state.opt_v[name]
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
-        g *= g  # grads buffer is consumed by the update
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * g
-        denom = np.sqrt(v)
-        denom += ADAM_EPS * sqrt_c2
-        np.divide(m, denom, out=denom)
-        denom *= step_size
-        state.params[name] -= denom
+        w = state.params[name]
+        rows = max(1, _ADAM_BLOCK * g.shape[0] // g.size)
+        scaled = np.empty_like(g[:rows])  # (1 - beta) * g, in g's dtype
+        denom = np.empty_like(v[:rows])
+        for i in range(0, g.shape[0], rows):
+            gb, mb, vb = g[i : i + rows], m[i : i + rows], v[i : i + rows]
+            sb, db = scaled[: gb.shape[0]], denom[: gb.shape[0]]
+            mb *= ADAM_BETA1
+            np.multiply(gb, 1.0 - ADAM_BETA1, out=sb)
+            mb += sb
+            gb *= gb
+            vb *= ADAM_BETA2
+            np.multiply(gb, 1.0 - ADAM_BETA2, out=sb)
+            vb += sb
+            np.sqrt(vb, out=db)
+            db += ADAM_EPS * sqrt_c2
+            np.divide(mb, db, out=db)
+            db *= step_size
+            w[i : i + rows] -= db

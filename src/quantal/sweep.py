@@ -38,7 +38,7 @@ from .model import ModelConfig, TrainConfig, init_model
 from .scoring import MODES, PLL, evaluate_pairs
 from .tp import above_chance_test
 from .training import train
-from .util import sha256_bytes, stable_seed
+from .util import stable_seed
 
 
 def _listed(fmt, parse):
@@ -390,7 +390,7 @@ def run_cell(
         above_chance_p=above_chance_test(
             mean_accuracy * cfg.n_test_pairs, cfg.n_test_pairs
         ),
-        corpus_hash=sha256_bytes(corpus.to_text().encode("utf-8")),
+        corpus_hash=corpora.corpus_sha256(corpus),
         tokenizer_hash=tokenizer_hash,
         checkpoint_hashes=tuple(ckpt_hashes),
         wall_seconds=time.perf_counter() - t0,

@@ -95,6 +95,16 @@ class TestGen:
         assert err["kind"] == "usage"
         assert "prop" in err["error"]
 
+    @pytest.mark.parametrize("pairs", [0, -3])
+    def test_nonpositive_pairs_is_usage_error(self, tmp_path, capsys, pairs):
+        rc = run("gen", "--exp", 2, "--n", 10, "--prop", 0,
+                 "--seed", 1, "--out-dir", tmp_path / "d", "--pairs", pairs)
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["kind"] == "usage"
+        assert "--pairs" in err["error"]
+        assert not (tmp_path / "d").exists()
+
     def test_missing_flag_is_usage_error(self, capsys):
         assert run("gen", "--exp", 2) == 2
 

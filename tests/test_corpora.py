@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -260,6 +261,12 @@ class TestFileRoundTrips:
         p = tmp_path / "train.txt"
         write_corpus(c, p)
         assert read_corpus(p, BINARY) == c
+
+    def test_corpus_sha256_is_the_written_file_hash(self, tmp_path):
+        c = gen_exp2_corpus(60, 0.25, seed=3)
+        p = tmp_path / "train.txt"
+        write_corpus(c, p)
+        assert corpora.corpus_sha256(c) == hashlib.sha256(p.read_bytes()).hexdigest()
 
     def test_read_corpus_rejects_garbage(self, tmp_path):
         p = tmp_path / "bad.txt"

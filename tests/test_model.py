@@ -1,3 +1,4 @@
+import hashlib
 import warnings
 
 import numpy as np
@@ -12,11 +13,13 @@ from quantal.model import (
     TrainConfig,
     adam_step,
     apply_masking,
+    backward_batch,
     forward,
     forward_batch,
     init_model,
     log_softmax,
     loss_and_grads,
+    output_head,
     param_specs,
 )
 from quantal.util import make_rng
@@ -363,6 +366,91 @@ class TestGradientCheck:
         assert base != dropped
 
 
+def padded_loss_and_grads(state, ids, mask, labels, dropout_rng=None):
+    """loss_and_grads computed over every position, padded ones too, from
+    forward_batch, output_head and backward_batch."""
+    hidden, cache = forward_batch(state, ids, mask, dropout_rng=dropout_rng)
+    sel = labels != IGNORE_INDEX
+    h_sel = hidden[sel]
+    logp = log_softmax(output_head(state, h_sel), axis=-1)
+    rows, true_ids = np.arange(sel.sum()), labels[sel]
+    dlogits = np.exp(logp)
+    dlogits[rows, true_ids] -= 1.0
+    dlogits /= sel.sum()
+    d_hidden = np.zeros_like(hidden)
+    d_hidden[sel] = dlogits @ state.params["tok_emb"]
+    grads = backward_batch(state, d_hidden, cache)
+    grads["tok_emb"] += dlogits.T @ h_sel
+    grads["out_bias"] += dlogits.sum(axis=0)
+    return float(-logp[rows, true_ids].mean()), grads
+
+
+def sha256s(grads):
+    return {name: hashlib.sha256(g.tobytes()).hexdigest() for name, g in grads.items()}
+
+
+class TestRealRowsOnly:
+    """loss_and_grads runs its row-wise ops on the real positions only."""
+
+    @pytest.mark.parametrize("dtype, rtol, atol", [(np.float64, 1e-12, 1e-12), (np.float32, 1e-5, 1e-6)])
+    @pytest.mark.parametrize("dropout", [False, True])
+    def test_ragged_batch_matches_padded_reference(self, dtype, rtol, atol, dropout):
+        st = lively_state(dtype)
+        st.config.dropout = 0.3
+        ids, mask = masked_ragged_batch()
+        labels = np.where(ids == 2, tiny_batch()[0], IGNORE_INDEX)
+        labels[1, 0] = 4  # an unmasked label slot too
+        assert (~mask).any() and (labels != IGNORE_INDEX).sum() == 4
+        rng = (lambda: make_rng(8)) if dropout else (lambda: None)
+        loss, grads, _ = loss_and_grads(st, ids, mask, labels, dropout_rng=rng())
+        ref_loss, ref = padded_loss_and_grads(st, ids, mask, labels, dropout_rng=rng())
+        assert set(grads) == set(st.params)
+        # same draws, same rows: the forward and loss are bit-identical
+        assert loss.hex() == ref_loss.hex()
+        for name, g in grads.items():
+            assert g.dtype == dtype and g.shape == st.params[name].shape, name
+            scale = np.abs(ref[name]).max()
+            npt.assert_allclose(g, ref[name], rtol=rtol, atol=atol * max(scale, 1.0), err_msg=name)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_unpadded_batch_is_bit_identical(self, dtype):
+        st = lively_state(dtype)
+        ids, _, labels = tiny_batch()
+        ids, labels = ids[1:2], labels[1:2]  # the one full-width row
+        mask = np.ones_like(ids, dtype=bool)
+        loss, grads, _ = loss_and_grads(st, ids, mask, labels)
+        ref_loss, ref = padded_loss_and_grads(st, ids, mask, labels)
+        assert loss.hex() == ref_loss.hex()
+        assert sha256s(grads) == sha256s(ref)
+
+    def test_dropout_stream_ends_where_the_padded_pass_ends(self):
+        st = lively_state(np.float64)
+        st.config.dropout = 0.3
+        ids, mask = masked_ragged_batch()
+        labels = np.where(ids == 2, tiny_batch()[0], IGNORE_INDEX)
+        packed, padded = make_rng(8), make_rng(8)
+        loss_and_grads(st, ids, mask, labels, dropout_rng=packed)
+        forward_batch(st, ids, mask, dropout_rng=padded)
+        assert packed.random() == padded.random()
+
+    def test_labels_at_padded_positions_rejected(self):
+        st = init_model(ModelConfig(**TINY), seed=1)
+        ids, mask, labels = tiny_batch()
+        labels[0, 6] = 3
+        with pytest.raises(ValueError, match="padded"):
+            loss_and_grads(st, ids, mask, labels)
+
+    def test_backward_batch_leaves_its_inputs_alone(self):
+        st = lively_state(np.float64)
+        ids, mask = masked_ragged_batch()
+        hidden, cache = forward_batch(st, ids, mask)
+        d_hidden = np.linspace(-1.0, 1.0, hidden.size).reshape(hidden.shape)
+        before = d_hidden.copy()
+        first = backward_batch(st, d_hidden, cache)
+        npt.assert_array_equal(d_hidden, before)
+        assert sha256s(backward_batch(st, d_hidden, cache)) == sha256s(first)
+
+
 class TestLossEdges:
     def test_no_masked_positions(self):
         st = init_model(ModelConfig(**TINY), seed=1)
@@ -402,6 +490,26 @@ def reference_adam(params, grad_seq, lr, b1=0.9, b2=0.999, eps=1e-8):
     return p
 
 
+def one_pass_adam_step(state, grads, lr):
+    """adam_step's formula as one pass over each whole tensor."""
+    state.step += 1
+    t = state.step
+    sqrt_c2 = np.sqrt(1.0 - model.ADAM_BETA2**t)
+    step_size = lr * sqrt_c2 / (1.0 - model.ADAM_BETA1**t)
+    for name, g in grads.items():
+        m, v = state.opt_m[name], state.opt_v[name]
+        m *= model.ADAM_BETA1
+        m += (1.0 - model.ADAM_BETA1) * g
+        g *= g
+        v *= model.ADAM_BETA2
+        v += (1.0 - model.ADAM_BETA2) * g
+        denom = np.sqrt(v)
+        denom += model.ADAM_EPS * sqrt_c2
+        np.divide(m, denom, out=denom)
+        denom *= step_size
+        state.params[name] -= denom
+
+
 class TestAdam:
     def _state_with(self, params):
         cfg = ModelConfig(**TINY)
@@ -425,6 +533,32 @@ class TestAdam:
         for k in params:
             npt.assert_allclose(st.params[k], want[k], rtol=1e-10, atol=1e-12)
         assert st.step == 5
+
+    def test_blocks_are_bit_identical_to_one_pass_per_tensor(self, monkeypatch):
+        # 21-element blocks: the float32 tensor takes 3-row blocks and a 1-row
+        # tail, the float64 one 21, 21 and 8 elements.  state.dtype reads
+        # tok_emb, so a temporary sized from it would be float32 for both.
+        monkeypatch.setattr(model, "_ADAM_BLOCK", 21)
+        rng = np.random.default_rng(23)
+        params = {
+            "tok_emb": rng.normal(size=(10, 7)).astype(np.float32),
+            "bias": rng.normal(size=50),
+        }
+        blocked, one_pass = self._state_with(params), self._state_with(params)
+        for _ in range(3):
+            # magnitudes down to 1e-9, so that eps shapes the update too
+            grads = {
+                k: (rng.normal(size=v.shape) * 10.0 ** rng.uniform(-9, 0, size=v.shape)).astype(v.dtype)
+                for k, v in params.items()
+            }
+            adam_step(blocked, {k: g.copy() for k, g in grads.items()}, lr=1e-2)
+            one_pass_adam_step(one_pass, grads, lr=1e-2)
+        assert blocked.step == one_pass.step == 3
+        for table in ("params", "opt_m", "opt_v"):
+            for name in params:
+                got, want = getattr(blocked, table)[name], getattr(one_pass, table)[name]
+                assert got.dtype == want.dtype == params[name].dtype
+                assert [x.hex() for x in got.ravel().tolist()] == [x.hex() for x in want.ravel().tolist()]
 
     def test_first_step_size_is_learning_rate(self):
         # bias correction makes the first update ~lr for any gradient scale

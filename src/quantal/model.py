@@ -18,17 +18,32 @@ the padded layout: Q, K and V are scattered into zero-padded
 (B, heads, L, head_dim) arrays for the scores and the context, and the
 context is gathered back into rows.
 
-forward_batch makes every one of the B*L positions a row, so scoring
-and the inference pass see padded positions as before.  loss_and_grads
-makes only the real positions rows: padded positions take no part in
-the loss, and attention masks them out as keys, so dropping them leaves
-every real row's values unchanged.  Dropout still draws its uniforms for
-all B*L positions and keeps the real rows' share, so the generator's
-stream is what a padded pass consumes.  The loss and every gradient but
-one group are bit-identical to the padded pass's.  That group is each
-layer's qkv_w, attn_out_w, ff1_w and ff2_w: their matmuls sum over the
-real rows only, and a BLAS that blocks that sum by row count may round
-it differently (about 1e-6 of the largest entry in float32).
+loss_and_grads and the scoring pass (forward_batch with query
+positions, at=) make only the real positions rows: padded positions take
+no part in the loss or the scores, and attention masks them out as keys,
+so dropping them leaves every real row's values unchanged.  Plain
+forward_batch, which returns (B, L, H) and the caches backward_batch
+reads, makes every one of the B*L positions a row.  Dropout draws its
+uniforms for all B*L positions whichever rows are real, so the
+generator's stream is what a padded pass consumes.
+
+Training: the loss and every gradient but one group are bit-identical to
+the padded pass's.  That group is each layer's qkv_w, attn_out_w, ff1_w
+and ff2_w: their matmuls sum over the real rows only, and a BLAS that
+blocks that sum by row count may round it differently (about 1e-6 of the
+largest entry in float32).
+
+Scoring reads the last layer's output at the query positions only.  So
+the last layer computes keys and values for every real row, and the
+queries, attention, output projection, both LayerNorms and the FF block
+for the query rows only.  The queries of a batch row attend to that
+row's keys through a (B, heads, S, head_dim) slot layout, S the most
+queries any row has; PLL's one masked position per row gives S = 1 and
+no gather.  Rows up to the last layer are bit-identical to the padded
+pass's.  The last layer's one-row attention matmuls round differently
+from the (L, L) ones (BLAS picks another kernel), so a pruned row moves
+by about 1e-7 relative in float32 and 1e-15 in float64.  When every real
+position is queried, nothing is pruned and the rows are bit-identical.
 """
 
 from __future__ import annotations
@@ -335,11 +350,61 @@ class _Rows:
         return full.reshape(self.B, self.L, -1)
 
 
-def _dropout(x, p, rng, rows: _Rows):
+class _Queries:
+    """The query positions at = (b, l) of a padded batch, one row each.
+
+    index holds the flat position b*L + l of each query, in the order
+    given, and source its row in the _Rows matrix.  prune is False when
+    the queries cover every row: then no layer can skip work.
+
+    For attention the queries sit in a zero-padded (B, S) slot layout, S
+    the most queries any batch row has, each in a slot of its own row.
+    With exactly one query per batch row, in row order, the slots are the
+    queries themselves, so put and take are reshapes.
+    """
+
+    def __init__(self, at, attn_mask: np.ndarray, rows: _Rows):
+        b, l = (np.asarray(a) for a in at)
+        if b.ndim != 1 or b.shape != l.shape:
+            raise ValueError("at must be two equal-length 1-D index arrays (b, l)")
+        self.B, self.L = rows.B, rows.L
+        if b.size and (b.min() < 0 or b.max() >= self.B or l.min() < 0 or l.max() >= self.L):
+            raise ValueError("query position outside the batch")
+        if not attn_mask[b, l].all():
+            raise ValueError("query at a padded position")
+        self.index = b * self.L + l
+        self.n = self.index.size
+        self.source = self.index if rows.index is None else np.searchsorted(rows.index, self.index)
+        self.prune = np.unique(self.index).size < rows.n
+        counts = np.bincount(b, minlength=self.B)
+        self.S = int(counts.max(initial=0))
+        if np.array_equal(b, np.arange(self.B)):
+            self.slot = None
+        else:  # the k-th query of row b goes to slot b*S + k
+            order = np.argsort(b, kind="stable")
+            first = np.cumsum(counts) - counts
+            self.slot = np.empty(self.n, dtype=np.intp)
+            self.slot[order] = b[order] * self.S + np.arange(self.n) - first[b[order]]
+
+    def take(self, a: np.ndarray) -> np.ndarray:
+        """(B, S, ...) -> (Q, ...)."""
+        a = a.reshape(self.B * self.S, *a.shape[2:])
+        return a if self.slot is None else a[self.slot]
+
+    def put(self, rows: np.ndarray) -> np.ndarray:
+        """(Q, C) -> (B, S, C), zero in the unused slots."""
+        if self.slot is None:
+            return rows.reshape(self.B, self.S, -1)
+        full = np.zeros((self.B * self.S, rows.shape[1]), dtype=rows.dtype)
+        full[self.slot] = rows
+        return full.reshape(self.B, self.S, -1)
+
+
+def _dropout(x, p, rng, rows: _Rows | _Queries):
     """Inverted dropout of the (N, H) rows x, in place; returns (x, keep).
 
     The uniform draw covers every (B, L, H) position, padded ones too, so
-    the generator's stream does not depend on which rows are real.
+    the generator's stream does not depend on which rows are computed.
     """
     if rng is None or p <= 0.0:
         return x, None
@@ -353,7 +418,13 @@ def _dropout(x, p, rng, rows: _Rows):
 
 
 def forward_batch(
-    state: ModelState, ids: np.ndarray, attn_mask: np.ndarray, dropout_rng=None, *, keep_cache=True
+    state: ModelState,
+    ids: np.ndarray,
+    attn_mask: np.ndarray,
+    dropout_rng=None,
+    *,
+    keep_cache=True,
+    at=None,
 ):
     """Hidden states (B, L, H) for a padded batch, plus backward caches.
 
@@ -365,14 +436,25 @@ def forward_batch(
     their inputs, nothing is kept for the backward pass, and the cache
     returned is None.  Its hidden states equal the cached pass's up to
     rounding, because its GELU is the sigmoid form of the same formula.
+
+    at = (b, l), two equal-length index arrays of real positions, asks
+    the inference pass for the (Q, H) hidden rows at those positions
+    only, in that order.  Only real positions are rows then, and the
+    last layer runs its queries and everything after them on the query
+    rows only (module docstring).  at needs keep_cache=False.
     """
     ids = np.asarray(ids)
-    x, cache = _forward(state, ids, attn_mask, dropout_rng, keep_cache, real_only=False)
-    return x.reshape(*ids.shape, -1), cache
+    if at is None:
+        x, cache = _forward(state, ids, attn_mask, dropout_rng, keep_cache, real_only=False)
+        return x.reshape(*ids.shape, -1), cache
+    if keep_cache:
+        raise ValueError("at= runs the inference pass only; pass keep_cache=False")
+    return _forward(state, ids, attn_mask, dropout_rng, False, real_only=True, at=at)
 
 
-def _forward(state: ModelState, ids, attn_mask, dropout_rng, keep_cache, real_only):
-    """Hidden states (N, H) of the rows _Rows(attn_mask, real_only) picks."""
+def _forward(state: ModelState, ids, attn_mask, dropout_rng, keep_cache, real_only, at=None):
+    """Hidden states (N, H) of the rows _Rows(attn_mask, real_only) picks,
+    or with at the (Q, H) rows of _Queries(at)."""
     cfg = state.config
     p = state.params
     attn_mask = np.asarray(attn_mask, dtype=bool)
@@ -383,9 +465,10 @@ def _forward(state: ModelState, ids, attn_mask, dropout_rng, keep_cache, real_on
         raise ValueError("token id out of range")
 
     rows = _Rows(attn_mask, real_only)
+    queries = None if at is None else _Queries(at, attn_mask, rows)
     layer_norm = _layer_norm if keep_cache else _layer_norm_inplace
     drop_p = cfg.dropout if dropout_rng is not None else 0.0
-    nh, dh = cfg.n_heads, cfg.head_dim
+    H, nh, dh = cfg.hidden, cfg.n_heads, cfg.head_dim
     scale = 1.0 / np.sqrt(dh)
     if attn_mask.all():
         attn_bias = None
@@ -406,19 +489,33 @@ def _forward(state: ModelState, ids, attn_mask, dropout_rng, keep_cache, real_on
     layer_caches = []
     for n in range(cfg.n_layers):
         x_in = x
-        qkv = x @ p[f"l{n}.qkv_w"]
-        qkv += p[f"l{n}.qkv_b"]
-        qkv = rows.put(qkv).reshape(B, L, 3, nh, dh).transpose(2, 0, 3, 1, 4)  # (3, B, nh, L, dh)
-        q, k, v = qkv[0], qkv[1], qkv[2]
+        qkv_w, qkv_b = p[f"l{n}.qkv_w"], p[f"l{n}.qkv_b"]
+        if queries is not None and queries.prune and n == cfg.n_layers - 1:
+            # Only the query rows are read: keys and values of every row,
+            # all else for the query rows, which are x from here on.
+            out = queries
+            kv = x_in @ qkv_w[:, H:]
+            kv += qkv_b[H:]
+            k, v = rows.put(kv).reshape(B, L, 2, nh, dh).transpose(2, 0, 3, 1, 4)
+            x = x_in[queries.source]
+            q = x @ qkv_w[:, :H]
+            q += qkv_b[:H]
+            q = queries.put(q).reshape(B, queries.S, nh, dh).transpose(0, 2, 1, 3)  # (B, nh, S, dh)
+        else:
+            out = rows
+            qkv = x @ qkv_w
+            qkv += qkv_b
+            qkv = rows.put(qkv).reshape(B, L, 3, nh, dh).transpose(2, 0, 3, 1, 4)  # (3, B, nh, L, dh)
+            q, k, v = qkv[0], qkv[1], qkv[2]
         scores = np.matmul(q, k.swapaxes(-1, -2))
         scores *= scale
         if attn_bias is not None:
             scores += attn_bias
         probs = _softmax_inplace(scores)
-        ctx = rows.take(np.matmul(probs, v).transpose(0, 2, 1, 3)).reshape(rows.n, -1)
+        ctx = out.take(np.matmul(probs, v).transpose(0, 2, 1, 3)).reshape(out.n, -1)
         attn = ctx @ p[f"l{n}.attn_out_w"]
         attn += p[f"l{n}.attn_out_b"]
-        attn, attn_keep = _dropout(attn, drop_p, dropout_rng, rows)
+        attn, attn_keep = _dropout(attn, drop_p, dropout_rng, out)
         attn += x
         h1, ln1_cache = layer_norm(attn, p[f"l{n}.ln1_scale"], p[f"l{n}.ln1_offset"])
 
@@ -430,7 +527,7 @@ def _forward(state: ModelState, ids, attn_mask, dropout_rng, keep_cache, real_on
             g, gelu_s = _gelu_inplace(f1, p[f"l{n}.ff1_b"])
         f2 = g @ p[f"l{n}.ff2_w"]
         f2 += p[f"l{n}.ff2_b"]
-        f2, ff_keep = _dropout(f2, drop_p, dropout_rng, rows)
+        f2, ff_keep = _dropout(f2, drop_p, dropout_rng, out)
         f2 += h1
         x, ln2_cache = layer_norm(f2, p[f"l{n}.ln2_scale"], p[f"l{n}.ln2_offset"])
 
@@ -443,6 +540,8 @@ def _forward(state: ModelState, ids, attn_mask, dropout_rng, keep_cache, real_on
                 )
             )
 
+    if queries is not None and not queries.prune:
+        x = x[queries.source]
     if not keep_cache:
         return x, None
     cache = dict(

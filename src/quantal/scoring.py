@@ -3,9 +3,15 @@
 Default scoring is pseudo-log-likelihood: mask each position in turn and
 sum the cross-entropy of the true token at the masked slot.  The cheaper
 single-pass mode scores every position from one intact forward pass.
-Both run the model's cache-free forward pass (``keep_cache=False``),
-which keeps no backward caches and differs from the training pass only
-by float rounding.  Neither mode touches the model parameters.
+Both run the model's cache-free forward pass (``keep_cache=False``) and
+ask it for the hidden rows they read (``at=``).  Only real token rows
+are computed, so padding costs only attention slots.  PLL reads one
+masked row per copy, so its last layer computes everything but the keys
+and values for that row alone; this moves a score by about 1e-7
+relative in float32 (``scripts/pll_digest.py`` measures it).  The
+single-pass mode reads every real row, so nothing is pruned and its
+scores are bit-identical to the full pass's.  Neither mode touches the
+model parameters.
 
 A call with more than one chunk scores its chunks on every CPU the
 process may use, one chunk per thread, with BLAS pinned to one thread
@@ -90,22 +96,23 @@ def surprisal_many(
     chunks = [jobs[start : start + chunk_rows] for start in range(0, len(jobs), chunk_rows)]
 
     def score(chunk):
-        """Surprisal of each row's scored positions, in the model's dtype."""
-        ids, mask = pad_batch([encoded[j] for j, _ in chunk], tok.pad_id)
-        if mode == PLL:
-            rows = np.arange(len(chunk))
-            cols = np.array([i for _, i in chunk])
-            ids[rows, cols] = tok.mask_id
+        """Log-probability each row scores, in the model's dtype."""
+        seqs = [encoded[j] for j, _ in chunk]
+        ids, mask = pad_batch(seqs, tok.pad_id)
+        if mode == PLL:  # one masked position per row
+            at = (np.arange(len(chunk)), np.array([i for _, i in chunk]))
+            ids[at] = tok.mask_id
             true_ids = np.array([encoded[j][i] for j, i in chunk])
-        else:
-            rows, cols = np.nonzero(mask)
-            true_ids = np.concatenate([encoded[j] for j, _ in chunk])
-        hidden, _ = forward_batch(state, ids, mask, keep_cache=False)
-        logp = log_softmax(output_head(state, hidden[rows, cols]), axis=-1)
-        taken = logp[np.arange(rows.size), true_ids]
+        else:  # every real position, row by row
+            at = np.nonzero(mask)
+            true_ids = np.concatenate(seqs)
+        hidden, _ = forward_batch(state, ids, mask, keep_cache=False, at=at)
+        logp = log_softmax(output_head(state, hidden), axis=-1)
+        taken = logp[np.arange(true_ids.size), true_ids]
         if mode == PLL:
             return taken
-        return np.array([taken[rows == row].sum() for row in range(len(chunk))])
+        ends = np.cumsum([seq.size for seq in seqs])
+        return np.array([taken[end - seq.size : end].sum() for seq, end in zip(seqs, ends)])
 
     # Chunks run on every usable CPU only while BLAS is pinned to one thread
     # per caller; unpinned, OpenBLAS serializes concurrent callers.  Totals

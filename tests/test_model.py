@@ -451,6 +451,65 @@ class TestRealRowsOnly:
         assert sha256s(backward_batch(st, d_hidden, cache)) == sha256s(first)
 
 
+class TestScoredRowsOnly:
+    """forward_batch(..., at=(b, l)) returns the hidden rows at the query
+    positions; its last layer computes just those rows past K and V."""
+
+    QUERIES = {
+        # masked_ragged_batch's real lengths are 5, 7 and 3
+        "one_per_row": ([0, 1, 2], [1, 4, 0]),
+        "one_per_row_out_of_order": ([2, 0, 1], [0, 1, 4]),
+        "several_per_row": ([1, 0, 1, 2, 1, 1], [6, 3, 0, 2, 2, 6]),
+        "first_and_last_real": ([2, 0, 0, 1, 1, 2], [0, 0, 4, 0, 6, 2]),
+    }
+
+    @pytest.mark.parametrize("dtype, rtol, atol", [(np.float64, 1e-12, 1e-12), (np.float32, 1e-5, 1e-6)])
+    @pytest.mark.parametrize("queries", sorted(QUERIES))
+    def test_matches_full_pass_rows(self, dtype, rtol, atol, queries):
+        st = lively_state(dtype)
+        ids, mask = masked_ragged_batch()
+        at = tuple(np.array(a) for a in self.QUERIES[queries])
+        ref, _ = forward_batch(st, ids, mask, keep_cache=False)
+        got, cache = forward_batch(st, ids, mask, keep_cache=False, at=at)
+        assert cache is None
+        assert got.dtype == dtype and got.shape == (at[0].size, TINY["hidden"])
+        npt.assert_allclose(got, ref[at], rtol=rtol, atol=atol)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_every_real_position_is_bit_identical(self, dtype):
+        st = lively_state(dtype)
+        ids, mask = masked_ragged_batch()
+        ref, _ = forward_batch(st, ids, mask, keep_cache=False)
+        b, l = np.nonzero(mask)
+        for order in (np.arange(b.size), np.arange(b.size)[::-1]):
+            got, _ = forward_batch(st, ids, mask, keep_cache=False, at=(b[order], l[order]))
+            assert got.tobytes() == ref[b[order], l[order]].tobytes()
+
+    def test_dropout_draws_match_full_pass(self):
+        st = lively_state(np.float64)
+        st.config.dropout = 0.3
+        ids, mask = masked_ragged_batch()
+        at = tuple(np.array(a) for a in self.QUERIES["several_per_row"])
+        full, pruned = make_rng(8), make_rng(8)
+        ref, _ = forward_batch(st, ids, mask, dropout_rng=full, keep_cache=False)
+        got, _ = forward_batch(st, ids, mask, dropout_rng=pruned, keep_cache=False, at=at)
+        npt.assert_allclose(got, ref[at], rtol=1e-12, atol=1e-12)
+        assert full.random() == pruned.random()
+
+    @pytest.mark.parametrize("at, match", [(([1, 0], [1, 5]), "padded"), (([0, 3], [1, 1]), "outside")])
+    def test_bad_query_positions_rejected(self, at, match):
+        st = lively_state(np.float32)
+        ids, mask = masked_ragged_batch()
+        with pytest.raises(ValueError, match=match):
+            forward_batch(st, ids, mask, keep_cache=False, at=tuple(np.array(a) for a in at))
+
+    def test_at_with_cache_rejected(self):
+        st = lively_state(np.float32)
+        ids, mask = masked_ragged_batch()
+        with pytest.raises(ValueError, match="keep_cache"):
+            forward_batch(st, ids, mask, at=(np.arange(3), np.zeros(3, dtype=int)))
+
+
 class TestLossEdges:
     def test_no_masked_positions(self):
         st = init_model(ModelConfig(**TINY), seed=1)

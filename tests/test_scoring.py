@@ -4,10 +4,11 @@ import math
 import threading
 
 import numpy as np
+import numpy.testing as npt
 import pytest
 
 from quantal import blas, bpe, corpora, scoring
-from quantal.model import ModelConfig, TrainConfig, forward_batch, init_model, log_softmax
+from quantal.model import ModelConfig, TrainConfig, forward_batch, init_model, log_softmax, output_head
 from quantal.scoring import (
     PLL,
     UNMASKED,
@@ -19,7 +20,7 @@ from quantal.scoring import (
     surprisal_many,
     write_eval_report,
 )
-from quantal.training import train
+from quantal.training import encode_texts, pad_batch, train
 
 CFG = dict(
     n_layers=2,
@@ -145,8 +146,9 @@ class TestInvariances:
 
 
 class TestFixedCheckpoint:
-    # Scoring runs forward_batch's cache-free pass; its PLL scores must stay
-    # within 1e-5 relative of the cached (training) pass on a trained model.
+    # PLL scoring runs forward_batch's cache-free pass on the real rows, with
+    # the last layer pruned to the masked rows; its scores must stay within
+    # 1e-5 relative of the cached (training) pass on a trained model.
 
     def test_pll_matches_cached_forward_reference(self):
         corpus = corpora.gen_exp2_corpus(48, 0.25, string_len=8, seed=9)
@@ -175,6 +177,32 @@ class TestFixedCheckpoint:
         np.testing.assert_allclose(got, reference, rtol=1e-5)
 
 
+class TestUnmaskedTotals:
+    def test_slice_sums_equal_masked_row_sums(self):
+        # Each sentence's single-pass total is the sum of its slice of the
+        # scored rows; it must equal, bit for bit, the sum over a boolean
+        # mask of those rows taken from the full (B, L, H) pass.
+        corpus = corpora.gen_exp2_corpus(24, 0.25, string_len=8, seed=9)
+        tok = bpe.train_tokenizer([corpus.to_text()], 16)
+        state = init_model(ModelConfig(**{**CFG, "vocab_size": tok.vocab_size}), seed=3)
+        texts = [s.text for s in corpus.sentences[:12]]
+        encoded = encode_texts(tok, texts, state.config.max_positions)
+        order = sorted(range(len(texts)), key=lambda j: (encoded[j].size, j))
+        assert len({encoded[j].size for j in order}) > 1  # a ragged chunk
+
+        ids, mask = pad_batch([encoded[j] for j in order], tok.pad_id)
+        hidden, _ = forward_batch(state, ids, mask, keep_cache=False)
+        rows, cols = np.nonzero(mask)
+        logp = log_softmax(output_head(state, hidden[rows, cols]), axis=-1)
+        taken = logp[np.arange(rows.size), np.concatenate([encoded[j] for j in order])]
+        reference = np.zeros(len(texts))
+        for row, j in enumerate(order):
+            reference[j] -= taken[rows == row].sum()
+
+        got = surprisal_many(state, tok, texts, mode=UNMASKED, chunk_rows=len(texts))
+        assert hex_scores(got) == hex_scores(reference)
+
+
 def hex_scores(scores):
     return [float(v).hex() for v in scores]
 
@@ -201,12 +229,23 @@ class TestThreadedScoring:
         self.texts = [s.text for s in self.corpus.sentences[:10]]
 
     def score(self, monkeypatch, cpus, mode):
-        """Scores, and the ident of each thread that ran a forward pass."""
+        """Scores, and the ident of each thread that ran a forward pass.
+
+        Every forward pass must ask for the rows scoring reads: in PLL
+        mode the masked one of each batch row, in row order, and in
+        single-pass mode every real position.
+        """
         threads = []
 
-        def recording_forward(*args, **kwargs):
+        def recording_forward(state, ids, mask, *args, **kwargs):
             threads.append(threading.get_ident())
-            return forward_batch(*args, **kwargs)
+            b, l = kwargs["at"]
+            if mode == PLL:
+                npt.assert_array_equal(b, np.arange(ids.shape[0]))
+                npt.assert_array_equal(ids[b, l], self.tok.mask_id)
+            else:
+                npt.assert_array_equal(np.stack([b, l]), np.nonzero(mask))
+            return forward_batch(state, ids, mask, *args, **kwargs)
 
         monkeypatch.setattr(scoring, "_usable_cpus", lambda: cpus)
         monkeypatch.setattr(scoring, "forward_batch", recording_forward)

@@ -14,9 +14,11 @@ import sys
 import time
 from pathlib import Path
 
-from quantal.sweep import load_sweep_config, run_sweep
-
 ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src")]
+
+from quantal.sweep import load_sweep_config, run_sweep  # noqa: E402
+
 ACCEPTANCE_DIR = ROOT / "results" / "acceptance"
 
 

@@ -33,17 +33,17 @@ and ff2_w: their matmuls sum over the real rows only, and a BLAS that
 blocks that sum by row count may round it differently (about 1e-6 of the
 largest entry in float32).
 
-Scoring reads the last layer's output at the query positions only.  So
-the last layer computes keys and values for every real row, and the
-queries, attention, output projection, both LayerNorms and the FF block
-for the query rows only.  The queries of a batch row attend to that
-row's keys through a (B, heads, S, head_dim) slot layout, S the most
-queries any row has; PLL's one masked position per row gives S = 1 and
-no gather.  Rows up to the last layer are bit-identical to the padded
-pass's.  The last layer's one-row attention matmuls round differently
-from the (L, L) ones (BLAS picks another kernel), so a pruned row moves
-by about 1e-7 relative in float32 and 1e-15 in float64.  When every real
-position is queried, nothing is pruned and the rows are bit-identical.
+Scoring reads the last layer's output at the query positions only.
+With one query per batch row, in row order, as PLL sends, the last
+layer is pruned: it computes keys and values for every real row, and
+the queries, attention, output projection, both LayerNorms and the FF
+block for the query rows only, a _Rows of their own.  Rows up to the
+last layer are bit-identical to the padded pass's.  The last layer's
+one-row attention matmuls round differently from the (L, L) ones (BLAS
+picks another kernel), so a pruned row moves by about 1e-7 relative in
+float32 and 1e-15 in float64.  Any other query set, every real position
+included, is computed unpruned and gathered at the end, so its rows are
+bit-identical.
 """
 
 from __future__ import annotations
@@ -312,16 +312,16 @@ def _layer_norm_backward(dy, cache, scale):
 class _Rows:
     """The positions of a padded (B, L) batch that the row-wise ops run on.
 
-    With real_only, the rows are the real positions of attn_mask, else
-    every position.  index holds the flat position b*L + l of each row,
-    ascending, or is None when every position is a row.  take gathers
-    rows out of a padded array and put scatters (N, C) rows into a
-    zero-padded (B, L, C) one.
+    With real_only, the rows are the True positions of mask (the real
+    ones, or a pruned last layer's queries), else every position.  index
+    holds the flat position b*L + l of each row, ascending, or is None
+    when every position is a row.  take gathers rows out of a padded
+    array and put scatters (N, C) rows into a zero-padded (B, L, C) one.
     """
 
-    def __init__(self, attn_mask: np.ndarray, real_only: bool):
-        self.B, self.L = attn_mask.shape
-        real = attn_mask.reshape(-1)
+    def __init__(self, mask: np.ndarray, real_only: bool):
+        self.B, self.L = mask.shape
+        real = mask.reshape(-1)
         self.index = np.flatnonzero(real) if real_only and not real.all() else None
         if self.index is None:
             self.n = self.B * self.L
@@ -350,57 +350,7 @@ class _Rows:
         return full.reshape(self.B, self.L, -1)
 
 
-class _Queries:
-    """The query positions at = (b, l) of a padded batch, one row each.
-
-    index holds the flat position b*L + l of each query, in the order
-    given, and source its row in the _Rows matrix.  prune is False when
-    the queries cover every row: then no layer can skip work.
-
-    For attention the queries sit in a zero-padded (B, S) slot layout, S
-    the most queries any batch row has, each in a slot of its own row.
-    With exactly one query per batch row, in row order, the slots are the
-    queries themselves, so put and take are reshapes.
-    """
-
-    def __init__(self, at, attn_mask: np.ndarray, rows: _Rows):
-        b, l = (np.asarray(a) for a in at)
-        if b.ndim != 1 or b.shape != l.shape:
-            raise ValueError("at must be two equal-length 1-D index arrays (b, l)")
-        self.B, self.L = rows.B, rows.L
-        if b.size and (b.min() < 0 or b.max() >= self.B or l.min() < 0 or l.max() >= self.L):
-            raise ValueError("query position outside the batch")
-        if not attn_mask[b, l].all():
-            raise ValueError("query at a padded position")
-        self.index = b * self.L + l
-        self.n = self.index.size
-        self.source = self.index if rows.index is None else np.searchsorted(rows.index, self.index)
-        self.prune = np.unique(self.index).size < rows.n
-        counts = np.bincount(b, minlength=self.B)
-        self.S = int(counts.max(initial=0))
-        if np.array_equal(b, np.arange(self.B)):
-            self.slot = None
-        else:  # the k-th query of row b goes to slot b*S + k
-            order = np.argsort(b, kind="stable")
-            first = np.cumsum(counts) - counts
-            self.slot = np.empty(self.n, dtype=np.intp)
-            self.slot[order] = b[order] * self.S + np.arange(self.n) - first[b[order]]
-
-    def take(self, a: np.ndarray) -> np.ndarray:
-        """(B, S, ...) -> (Q, ...)."""
-        a = a.reshape(self.B * self.S, *a.shape[2:])
-        return a if self.slot is None else a[self.slot]
-
-    def put(self, rows: np.ndarray) -> np.ndarray:
-        """(Q, C) -> (B, S, C), zero in the unused slots."""
-        if self.slot is None:
-            return rows.reshape(self.B, self.S, -1)
-        full = np.zeros((self.B * self.S, rows.shape[1]), dtype=rows.dtype)
-        full[self.slot] = rows
-        return full.reshape(self.B, self.S, -1)
-
-
-def _dropout(x, p, rng, rows: _Rows | _Queries):
+def _dropout(x, p, rng, rows: _Rows):
     """Inverted dropout of the (N, H) rows x, in place; returns (x, keep).
 
     The uniform draw covers every (B, L, H) position, padded ones too, so
@@ -439,9 +389,10 @@ def forward_batch(
 
     at = (b, l), two equal-length index arrays of real positions, asks
     the inference pass for the (Q, H) hidden rows at those positions
-    only, in that order.  Only real positions are rows then, and the
-    last layer runs its queries and everything after them on the query
-    rows only (module docstring).  at needs keep_cache=False.
+    only, in that order.  Only real positions are rows then.  With one
+    query per batch row, in row order (b is arange(B)), the last layer
+    is pruned to the query rows (module docstring); any other query set
+    is computed unpruned and is bit-identical.  at needs keep_cache=False.
     """
     ids = np.asarray(ids)
     if at is None:
@@ -454,7 +405,7 @@ def forward_batch(
 
 def _forward(state: ModelState, ids, attn_mask, dropout_rng, keep_cache, real_only, at=None):
     """Hidden states (N, H) of the rows _Rows(attn_mask, real_only) picks,
-    or with at the (Q, H) rows of _Queries(at)."""
+    or with at = (b, l) the (Q, H) rows at those positions."""
     cfg = state.config
     p = state.params
     attn_mask = np.asarray(attn_mask, dtype=bool)
@@ -465,7 +416,20 @@ def _forward(state: ModelState, ids, attn_mask, dropout_rng, keep_cache, real_on
         raise ValueError("token id out of range")
 
     rows = _Rows(attn_mask, real_only)
-    queries = None if at is None else _Queries(at, attn_mask, rows)
+    last = None  # the rows of a pruned last layer
+    if at is not None:
+        b, l = (np.asarray(a) for a in at)
+        if b.ndim != 1 or b.shape != l.shape:
+            raise ValueError("at must be two equal-length 1-D index arrays (b, l)")
+        if b.size and (b.min() < 0 or b.max() >= B or l.min() < 0 or l.max() >= L):
+            raise ValueError("query position outside the batch")
+        if not attn_mask[b, l].all():
+            raise ValueError("query at a padded position")
+        source = b * L + l if rows.index is None else np.searchsorted(rows.index, b * L + l)
+        if B < rows.n and np.array_equal(b, np.arange(B)):  # one query per batch row, in row order
+            queried = np.zeros_like(attn_mask)
+            queried[b, l] = True
+            last = _Rows(queried, real_only=True)
     layer_norm = _layer_norm if keep_cache else _layer_norm_inplace
     drop_p = cfg.dropout if dropout_rng is not None else 0.0
     H, nh, dh = cfg.hidden, cfg.n_heads, cfg.head_dim
@@ -490,17 +454,17 @@ def _forward(state: ModelState, ids, attn_mask, dropout_rng, keep_cache, real_on
     for n in range(cfg.n_layers):
         x_in = x
         qkv_w, qkv_b = p[f"l{n}.qkv_w"], p[f"l{n}.qkv_b"]
-        if queries is not None and queries.prune and n == cfg.n_layers - 1:
+        if last is not None and n == cfg.n_layers - 1:
             # Only the query rows are read: keys and values of every row,
             # all else for the query rows, which are x from here on.
-            out = queries
+            out = last
             kv = x_in @ qkv_w[:, H:]
             kv += qkv_b[H:]
             k, v = rows.put(kv).reshape(B, L, 2, nh, dh).transpose(2, 0, 3, 1, 4)
-            x = x_in[queries.source]
+            x = x_in[source]
             q = x @ qkv_w[:, :H]
             q += qkv_b[:H]
-            q = queries.put(q).reshape(B, queries.S, nh, dh).transpose(0, 2, 1, 3)  # (B, nh, S, dh)
+            q = q.reshape(B, 1, nh, dh).transpose(0, 2, 1, 3)  # (B, nh, 1, dh)
         else:
             out = rows
             qkv = x @ qkv_w
@@ -512,7 +476,8 @@ def _forward(state: ModelState, ids, attn_mask, dropout_rng, keep_cache, real_on
         if attn_bias is not None:
             scores += attn_bias
         probs = _softmax_inplace(scores)
-        ctx = out.take(np.matmul(probs, v).transpose(0, 2, 1, 3)).reshape(out.n, -1)
+        ctx = np.matmul(probs, v).transpose(0, 2, 1, 3)
+        ctx = ctx.reshape(B, H) if out is last else rows.take(ctx).reshape(rows.n, -1)
         attn = ctx @ p[f"l{n}.attn_out_w"]
         attn += p[f"l{n}.attn_out_b"]
         attn, attn_keep = _dropout(attn, drop_p, dropout_rng, out)
@@ -540,8 +505,8 @@ def _forward(state: ModelState, ids, attn_mask, dropout_rng, keep_cache, real_on
                 )
             )
 
-    if queries is not None and not queries.prune:
-        x = x[queries.source]
+    if at is not None and last is None:
+        x = x[source]
     if not keep_cache:
         return x, None
     cache = dict(

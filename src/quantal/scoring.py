@@ -6,7 +6,8 @@ single-pass mode scores every position from one intact forward pass.
 Both run the model's cache-free forward pass (``keep_cache=False``) and
 ask it for the hidden rows they read (``at=``).  Only real token rows
 are computed, so padding costs only attention slots.  PLL reads one
-masked row per copy, so its last layer computes everything but the keys
+masked row per copy, the one query per batch row in row order that the
+model prunes for, so its last layer computes everything but the keys
 and values for that row alone; this moves a score by about 1e-7
 relative in float32 (``scripts/pll_digest.py`` measures it).  The
 single-pass mode reads every real row, so nothing is pruned and its

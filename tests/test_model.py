@@ -453,7 +453,9 @@ class TestRealRowsOnly:
 
 class TestScoredRowsOnly:
     """forward_batch(..., at=(b, l)) returns the hidden rows at the query
-    positions; its last layer computes just those rows past K and V."""
+    positions.  With one query per batch row, in row order, its last layer
+    computes just those rows past K and V; any other query set runs
+    unpruned and gives the full pass's rows bit for bit."""
 
     QUERIES = {
         # masked_ragged_batch's real lengths are 5, 7 and 3
@@ -462,6 +464,7 @@ class TestScoredRowsOnly:
         "several_per_row": ([1, 0, 1, 2, 1, 1], [6, 3, 0, 2, 2, 6]),
         "first_and_last_real": ([2, 0, 0, 1, 1, 2], [0, 0, 4, 0, 6, 2]),
     }
+    UNPRUNED = ("one_per_row_out_of_order", "several_per_row", "first_and_last_real")
 
     @pytest.mark.parametrize("dtype, rtol, atol", [(np.float64, 1e-12, 1e-12), (np.float32, 1e-5, 1e-6)])
     @pytest.mark.parametrize("queries", sorted(QUERIES))
@@ -477,19 +480,29 @@ class TestScoredRowsOnly:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_every_real_position_is_bit_identical(self, dtype):
+        # Every real position in either order, the query sets that are not
+        # one per batch row in row order, and one per row where each row
+        # has a single real token, so that the queries are every real row.
         st = lively_state(dtype)
         ids, mask = masked_ragged_batch()
-        ref, _ = forward_batch(st, ids, mask, keep_cache=False)
+        single = np.zeros_like(mask)
+        single[:, 0] = True
         b, l = np.nonzero(mask)
-        for order in (np.arange(b.size), np.arange(b.size)[::-1]):
-            got, _ = forward_batch(st, ids, mask, keep_cache=False, at=(b[order], l[order]))
-            assert got.tobytes() == ref[b[order], l[order]].tobytes()
+        cases = [(mask, (b, l)), (mask, (b[::-1], l[::-1]))]
+        cases += [(mask, tuple(np.array(a) for a in self.QUERIES[name])) for name in self.UNPRUNED]
+        cases.append((single, np.nonzero(single)))
+        for m, at in cases:
+            ref, _ = forward_batch(st, ids, m, keep_cache=False)
+            got, cache = forward_batch(st, ids, m, keep_cache=False, at=at)
+            assert cache is None
+            assert got.dtype == dtype and got.shape == (at[0].size, TINY["hidden"])
+            assert [x.hex() for x in got.ravel().tolist()] == [x.hex() for x in ref[at].ravel().tolist()]
 
     def test_dropout_draws_match_full_pass(self):
         st = lively_state(np.float64)
         st.config.dropout = 0.3
         ids, mask = masked_ragged_batch()
-        at = tuple(np.array(a) for a in self.QUERIES["several_per_row"])
+        at = tuple(np.array(a) for a in self.QUERIES["one_per_row"])
         full, pruned = make_rng(8), make_rng(8)
         ref, _ = forward_batch(st, ids, mask, dropout_rng=full, keep_cache=False)
         got, _ = forward_batch(st, ids, mask, dropout_rng=pruned, keep_cache=False, at=at)

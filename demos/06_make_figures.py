@@ -44,12 +44,7 @@ print(f"wrote {OUT / 'heatmap.svg'}")
 
 points = column_slice(rows, n_train=60, epochs=4)
 report = analyze_column(points, n_types=60)
-col = column_svg(
-    points,
-    n_types=60,
-    report=report,
-    title="accuracy vs exception proportion, n = 60",
-)
+col = column_svg(points, report, title="accuracy vs exception proportion, n = 60")
 write_svg(col, OUT / "column.svg")
 print(f"wrote {OUT / 'column.svg'}")
 print()

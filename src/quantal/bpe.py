@@ -251,10 +251,14 @@ def load_tokenizer(path: str | Path) -> TokenizerModel:
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines or lines[0] != FORMAT_HEADER:
         raise ValueError(f"not a {FORMAT_HEADER!r} file: {path}")
+    if len(lines) < 2:
+        raise ValueError(f"tokenizer file ends after its header: {path}")
     kind, n = lines[1].split()
     if kind != "merges":
         raise ValueError(f"expected merge count line, got {lines[1]!r}")
     n_merges = int(n)
+    if len(lines) < 3 + n_merges:
+        raise ValueError("merge listing shorter than declared count")
     merges = []
     for line in lines[2 : 2 + n_merges]:
         a, b = line.split(" ")

@@ -1,11 +1,12 @@
 """Model checkpoint container.
 
 Layout: an ASCII magic line, one JSON header line (model config, optional
-train config, optional tokenizer hash, step counter, tensor names with
-shapes), then the raw tensors as little-endian float32 in header order.
-The tensor order is the init order of model.param_specs.  Optimizer
-moments are not stored, so a loaded state can score but not train:
-training.train refuses a state without moments.
+train config with the fixed training recipe, optional tokenizer hash,
+step counter, tensor names with shapes), then the raw tensors as
+little-endian float32 in header order.  The tensor order is the init
+order of model.param_specs.  Optimizer moments are not stored, so a
+loaded state can score but not train: training.train refuses a state
+without moments.
 """
 
 from __future__ import annotations
@@ -18,9 +19,11 @@ from pathlib import Path
 import numpy as np
 
 from .model import ModelConfig, ModelState, TrainConfig, param_specs
+from .training import BATCH_SIZE, LEARNING_RATE, MASK_PROBABILITY
 
 MAGIC = b"quantal-ckpt v1\n"
 TENSOR_DTYPE = "<f4"
+HEADER_KEYS = ("model_config", "train_config", "tokenizer_sha256", "step", "tensors")
 
 
 def state_digest(state: ModelState) -> str:
@@ -43,9 +46,10 @@ def save_checkpoint(
     tokenizer_sha256: str | None = None,
 ) -> None:
     names = [name for name, _, _ in param_specs(state.config)]
+    recipe = dict(learning_rate=LEARNING_RATE, batch_size=BATCH_SIZE, mask_probability=MASK_PROBABILITY)
     header = {
         "model_config": asdict(state.config),
-        "train_config": asdict(train_config) if train_config else None,
+        "train_config": {**asdict(train_config), **recipe} if train_config else None,
         "tokenizer_sha256": tokenizer_sha256,
         "step": state.step,
         "tensors": [[name, list(state.params[name].shape)] for name in names],
@@ -63,7 +67,12 @@ def load_checkpoint(path: str | Path) -> tuple[ModelState, dict]:
         if magic != MAGIC:
             raise ValueError(f"not a {MAGIC.decode().strip()!r} file: {path}")
         header = json.loads(f.readline().decode("utf-8"))
-        cfg = ModelConfig(**header["model_config"])
+        if not isinstance(header, dict) or not header.keys() >= set(HEADER_KEYS):
+            raise ValueError(f"checkpoint header must hold the keys {HEADER_KEYS}: {path}")
+        try:
+            cfg = ModelConfig(**header["model_config"])
+        except TypeError as exc:  # an unknown or missing model_config key
+            raise ValueError(f"bad model_config in checkpoint {path}: {exc}") from None
         expected = [[name, list(shape)] for name, shape, _ in param_specs(cfg)]
         if header["tensors"] != expected:
             raise ValueError("checkpoint tensor listing does not match its model config")

@@ -129,6 +129,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.workers < 1:
+        raise UsageError(f"--workers must be >= 1, got {args.workers}")
     cfg = load_sweep_config(args.config)
     results, skipped, failures = run_sweep(
         cfg,
@@ -156,6 +158,8 @@ def _column_inputs(table, n_train: int, epochs: int):
 
 
 def cmd_analyze(args) -> int:
+    if not 0.0 < args.alpha < 1.0:
+        raise UsageError(f"--alpha must be in (0, 1), got {args.alpha}")
     table = load_results(args.table)
     points, n_types = _column_inputs(table, args.n_train, args.epochs)
     report = analyze_column(points, n_types, alpha=args.alpha)
@@ -184,7 +188,7 @@ def cmd_plot(args) -> int:
         points, n_types = _column_inputs(table, args.n_train, args.epochs)
         svg = column_svg(
             points,
-            n_types,
+            analyze_column(points, n_types),
             title=f"n={args.n_train}, {args.epochs} epochs",
         )
     write_svg(svg, args.out)

@@ -343,7 +343,7 @@ def read_pairs(path: str | Path, experiment: str) -> MinimalPairSet:
     pairs = []
     with open(path, encoding="utf-8", newline="") as f:
         reader = csv.reader(f, delimiter="\t")
-        header = next(reader)
+        header = next(reader, None)
         if header != ["pair_id", "rule_sentence", "foil_sentence"]:
             raise ValueError(f"unexpected test-pair header: {header}")
         for row in reader:

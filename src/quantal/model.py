@@ -18,14 +18,14 @@ the padded layout: Q, K and V are scattered into zero-padded
 (B, heads, L, head_dim) arrays for the scores and the context, and the
 context is gathered back into rows.
 
-loss_and_grads and the scoring pass (forward_batch with query
-positions, at=) make only the real positions rows: padded positions take
-no part in the loss or the scores, and attention masks them out as keys,
-so dropping them leaves every real row's values unchanged.  Plain
-forward_batch, which returns (B, L, H) and the caches backward_batch
-reads, makes every one of the B*L positions a row.  Dropout draws its
-uniforms for all B*L positions whichever rows are real, so the
-generator's stream is what a padded pass consumes.
+loss_and_grads and the inference pass (forward_batch with
+keep_cache=False) make only the real positions rows: padded positions
+take no part in the loss or the scores, and attention masks them out as
+keys, so dropping them leaves every real row's values unchanged.  The
+cached pass, plain forward_batch, which returns (B, L, H) and the caches
+backward_batch reads, makes every one of the B*L positions a row.
+Dropout draws its uniforms for all B*L positions whichever rows are
+real, so the generator's stream is what a padded pass consumes.
 
 Training: the loss and every gradient but one group are bit-identical to
 the padded pass's.  That group is each layer's qkv_w, attn_out_w, ff1_w
@@ -33,16 +33,16 @@ and ff2_w: their matmuls sum over the real rows only, and a BLAS that
 blocks that sum by row count may round it differently (about 1e-6 of the
 largest entry in float32).
 
-Scoring reads the last layer's output at the query positions only.
-With one query per batch row, in row order, as PLL sends, the last
-layer is pruned: it computes keys and values for every real row, and
-the queries, attention, output projection, both LayerNorms and the FF
-block for the query rows only, a _Rows of their own.  Rows up to the
-last layer are bit-identical to the padded pass's.  The last layer's
+Scoring runs the inference pass.  The single-pass mode reads every real
+row.  PLL asks for one query position per batch row (at=) and reads only
+those rows, so the last layer is pruned: it computes keys and values for
+every real row, and the queries, attention, output projection, both
+LayerNorms and the FF block for the B query rows only.  Rows up to the
+last layer are bit-identical to the unpruned pass's.  The last layer's
 one-row attention matmuls round differently from the (L, L) ones (BLAS
 picks another kernel), so a pruned row moves by about 1e-7 relative in
-float32 and 1e-15 in float64.  Any other query set, every real position
-included, is computed unpruned and gathered at the end, so its rows are
+float32 and 1e-15 in float64.  Where every batch row has one real token,
+softmax over that one key is exactly 1 and the pruned rows are
 bit-identical.
 """
 
@@ -94,19 +94,14 @@ class ModelConfig:
 
 @dataclass(kw_only=True)
 class TrainConfig:
+    """Epochs and seed of a run; the recipe itself is training's constants."""
+
     epochs: int
     seed: int
-    learning_rate: float = 1e-4
-    batch_size: int = 16
-    mask_probability: float = 0.15
 
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if not 0.0 < self.mask_probability < 1.0:
-            raise ValueError(f"mask_probability must be in (0, 1), got {self.mask_probability}")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
 
@@ -312,11 +307,11 @@ def _layer_norm_backward(dy, cache, scale):
 class _Rows:
     """The positions of a padded (B, L) batch that the row-wise ops run on.
 
-    With real_only, the rows are the True positions of mask (the real
-    ones, or a pruned last layer's queries), else every position.  index
-    holds the flat position b*L + l of each row, ascending, or is None
-    when every position is a row.  take gathers rows out of a padded
-    array and put scatters (N, C) rows into a zero-padded (B, L, C) one.
+    With real_only, the rows are the real (True) positions of mask, else
+    every position.  index holds the flat position b*L + l of each row,
+    ascending, or is None when every position is a row.  take gathers
+    rows out of a padded array and put scatters (N, C) rows into a
+    zero-padded (B, L, C) one.
     """
 
     def __init__(self, mask: np.ndarray, real_only: bool):
@@ -376,39 +371,50 @@ def forward_batch(
     keep_cache=True,
     at=None,
 ):
-    """Hidden states (B, L, H) for a padded batch, plus backward caches.
+    """Hidden states for a padded batch, plus backward caches.
 
     attn_mask is True at real positions; padded keys are excluded from
-    every attention row, so real positions never read padded ones.
-    Every position, padded ones too, is a row here.
+    every attention row, so real positions never read padded ones.  The
+    default cached pass returns (B, L, H), every position a row, padded
+    ones too, and the caches backward_batch reads.
 
-    keep_cache=False is the inference pass: LayerNorm and GELU overwrite
-    their inputs, nothing is kept for the backward pass, and the cache
-    returned is None.  Its hidden states equal the cached pass's up to
-    rounding, because its GELU is the sigmoid form of the same formula.
+    keep_cache=False is the inference pass: it takes no dropout_rng,
+    LayerNorm and GELU overwrite their inputs, and the cache returned is
+    None.  It returns the (N, H) rows of the real positions only, in the
+    order np.nonzero(attn_mask) lists them.  They equal the cached pass's
+    up to rounding, because its GELU is the sigmoid form of the same
+    formula.
 
-    at = (b, l), two equal-length index arrays of real positions, asks
-    the inference pass for the (Q, H) hidden rows at those positions
-    only, in that order.  Only real positions are rows then.  With one
-    query per batch row, in row order (b is arange(B)), the last layer
-    is pruned to the query rows (module docstring); any other query set
-    is computed unpruned and is bit-identical.  at needs keep_cache=False.
+    at, a (B,) int array of one real position per batch row, asks the
+    inference pass for the (B, H) rows at (b, at[b]) only, and the last
+    layer is pruned to them (module docstring).
     """
     ids = np.asarray(ids)
-    if at is None:
-        x, cache = _forward(state, ids, attn_mask, dropout_rng, keep_cache, real_only=False)
-        return x.reshape(*ids.shape, -1), cache
+    attn_mask = np.asarray(attn_mask, dtype=bool)
     if keep_cache:
-        raise ValueError("at= runs the inference pass only; pass keep_cache=False")
-    return _forward(state, ids, attn_mask, dropout_rng, False, real_only=True, at=at)
+        if at is not None:
+            raise ValueError("at= runs the inference pass only; pass keep_cache=False")
+        x, cache = _forward(state, ids, attn_mask, dropout_rng, keep_cache=True, real_only=False)
+        return x.reshape(*ids.shape, -1), cache
+    if dropout_rng is not None:
+        raise ValueError("the inference pass (keep_cache=False) takes no dropout_rng")
+    if at is not None:
+        at = np.asarray(at)
+        B, L = attn_mask.shape
+        if at.shape != (B,) or at.dtype.kind not in "iu":
+            raise ValueError("at must be a (B,) int array, one query position per batch row")
+        if (at < 0).any() or (at >= L).any():
+            raise ValueError("query position outside the batch")
+        if not attn_mask[np.arange(B), at].all():
+            raise ValueError("query at a padded position")
+    return _forward(state, ids, attn_mask, None, keep_cache=False, real_only=True, at=at)
 
 
 def _forward(state: ModelState, ids, attn_mask, dropout_rng, keep_cache, real_only, at=None):
     """Hidden states (N, H) of the rows _Rows(attn_mask, real_only) picks,
-    or with at = (b, l) the (Q, H) rows at those positions."""
+    or with at the (B, H) rows at (b, at[b])."""
     cfg = state.config
     p = state.params
-    attn_mask = np.asarray(attn_mask, dtype=bool)
     B, L = ids.shape
     if L > cfg.max_positions:
         raise ValueError(f"sequence length {L} exceeds max_positions {cfg.max_positions}")
@@ -416,20 +422,9 @@ def _forward(state: ModelState, ids, attn_mask, dropout_rng, keep_cache, real_on
         raise ValueError("token id out of range")
 
     rows = _Rows(attn_mask, real_only)
-    last = None  # the rows of a pruned last layer
-    if at is not None:
-        b, l = (np.asarray(a) for a in at)
-        if b.ndim != 1 or b.shape != l.shape:
-            raise ValueError("at must be two equal-length 1-D index arrays (b, l)")
-        if b.size and (b.min() < 0 or b.max() >= B or l.min() < 0 or l.max() >= L):
-            raise ValueError("query position outside the batch")
-        if not attn_mask[b, l].all():
-            raise ValueError("query at a padded position")
-        source = b * L + l if rows.index is None else np.searchsorted(rows.index, b * L + l)
-        if B < rows.n and np.array_equal(b, np.arange(B)):  # one query per batch row, in row order
-            queried = np.zeros_like(attn_mask)
-            queried[b, l] = True
-            last = _Rows(queried, real_only=True)
+    if at is not None:  # each query's index among the rows
+        flat = np.arange(B) * L + at
+        query_rows = flat if rows.index is None else np.searchsorted(rows.index, flat)
     layer_norm = _layer_norm if keep_cache else _layer_norm_inplace
     drop_p = cfg.dropout if dropout_rng is not None else 0.0
     H, nh, dh = cfg.hidden, cfg.n_heads, cfg.head_dim
@@ -454,19 +449,18 @@ def _forward(state: ModelState, ids, attn_mask, dropout_rng, keep_cache, real_on
     for n in range(cfg.n_layers):
         x_in = x
         qkv_w, qkv_b = p[f"l{n}.qkv_w"], p[f"l{n}.qkv_b"]
-        if last is not None and n == cfg.n_layers - 1:
+        pruned = at is not None and n == cfg.n_layers - 1
+        if pruned:
             # Only the query rows are read: keys and values of every row,
             # all else for the query rows, which are x from here on.
-            out = last
             kv = x_in @ qkv_w[:, H:]
             kv += qkv_b[H:]
             k, v = rows.put(kv).reshape(B, L, 2, nh, dh).transpose(2, 0, 3, 1, 4)
-            x = x_in[source]
+            x = x_in[query_rows]
             q = x @ qkv_w[:, :H]
             q += qkv_b[:H]
             q = q.reshape(B, 1, nh, dh).transpose(0, 2, 1, 3)  # (B, nh, 1, dh)
         else:
-            out = rows
             qkv = x @ qkv_w
             qkv += qkv_b
             qkv = rows.put(qkv).reshape(B, L, 3, nh, dh).transpose(2, 0, 3, 1, 4)  # (3, B, nh, L, dh)
@@ -477,10 +471,10 @@ def _forward(state: ModelState, ids, attn_mask, dropout_rng, keep_cache, real_on
             scores += attn_bias
         probs = _softmax_inplace(scores)
         ctx = np.matmul(probs, v).transpose(0, 2, 1, 3)
-        ctx = ctx.reshape(B, H) if out is last else rows.take(ctx).reshape(rows.n, -1)
+        ctx = ctx.reshape(B, H) if pruned else rows.take(ctx).reshape(rows.n, -1)
         attn = ctx @ p[f"l{n}.attn_out_w"]
         attn += p[f"l{n}.attn_out_b"]
-        attn, attn_keep = _dropout(attn, drop_p, dropout_rng, out)
+        attn, attn_keep = _dropout(attn, drop_p, dropout_rng, rows)
         attn += x
         h1, ln1_cache = layer_norm(attn, p[f"l{n}.ln1_scale"], p[f"l{n}.ln1_offset"])
 
@@ -492,7 +486,7 @@ def _forward(state: ModelState, ids, attn_mask, dropout_rng, keep_cache, real_on
             g, gelu_s = _gelu_inplace(f1, p[f"l{n}.ff1_b"])
         f2 = g @ p[f"l{n}.ff2_w"]
         f2 += p[f"l{n}.ff2_b"]
-        f2, ff_keep = _dropout(f2, drop_p, dropout_rng, out)
+        f2, ff_keep = _dropout(f2, drop_p, dropout_rng, rows)
         f2 += h1
         x, ln2_cache = layer_norm(f2, p[f"l{n}.ln2_scale"], p[f"l{n}.ln2_offset"])
 
@@ -505,8 +499,6 @@ def _forward(state: ModelState, ids, attn_mask, dropout_rng, keep_cache, real_on
                 )
             )
 
-    if at is not None and last is None:
-        x = x[source]
     if not keep_cache:
         return x, None
     cache = dict(
@@ -599,14 +591,14 @@ def output_head(state: ModelState, h: np.ndarray) -> np.ndarray:
 
 
 def forward(state: ModelState, token_ids, attention_mask=None) -> np.ndarray:
-    """Full-vocabulary logits (positions x vocab) for one sequence, no dropout."""
+    """Full-vocabulary logits (real positions x vocab) for one sequence, no dropout."""
     ids = np.asarray(token_ids, dtype=np.int64)[None, :]
     if attention_mask is None:
         mask = np.ones_like(ids, dtype=bool)
     else:
         mask = np.asarray(attention_mask, dtype=bool)[None, :]
     hidden, _ = forward_batch(state, ids, mask, keep_cache=False)
-    return output_head(state, hidden.reshape(-1, state.config.hidden))
+    return output_head(state, hidden)
 
 
 def apply_masking(token_ids, p: float, rng, mask_id: int):

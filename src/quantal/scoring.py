@@ -3,16 +3,15 @@
 Default scoring is pseudo-log-likelihood: mask each position in turn and
 sum the cross-entropy of the true token at the masked slot.  The cheaper
 single-pass mode scores every position from one intact forward pass.
-Both run the model's cache-free forward pass (``keep_cache=False``) and
-ask it for the hidden rows they read (``at=``).  Only real token rows
-are computed, so padding costs only attention slots.  PLL reads one
-masked row per copy, the one query per batch row in row order that the
-model prunes for, so its last layer computes everything but the keys
-and values for that row alone; this moves a score by about 1e-7
-relative in float32 (``scripts/pll_digest.py`` measures it).  The
-single-pass mode reads every real row, so nothing is pruned and its
-scores are bit-identical to the full pass's.  Neither mode touches the
-model parameters.
+Both run the model's inference pass (``keep_cache=False``), which
+computes only the real token rows, so padding costs only attention
+slots.  The single-pass mode reads every real row it returns.  PLL
+reads one masked row per copy: it passes that row's position in each
+batch row as ``at=``, and the model prunes its last layer to those rows,
+computing everything but the keys and values for them alone; this moves
+a score by about 1e-7 relative in float32 (``scripts/pll_digest.py``
+measures it).  Neither mode touches the model parameters.  At most
+CHUNK_ROWS copies or sentences go into one forward pass.
 
 A call with more than one chunk scores its chunks on every CPU the
 process may use, one chunk per thread, with BLAS pinned to one thread
@@ -42,6 +41,8 @@ UNMASKED = "unmasked"
 MODES = (PLL, UNMASKED)
 
 EVAL_FORMAT = "quantal-eval v1"
+
+CHUNK_ROWS = 256  # batch rows per forward pass
 
 
 @dataclass(frozen=True)
@@ -76,7 +77,6 @@ def surprisal_many(
     tok: bpe.TokenizerModel,
     sentences,
     mode: str = PLL,
-    chunk_rows: int = 256,
 ) -> np.ndarray:
     """Surprisals for many sentences at once, batched by token length.
 
@@ -94,18 +94,18 @@ def surprisal_many(
         jobs = [(j, -1) for j in range(len(encoded))]
     jobs.sort(key=lambda job: (encoded[job[0]].size, job[0], job[1]))
 
-    chunks = [jobs[start : start + chunk_rows] for start in range(0, len(jobs), chunk_rows)]
+    chunks = [jobs[start : start + CHUNK_ROWS] for start in range(0, len(jobs), CHUNK_ROWS)]
 
     def score(chunk):
         """Log-probability each row scores, in the model's dtype."""
         seqs = [encoded[j] for j, _ in chunk]
         ids, mask = pad_batch(seqs, tok.pad_id)
         if mode == PLL:  # one masked position per row
-            at = (np.arange(len(chunk)), np.array([i for _, i in chunk]))
-            ids[at] = tok.mask_id
+            at = np.array([i for _, i in chunk])
+            ids[np.arange(len(chunk)), at] = tok.mask_id
             true_ids = np.array([encoded[j][i] for j, i in chunk])
         else:  # every real position, row by row
-            at = np.nonzero(mask)
+            at = None
             true_ids = np.concatenate(seqs)
         hidden, _ = forward_batch(state, ids, mask, keep_cache=False, at=at)
         logp = log_softmax(output_head(state, hidden), axis=-1)

@@ -16,8 +16,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from xml.sax.saxutils import escape
 
-from .tp import AnalysisReport, analyze_column
+from .tp import AnalysisReport
 
+WIDTH, HEIGHT = 720, 480  # pixels, both figure kinds
 # integer-N curve sampling keeps the N=16 landmark exact on small spans
 MAX_INTEGER_SAMPLING_SPAN = 4096
 CURVE_SAMPLES = 1024
@@ -69,17 +70,21 @@ def _min_gap(values) -> float:
     return min(b - a for a, b in zip(distinct, distinct[1:]))
 
 
-def _svg_header(width, height, frame, title):
+def _frame(x0, x1, y0, y1) -> Frame:
+    return Frame(x0, x1, y0, y1, left=60, top=40, width=WIDTH - 80, height=HEIGHT - 80)
+
+
+def _svg_header(frame, title):
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}" {frame.root_attrs()}>',
-        f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
+        f'viewBox="0 0 {WIDTH} {HEIGHT}" {frame.root_attrs()}>',
+        f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
         f'<rect class="frame" x="{frame.left}" y="{frame.top}" width="{frame.width}" '
         f'height="{frame.height}" fill="none" stroke="black" stroke-width="1"/>',
     ]
     if title:
         parts.append(
-            f'<text x="{width / 2}" y="20" text-anchor="middle" '
+            f'<text x="{WIDTH / 2}" y="20" text-anchor="middle" '
             f'font-family="sans-serif" font-size="14">{escape(title)}</text>'
         )
     return parts
@@ -131,11 +136,9 @@ def heatmap_svg(
     x_range: tuple[float, float] | None = None,
     y_range: tuple[float, float] | None = None,
     title: str | None = None,
-    width: int = 720,
-    height: int = 480,
-    curve: bool = True,
 ) -> str:
-    """Shaded accuracy cells over (n_train, exception_prop) at one epoch setting."""
+    """Shaded accuracy cells over (n_train, exception_prop) at one epoch
+    setting, with the tolerance curve 1/ln N overlaid."""
     cells = [
         (row["n_train"], row["exception_prop"], row["mean_accuracy"])
         for row in rows
@@ -151,11 +154,8 @@ def heatmap_svg(
         x_range = (xs[0] - gap_x, xs[-1] + gap_x)
     if y_range is None:
         y_range = (ys[0] - gap_y, ys[-1] + gap_y)
-    frame = Frame(
-        x_range[0], x_range[1], y_range[0], y_range[1],
-        left=60, top=40, width=width - 80, height=height - 80,
-    )
-    parts = _svg_header(width, height, frame, title)
+    frame = _frame(x_range[0], x_range[1], y_range[0], y_range[1])
+    parts = _svg_header(frame, title)
     w = frame.width * 0.9 * gap_x / (frame.x1 - frame.x0)
     h = frame.height * 0.9 * gap_y / (frame.y1 - frame.y0)
     for n_train, prop, acc in sorted(cells):
@@ -165,12 +165,11 @@ def heatmap_svg(
             f'width="{w:.3f}" height="{h:.3f}" fill="{shade(acc)}" stroke="#999" '
             f'stroke-width="0.5" data-n="{n_train}" data-prop="{prop!r}" data-acc="{acc!r}"/>'
         )
-    if curve:
-        path = tolerance_curve_path(frame)
-        if path:
-            parts.append(
-                f'<path class="tp-curve" d="{path}" fill="none" stroke="black" stroke-width="1.5"/>'
-            )
+    path = tolerance_curve_path(frame)
+    if path:
+        parts.append(
+            f'<path class="tp-curve" d="{path}" fill="none" stroke="black" stroke-width="1.5"/>'
+        )
     parts.extend(_axis_labels(frame, xs, ys))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
@@ -183,35 +182,22 @@ def _clip_segment(frame, fit, x_lo, x_hi):
     return p0, p1
 
 
-def column_svg(
-    points,
-    n_types: int,
-    alpha: float = 0.05,
-    title: str | None = None,
-    width: int = 720,
-    height: int = 480,
-    report: AnalysisReport | None = None,
-) -> str:
+def column_svg(points, report: AnalysisReport, title: str | None = None) -> str:
     """Scatter of (proportion, accuracy) with stitched regression overlay.
 
-    The analysis (two fitted lines joined by a vertical bar at the break
-    proportion 1/ln n_types) is computed here unless a report is passed in.
+    report is tp.analyze_column's analysis of the points: two fitted
+    lines, drawn joined by a vertical bar at the break proportion.
     """
     pts = [(float(x), float(y)) for x, y in points]
     if not pts:
         raise ValueError("no points to plot")
-    if report is None:
-        report = analyze_column(pts, n_types, alpha=alpha)
     xs = [x for x, _ in pts]
     ys = [y for _, y in pts]
     pad_x = (max(xs) - min(xs)) * 0.08 or 0.05
     y_lo = min(0.4, min(ys) - 0.05)
     y_hi = max(1.0, max(ys) + 0.05)
-    frame = Frame(
-        min(xs) - pad_x, max(xs) + pad_x, y_lo, y_hi,
-        left=60, top=40, width=width - 80, height=height - 80,
-    )
-    parts = _svg_header(width, height, frame, title)
+    frame = _frame(min(xs) - pad_x, max(xs) + pad_x, y_lo, y_hi)
+    parts = _svg_header(frame, title)
     reg = report.regression
     if reg is not None:
         (lx0, ly0), (lx1, ly1) = _clip_segment(frame, reg.left_fit, frame.x0, reg.break_x)
@@ -240,7 +226,7 @@ def column_svg(
     if reg is not None:
         label += f", step={reg.step_coefficient:.3f} (p={reg.p_value:.3g})"
     parts.append(
-        f'<text class="caption" x="{width / 2}" y="{height - 6}" text-anchor="middle" '
+        f'<text class="caption" x="{WIDTH / 2}" y="{HEIGHT - 6}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="11">{escape(label)}</text>'
     )
     parts.extend(_axis_labels(frame, sorted(set(xs)), []))

@@ -482,9 +482,12 @@ def save_sweep_config(cfg: SweepConfig, path: str | Path) -> None:
 
 def load_sweep_config(path: str | Path) -> SweepConfig:
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    if payload.pop("format", None) != CONFIG_FORMAT:
+    if not isinstance(payload, dict) or payload.pop("format", None) != CONFIG_FORMAT:
         raise ValueError(f"not a {CONFIG_FORMAT!r} file: {path}")
-    return SweepConfig(**payload)
+    try:
+        return SweepConfig(**payload)
+    except TypeError as exc:  # an unknown or missing key
+        raise ValueError(f"bad sweep config {path}: {exc}") from None
 
 
 def _cell_task(cfg: SweepConfig, jobs: list[CellJob], artifacts_dir):

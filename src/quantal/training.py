@@ -1,6 +1,8 @@
 """MLM training loop: shuffle, mask, batch, one Adam step per batch.
 
-Also home to the encode-and-pad path that scoring shares.
+The recipe is fixed, as in every sweep: LEARNING_RATE, BATCH_SIZE and
+MASK_PROBABILITY.  Also home to the encode-and-pad path that scoring
+shares.
 """
 
 from __future__ import annotations
@@ -18,6 +20,10 @@ from .model import (
     loss_and_grads,
 )
 from .util import make_rng
+
+LEARNING_RATE = 1e-4
+BATCH_SIZE = 16
+MASK_PROBABILITY = 0.15
 
 
 def encode_texts(tok: bpe.TokenizerModel, texts, max_positions: int) -> list[np.ndarray]:
@@ -67,11 +73,11 @@ def train(state: ModelState, corpus: Corpus, tok: bpe.TokenizerModel, cfg: Train
     n = len(encoded)
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            chosen = order[start : start + cfg.batch_size]
+        for start in range(0, n, BATCH_SIZE):
+            chosen = order[start : start + BATCH_SIZE]
             seqs, labels = [], []
             for i in chosen:
-                masked, lab = apply_masking(encoded[i], cfg.mask_probability, rng, tok.mask_id)
+                masked, lab = apply_masking(encoded[i], MASK_PROBABILITY, rng, tok.mask_id)
                 seqs.append(masked)
                 labels.append(lab)
             ids, mask = pad_batch(seqs, tok.pad_id)
@@ -84,6 +90,6 @@ def train(state: ModelState, corpus: Corpus, tok: bpe.TokenizerModel, cfg: Train
                     f"non-finite loss {loss} at epoch {epoch + 1}, "
                     f"batch starting {start} (seed {cfg.seed})"
                 )
-            adam_step(state, grads, cfg.learning_rate)
+            adam_step(state, grads, LEARNING_RATE)
             state.loss_history.append(loss)
     return state

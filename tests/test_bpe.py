@@ -221,6 +221,14 @@ class TestSerialization:
         with pytest.raises(ValueError):
             load_tokenizer(p)
 
+    @pytest.mark.parametrize("text", ["quantal-bpe v1\n", "quantal-bpe v1\nmerges 2\na b\n"],
+                             ids=["header-only", "truncated-merges"])
+    def test_rejects_truncated_file(self, tmp_path, text):
+        p = tmp_path / "bad.txt"
+        p.write_text(text)
+        with pytest.raises(ValueError):
+            load_tokenizer(p)
+
 
 class TestModelValidation:
     def test_specials_must_lead(self):

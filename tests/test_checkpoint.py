@@ -73,8 +73,9 @@ class TestRoundTrip:
         path = tmp_path / "model.ckpt"
         save_checkpoint(state, path, train_config=tc, tokenizer_sha256="ab" * 32)
         _, meta = load_checkpoint(path)
-        assert meta["train_config"]["epochs"] == 2
-        assert meta["train_config"]["seed"] == 3
+        assert meta["train_config"] == {
+            "epochs": 2, "seed": 3, "learning_rate": 1e-4, "batch_size": 16, "mask_probability": 0.15,
+        }
         assert meta["tokenizer_sha256"] == "ab" * 32
 
     def test_metadata_defaults_to_none(self, tmp_path):
@@ -110,6 +111,25 @@ class TestCorruption:
         path = self.make_checkpoint(tmp_path)
         path.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(ValueError, match="trailing"):
+            load_checkpoint(path)
+
+    def rewrite_header(self, path, change):
+        header_line, _, rest = path.read_bytes()[len(MAGIC) :].partition(b"\n")
+        header = json.loads(header_line)
+        change(header)
+        path.write_bytes(MAGIC + json.dumps(header).encode() + b"\n" + rest)
+
+    @pytest.mark.parametrize("key", ["model_config", "tensors", "step"])
+    def test_header_key_missing(self, tmp_path, key):
+        path = self.make_checkpoint(tmp_path)
+        self.rewrite_header(path, lambda header: header.pop(key))
+        with pytest.raises(ValueError, match="header"):
+            load_checkpoint(path)
+
+    def test_unknown_model_config_key(self, tmp_path):
+        path = self.make_checkpoint(tmp_path)
+        self.rewrite_header(path, lambda header: header["model_config"].update(width=3))
+        with pytest.raises(ValueError, match="model_config"):
             load_checkpoint(path)
 
     def test_header_tensor_mismatch(self, tmp_path):

@@ -233,6 +233,26 @@ class TestTrainEval:
         assert rc == 2
         assert not (tmp_path / "x.ckpt").exists()
 
+    @pytest.mark.parametrize("broken", ["tokenizer", "pairs", "checkpoint"])
+    def test_malformed_input_is_runtime_error(self, artifacts, tmp_path, capsys, broken):
+        root, data, ckpt = artifacts
+        paths = {"checkpoint": ckpt, "tokenizer": root / "model.ckpt.tok", "pairs": data / "pairs.tsv"}
+        bad = tmp_path / broken
+        if broken == "tokenizer":
+            bad.write_text("quantal-bpe v1\n")
+        elif broken == "pairs":
+            bad.write_text("")
+        else:
+            magic, header_line, rest = ckpt.read_bytes().split(b"\n", 2)
+            header = json.loads(header_line)
+            del header["step"]
+            bad.write_bytes(b"\n".join([magic, json.dumps(header).encode(), rest]))
+        paths[broken] = bad
+        rc = run("eval", "--checkpoint", paths["checkpoint"], "--tokenizer", paths["tokenizer"],
+                 "--pairs", paths["pairs"], "--exp", 2, "--out", tmp_path / "r.json")
+        assert rc == 1
+        assert json.loads(capsys.readouterr().err)["kind"] == "runtime"
+
     def test_missing_checkpoint_is_runtime_error(self, tmp_path, capsys):
         rc = run("eval", "--checkpoint", tmp_path / "nope.ckpt",
                  "--tokenizer", tmp_path / "nope.tok",
@@ -346,6 +366,25 @@ class TestSweepCommand:
         assert rc == 1
         assert json.loads(capsys.readouterr().err)["kind"] == "runtime"
 
+    def test_unknown_config_key_is_runtime_error(self, tmp_path, capsys):
+        cfg = tmp_path / "sweep.json"
+        self.write_config(cfg)
+        cfg.write_text(json.dumps({**json.loads(cfg.read_text()), "learning_rate": 1e-3}))
+        rc = run("sweep", "--config", cfg, "--store", tmp_path / "r.csv")
+        assert rc == 1
+        assert json.loads(capsys.readouterr().err)["kind"] == "runtime"
+        assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_nonpositive_workers_is_usage_error(self, tmp_path, capsys, workers):
+        cfg = tmp_path / "sweep.json"
+        self.write_config(cfg)
+        rc = run("sweep", "--config", cfg, "--store", tmp_path / "r.csv", "--workers", workers)
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["kind"] == "usage" and "--workers" in err["error"]
+        assert not (tmp_path / "r.csv").exists()
+
 
 class TestAnalyzeCommand:
     def test_step_data_classified_significant(self, tmp_path, capsys):
@@ -359,6 +398,18 @@ class TestAnalyzeCommand:
                    "--epochs", 10, "--out", out) == 0
         assert "quantal-jump-detected" in capsys.readouterr().out
         assert "quantal-jump-detected" in out.read_text()
+
+    @pytest.mark.parametrize("alpha", [0, 1, 5, -0.1])
+    def test_alpha_outside_unit_interval_is_usage_error(self, tmp_path, capsys, alpha):
+        store = tmp_path / "results.csv"
+        synthetic_store(store, {0.0: 0.96, 0.1: 0.95, 0.2: 0.94, 0.3: 0.55})
+        out = tmp_path / "report.txt"
+        rc = run("analyze", "--table", store, "--n-train", 55,
+                 "--epochs", 10, "--alpha", alpha, "--out", out)
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["kind"] == "usage" and "--alpha" in err["error"]
+        assert not out.exists()
 
     def test_missing_column_is_runtime_error(self, tmp_path, capsys):
         store = tmp_path / "results.csv"

@@ -294,6 +294,12 @@ class TestFileRoundTrips:
         with pytest.raises(ValueError):
             read_pairs(p, WORD_ORDER)
 
+    def test_pairs_rejects_empty_file(self, tmp_path):
+        p = tmp_path / "pairs.tsv"
+        p.write_text("")
+        with pytest.raises(ValueError, match="header"):
+            read_pairs(p, WORD_ORDER)
+
 
 class TestSeededFuzz:
     def test_random_configs_all_valid(self):

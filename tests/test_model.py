@@ -71,12 +71,7 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             TrainConfig(epochs=0, seed=1)
         with pytest.raises(ValueError):
-            TrainConfig(epochs=4, seed=1, mask_probability=0.0)
-        with pytest.raises(ValueError):
             TrainConfig(epochs=4, seed=-1)
-        cfg = TrainConfig(epochs=10, seed=0)
-        assert cfg.learning_rate == 1e-4 and cfg.batch_size == 16
-        assert cfg.mask_probability == 0.15
 
 
 class TestInit:
@@ -139,7 +134,8 @@ class TestForward:
         ids = [3, 9, 14, 21, 5, 6]
         bare = forward(st, ids)
         padded = forward(st, ids + [0, 0, 0, 0], [True] * 6 + [False] * 4)
-        npt.assert_allclose(padded[:6], bare, rtol=1e-5, atol=1e-5)
+        assert padded.shape == bare.shape  # the real positions only
+        npt.assert_allclose(padded, bare, rtol=1e-5, atol=1e-5)
 
     def test_batch_composition_invariance(self):
         st = init_model(ModelConfig(**TINY), seed=5)
@@ -206,15 +202,15 @@ class TestCacheFreeForward:
         ref, _ = forward_batch(st, ids, mask)
         got, cache = forward_batch(st, ids, mask, keep_cache=False)
         assert cache is None
-        assert got.dtype == dtype
-        npt.assert_allclose(got, ref, rtol=rtol, atol=atol)
+        # the real rows only, in the order mask lists them
+        assert got.dtype == dtype and got.shape == (mask.sum(), TINY["hidden"])
+        npt.assert_allclose(got, ref[mask], rtol=rtol, atol=atol)
 
-    def test_dropout_draws_match_cached_pass(self):
+    def test_dropout_rejected(self):
         st = lively_state(np.float64)
-        ids, mask = masked_ragged_batch()
-        ref, _ = forward_batch(st, ids, mask, dropout_rng=make_rng(4))
-        got, _ = forward_batch(st, ids, mask, dropout_rng=make_rng(4), keep_cache=False)
-        npt.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
+        st.config.dropout = 0.3
+        with pytest.raises(ValueError, match="dropout"):
+            forward_batch(st, *masked_ragged_batch(), dropout_rng=make_rng(4), keep_cache=False)
 
     def test_parameters_untouched(self):
         st = lively_state(np.float32)
@@ -452,75 +448,71 @@ class TestRealRowsOnly:
 
 
 class TestScoredRowsOnly:
-    """forward_batch(..., at=(b, l)) returns the hidden rows at the query
-    positions.  With one query per batch row, in row order, its last layer
-    computes just those rows past K and V; any other query set runs
-    unpruned and gives the full pass's rows bit for bit."""
+    """forward_batch(..., keep_cache=False, at=...) returns the hidden rows
+    at one query position per batch row, (b, at[b]); its last layer
+    computes just those rows past K and V.  The full pass it is checked
+    against is the unpruned real-row pass."""
 
-    QUERIES = {
-        # masked_ragged_batch's real lengths are 5, 7 and 3
-        "one_per_row": ([0, 1, 2], [1, 4, 0]),
-        "one_per_row_out_of_order": ([2, 0, 1], [0, 1, 4]),
-        "several_per_row": ([1, 0, 1, 2, 1, 1], [6, 3, 0, 2, 2, 6]),
-        "first_and_last_real": ([2, 0, 0, 1, 1, 2], [0, 0, 4, 0, 6, 2]),
-    }
-    UNPRUNED = ("one_per_row_out_of_order", "several_per_row", "first_and_last_real")
+    # masked_ragged_batch's real lengths are 5, 7 and 3
+    QUERIES = {"one_per_row": [1, 4, 0], "first_real": [0, 0, 0], "last_real": [4, 6, 2]}
+
+    @staticmethod
+    def check_rows(st, ids, mask, at, rtol, atol):
+        ref, _ = forward_batch(st, ids, mask, keep_cache=False)
+        got, cache = forward_batch(st, ids, mask, keep_cache=False, at=np.array(at))
+        assert cache is None
+        assert got.dtype == st.dtype and got.shape == (ids.shape[0], TINY["hidden"])
+        row_of = np.cumsum(mask.ravel()).reshape(mask.shape) - 1  # real-row index of each position
+        npt.assert_allclose(got, ref[row_of[np.arange(ids.shape[0]), at]], rtol=rtol, atol=atol)
 
     @pytest.mark.parametrize("dtype, rtol, atol", [(np.float64, 1e-12, 1e-12), (np.float32, 1e-5, 1e-6)])
     @pytest.mark.parametrize("queries", sorted(QUERIES))
     def test_matches_full_pass_rows(self, dtype, rtol, atol, queries):
-        st = lively_state(dtype)
-        ids, mask = masked_ragged_batch()
-        at = tuple(np.array(a) for a in self.QUERIES[queries])
-        ref, _ = forward_batch(st, ids, mask, keep_cache=False)
-        got, cache = forward_batch(st, ids, mask, keep_cache=False, at=at)
-        assert cache is None
-        assert got.dtype == dtype and got.shape == (at[0].size, TINY["hidden"])
-        npt.assert_allclose(got, ref[at], rtol=rtol, atol=atol)
+        self.check_rows(lively_state(dtype), *masked_ragged_batch(), self.QUERIES[queries], rtol, atol)
+
+    @pytest.mark.parametrize("dtype, rtol, atol", [(np.float64, 1e-12, 1e-12), (np.float32, 1e-5, 1e-6)])
+    def test_unpadded_batch_matches_full_pass_rows(self, dtype, rtol, atol):
+        ids, _ = masked_ragged_batch()
+        ids = ids[[1, 1, 1]]  # the full-width row three times
+        self.check_rows(lively_state(dtype), ids, np.ones(ids.shape, bool), [1, 4, 6], rtol, atol)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_every_real_position_is_bit_identical(self, dtype):
-        # Every real position in either order, the query sets that are not
-        # one per batch row in row order, and one per row where each row
-        # has a single real token, so that the queries are every real row.
+        # With one real token per batch row, the queries are every real
+        # row, and softmax over the single real key is exactly 1: the
+        # pruned last layer gives the full pass's rows bit for bit.
         st = lively_state(dtype)
-        ids, mask = masked_ragged_batch()
-        single = np.zeros_like(mask)
-        single[:, 0] = True
-        b, l = np.nonzero(mask)
-        cases = [(mask, (b, l)), (mask, (b[::-1], l[::-1]))]
-        cases += [(mask, tuple(np.array(a) for a in self.QUERIES[name])) for name in self.UNPRUNED]
-        cases.append((single, np.nonzero(single)))
-        for m, at in cases:
-            ref, _ = forward_batch(st, ids, m, keep_cache=False)
-            got, cache = forward_batch(st, ids, m, keep_cache=False, at=at)
-            assert cache is None
-            assert got.dtype == dtype and got.shape == (at[0].size, TINY["hidden"])
-            assert [x.hex() for x in got.ravel().tolist()] == [x.hex() for x in ref[at].ravel().tolist()]
+        for width in (1, 7):
+            ids = masked_ragged_batch()[0][:, :width]
+            single = np.zeros_like(ids, dtype=bool)
+            single[:, 0] = True
+            ref, _ = forward_batch(st, ids, single, keep_cache=False)
+            got, _ = forward_batch(st, ids, single, keep_cache=False, at=np.zeros(3, dtype=int))
+            assert got.shape == ref.shape == (3, TINY["hidden"])
+            assert [x.hex() for x in got.ravel().tolist()] == [x.hex() for x in ref.ravel().tolist()]
 
-    def test_dropout_draws_match_full_pass(self):
-        st = lively_state(np.float64)
-        st.config.dropout = 0.3
-        ids, mask = masked_ragged_batch()
-        at = tuple(np.array(a) for a in self.QUERIES["one_per_row"])
-        full, pruned = make_rng(8), make_rng(8)
-        ref, _ = forward_batch(st, ids, mask, dropout_rng=full, keep_cache=False)
-        got, _ = forward_batch(st, ids, mask, dropout_rng=pruned, keep_cache=False, at=at)
-        npt.assert_allclose(got, ref[at], rtol=1e-12, atol=1e-12)
-        assert full.random() == pruned.random()
-
-    @pytest.mark.parametrize("at, match", [(([1, 0], [1, 5]), "padded"), (([0, 3], [1, 1]), "outside")])
+    @pytest.mark.parametrize(
+        "at, match",
+        [
+            ([1, 4, 5], "padded"),
+            ([1, 4, 7], "outside"),
+            ([-1, 4, 0], "outside"),
+            ([[1, 4, 0]], "one query position per batch row"),
+            ([1, 4], "one query position per batch row"),
+            ([1.0, 4.0, 0.0], "one query position per batch row"),
+        ],
+    )
     def test_bad_query_positions_rejected(self, at, match):
         st = lively_state(np.float32)
         ids, mask = masked_ragged_batch()
         with pytest.raises(ValueError, match=match):
-            forward_batch(st, ids, mask, keep_cache=False, at=tuple(np.array(a) for a in at))
+            forward_batch(st, ids, mask, keep_cache=False, at=np.array(at))
 
     def test_at_with_cache_rejected(self):
         st = lively_state(np.float32)
         ids, mask = masked_ragged_batch()
         with pytest.raises(ValueError, match="keep_cache"):
-            forward_batch(st, ids, mask, at=(np.arange(3), np.zeros(3, dtype=int)))
+            forward_batch(st, ids, mask, at=np.zeros(3, dtype=int))
 
 
 class TestLossEdges:

@@ -7,7 +7,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from quantal import blas, bpe, corpora, scoring
+from quantal import blas, bpe, corpora, scoring, training
 from quantal.model import ModelConfig, TrainConfig, forward_batch, init_model, log_softmax, output_head
 from quantal.scoring import (
     PLL,
@@ -119,10 +119,11 @@ class TestInvariances:
         self.texts = [s.text for s in self.corpus.sentences[:10]]
 
     @pytest.mark.parametrize("mode", [PLL, UNMASKED])
-    def test_chunk_size_does_not_change_scores(self, mode):
+    def test_chunk_size_does_not_change_scores(self, mode, monkeypatch):
         base = surprisal_many(self.state, self.tok, self.texts, mode=mode)
         for chunk in (1, 3, 7, 1000):
-            alt = surprisal_many(self.state, self.tok, self.texts, mode=mode, chunk_rows=chunk)
+            monkeypatch.setattr(scoring, "CHUNK_ROWS", chunk)
+            alt = surprisal_many(self.state, self.tok, self.texts, mode=mode)
             np.testing.assert_allclose(alt, base, rtol=0, atol=1e-4)
 
     def test_sentence_order_does_not_change_scores(self):
@@ -150,11 +151,12 @@ class TestFixedCheckpoint:
     # the last layer pruned to the masked rows; its scores must stay within
     # 1e-5 relative of the cached (training) pass on a trained model.
 
-    def test_pll_matches_cached_forward_reference(self):
+    def test_pll_matches_cached_forward_reference(self, monkeypatch):
         corpus = corpora.gen_exp2_corpus(48, 0.25, string_len=8, seed=9)
         tok = bpe.train_tokenizer([corpus.to_text()], 16)
         state = init_model(ModelConfig(**{**CFG, "vocab_size": tok.vocab_size}), seed=3)
-        train(state, corpus, tok, TrainConfig(epochs=2, seed=5, learning_rate=1e-3))
+        monkeypatch.setattr(training, "LEARNING_RATE", 1e-3)
+        train(state, corpus, tok, TrainConfig(epochs=2, seed=5))
         assert state.step == 6
         texts = [s.text for s in corpus.sentences[:6]]
 
@@ -173,15 +175,16 @@ class TestFixedCheckpoint:
         # sentence puts the first chunk boundary inside the next sentence.
         lengths = sorted(len(bpe.encode(tok, t)) for t in texts)
         assert lengths[1] > 1
-        got = surprisal_many(state, tok, texts, chunk_rows=lengths[0] + 1)
+        monkeypatch.setattr(scoring, "CHUNK_ROWS", lengths[0] + 1)
+        got = surprisal_many(state, tok, texts)
         np.testing.assert_allclose(got, reference, rtol=1e-5)
 
 
 class TestUnmaskedTotals:
-    def test_slice_sums_equal_masked_row_sums(self):
+    def test_slice_sums_equal_masked_row_sums(self, monkeypatch):
         # Each sentence's single-pass total is the sum of its slice of the
         # scored rows; it must equal, bit for bit, the sum over a boolean
-        # mask of those rows taken from the full (B, L, H) pass.
+        # mask of the rows of the real-row pass.
         corpus = corpora.gen_exp2_corpus(24, 0.25, string_len=8, seed=9)
         tok = bpe.train_tokenizer([corpus.to_text()], 16)
         state = init_model(ModelConfig(**{**CFG, "vocab_size": tok.vocab_size}), seed=3)
@@ -191,15 +194,16 @@ class TestUnmaskedTotals:
         assert len({encoded[j].size for j in order}) > 1  # a ragged chunk
 
         ids, mask = pad_batch([encoded[j] for j in order], tok.pad_id)
-        hidden, _ = forward_batch(state, ids, mask, keep_cache=False)
-        rows, cols = np.nonzero(mask)
-        logp = log_softmax(output_head(state, hidden[rows, cols]), axis=-1)
+        hidden, _ = forward_batch(state, ids, mask, keep_cache=False)  # (N, H), in mask order
+        rows, _ = np.nonzero(mask)
+        logp = log_softmax(output_head(state, hidden), axis=-1)
         taken = logp[np.arange(rows.size), np.concatenate([encoded[j] for j in order])]
         reference = np.zeros(len(texts))
         for row, j in enumerate(order):
             reference[j] -= taken[rows == row].sum()
 
-        got = surprisal_many(state, tok, texts, mode=UNMASKED, chunk_rows=len(texts))
+        monkeypatch.setattr(scoring, "CHUNK_ROWS", len(texts))
+        got = surprisal_many(state, tok, texts, mode=UNMASKED)
         assert hex_scores(got) == hex_scores(reference)
 
 
@@ -231,27 +235,30 @@ class TestThreadedScoring:
     def score(self, monkeypatch, cpus, mode):
         """Scores, and the ident of each thread that ran a forward pass.
 
-        Every forward pass must ask for the rows scoring reads: in PLL
-        mode the masked one of each batch row, in row order, and in
-        single-pass mode every real position.
+        Every forward pass must be the inference pass, asking for the
+        rows scoring reads: in PLL mode the masked one of each batch row,
+        a (B,) position array, and in single-pass mode every real row,
+        with no at.
         """
         threads = []
 
         def recording_forward(state, ids, mask, *args, **kwargs):
             threads.append(threading.get_ident())
-            b, l = kwargs["at"]
+            assert not args and kwargs["keep_cache"] is False
+            at = kwargs["at"]
             if mode == PLL:
-                npt.assert_array_equal(b, np.arange(ids.shape[0]))
-                npt.assert_array_equal(ids[b, l], self.tok.mask_id)
+                assert at.shape == (ids.shape[0],)
+                npt.assert_array_equal(ids[np.arange(at.size), at], self.tok.mask_id)
             else:
-                npt.assert_array_equal(np.stack([b, l]), np.nonzero(mask))
+                assert at is None
             return forward_batch(state, ids, mask, *args, **kwargs)
 
         monkeypatch.setattr(scoring, "_usable_cpus", lambda: cpus)
         monkeypatch.setattr(scoring, "forward_batch", recording_forward)
         # 7 rows per chunk: more chunks than threads, and in PLL mode chunk
         # boundaries fall inside sentences.
-        scores = surprisal_many(self.state, self.tok, self.texts, mode=mode, chunk_rows=7)
+        monkeypatch.setattr(scoring, "CHUNK_ROWS", 7)
+        scores = surprisal_many(self.state, self.tok, self.texts, mode=mode)
         return hex_scores(scores), set(threads)
 
     @pytest.mark.parametrize("mode", [PLL, UNMASKED])

@@ -7,6 +7,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from quantal.svgplot import Frame, column_svg, heatmap_svg, shade, write_svg
+from quantal.tp import analyze_column
 
 
 def grid_rows(sizes, props, epochs=10, acc=0.8):
@@ -106,6 +107,10 @@ class TestHeatmap:
         assert 'class="tp-curve"' not in svg
 
 
+def column_plot(points):
+    return column_svg(points, analyze_column(points, n_types=55))
+
+
 class TestColumnPlot:
     def step_points(self):
         pts = []
@@ -116,7 +121,7 @@ class TestColumnPlot:
         return pts
 
     def test_contains_points_fits_and_stitch(self):
-        svg = column_svg(self.step_points(), n_types=55)
+        svg = column_plot(self.step_points())
         assert svg.count('class="point"') == 6
         assert 'class="fit fit-left"' in svg
         assert 'class="fit fit-right"' in svg
@@ -124,26 +129,26 @@ class TestColumnPlot:
         ET.fromstring(svg)
 
     def test_stitch_sits_at_break_proportion(self):
-        svg = column_svg(self.step_points(), n_types=55)
+        svg = column_plot(self.step_points())
         frame = parse_frame(svg)
         match = re.search(r'class="stitch" x1="([0-9.]+)"', svg)
         x_back, _ = invert(frame, float(match.group(1)), 0.0)
         assert x_back == pytest.approx(1.0 / math.log(55), abs=1e-6)
 
     def test_caption_reports_classification(self):
-        svg = column_svg(self.step_points(), n_types=55)
+        svg = column_plot(self.step_points())
         assert "quantal-jump-detected" in svg
 
     def test_too_few_points_still_plot(self):
         # below the regression minimum the scatter renders without fits
-        svg = column_svg([(0.0, 0.9), (0.1, 0.8)], n_types=55)
+        svg = column_plot([(0.0, 0.9), (0.1, 0.8)])
         assert svg.count('class="point"') == 2
         assert 'class="stitch"' not in svg
         assert "insufficient-data" in svg
 
     def test_empty_points_error(self):
         with pytest.raises(ValueError, match="no points"):
-            column_svg([], n_types=55)
+            column_svg([], analyze_column(self.step_points(), 55))
 
 
 class TestWrite:

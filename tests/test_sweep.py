@@ -121,6 +121,21 @@ class TestConfig:
         with pytest.raises(ValueError, match="quantal-sweep"):
             load_sweep_config(path)
 
+    @pytest.mark.parametrize("change", ["unknown", "missing", "array"])
+    def test_rejects_malformed_payload(self, tmp_path, change):
+        path = tmp_path / "sweep.json"
+        save_sweep_config(tiny_config(), path)
+        payload = json.loads(path.read_text())
+        if change == "unknown":
+            payload["learning_rate"] = 1e-3
+        elif change == "missing":
+            del payload["sizes"]
+        else:
+            payload = [payload]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError):
+            load_sweep_config(path)
+
 
 class TestExpandGrid:
     def test_job_count_is_cells_times_replicates(self):

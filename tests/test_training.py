@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from quantal import bpe, corpora
+from quantal import bpe, corpora, training
 from quantal.model import (
     IGNORE_INDEX,
     ModelConfig,
@@ -76,6 +76,11 @@ class TestEncodeCorpus:
 
 
 class TestTrainLoop:
+    def test_recipe_is_the_reported_one(self):
+        assert training.LEARNING_RATE == 1e-4
+        assert training.BATCH_SIZE == 16
+        assert training.MASK_PROBABILITY == 0.15
+
     def test_deterministic_given_seeds(self):
         corpus, tok, cfg = tiny_setup()
         runs = []
@@ -102,22 +107,24 @@ class TestTrainLoop:
         assert out is state
         assert not np.array_equal(state.params["tok_emb"], before)
 
-    def test_step_count_and_history_length(self):
+    def test_step_count_and_history_length(self, monkeypatch):
         # mask probability near 1 leaves no realistic chance of a
         # zero-mask batch, so every batch takes a step
         corpus, tok, cfg = tiny_setup(n_sentences=20)
         state = init_model(cfg, seed=1)
-        cfg_t = TrainConfig(epochs=3, seed=7, batch_size=8, mask_probability=0.999)
-        train(state, corpus, tok, cfg_t)
+        monkeypatch.setattr(training, "BATCH_SIZE", 8)
+        monkeypatch.setattr(training, "MASK_PROBABILITY", 0.999)
+        train(state, corpus, tok, TrainConfig(epochs=3, seed=7))
         batches_per_epoch = -(-20 // 8)
         assert state.step == 3 * batches_per_epoch
         assert len(state.loss_history) == state.step
 
-    def test_zero_mask_batches_are_skipped(self):
+    def test_zero_mask_batches_are_skipped(self, monkeypatch):
         corpus, tok, cfg = tiny_setup(n_sentences=8)
         state = init_model(cfg, seed=1)
         before = {n: p.copy() for n, p in state.params.items()}
-        train(state, corpus, tok, TrainConfig(epochs=1, seed=7, mask_probability=1e-9))
+        monkeypatch.setattr(training, "MASK_PROBABILITY", 1e-9)
+        train(state, corpus, tok, TrainConfig(epochs=1, seed=7))
         assert state.step == 0
         assert state.loss_history == []
         for name, p in state.params.items():
@@ -161,12 +168,13 @@ class TestTrainErrors:
         with pytest.raises(ValueError, match="position limit"):
             train(init_model(short, seed=1), corpus, tok, TrainConfig(epochs=1, seed=7))
 
-    def test_non_finite_loss_raises(self):
+    def test_non_finite_loss_raises(self, monkeypatch):
         corpus, tok, cfg = tiny_setup()
         state = init_model(cfg, seed=1)
         state.params["tok_emb"][:] = np.nan
+        monkeypatch.setattr(training, "MASK_PROBABILITY", 0.9)
         with pytest.raises(RuntimeError, match="non-finite"):
-            train(state, corpus, tok, TrainConfig(epochs=1, seed=7, mask_probability=0.9))
+            train(state, corpus, tok, TrainConfig(epochs=1, seed=7))
 
 
 class TestEndToEnd:

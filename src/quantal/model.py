@@ -664,7 +664,9 @@ def adam_step(state: ModelState, grads: dict[str, np.ndarray], lr: float) -> Non
     is updated in row blocks of about _ADAM_BLOCK elements, every block
     through the whole formula before the next, with two block-sized
     temporaries; the per-element operations are those of one pass over
-    the tensor.  The grads buffers are consumed.
+    the tensor.  The two step scalars are rounded to the tensor's dtype,
+    so a float32 tensor is updated in float32 arithmetic throughout.  The
+    grads buffers are consumed.
     """
     state.step += 1
     t = state.step
@@ -675,6 +677,7 @@ def adam_step(state: ModelState, grads: dict[str, np.ndarray], lr: float) -> Non
         m = state.opt_m[name]
         v = state.opt_v[name]
         w = state.params[name]
+        eps, lr_t = w.dtype.type(ADAM_EPS * sqrt_c2), w.dtype.type(step_size)
         rows = max(1, _ADAM_BLOCK * g.shape[0] // g.size)
         scaled = np.empty_like(g[:rows])  # (1 - beta) * g, in g's dtype
         denom = np.empty_like(v[:rows])
@@ -689,7 +692,7 @@ def adam_step(state: ModelState, grads: dict[str, np.ndarray], lr: float) -> Non
             np.multiply(gb, 1.0 - ADAM_BETA2, out=sb)
             vb += sb
             np.sqrt(vb, out=db)
-            db += ADAM_EPS * sqrt_c2
+            db += eps
             np.divide(mb, db, out=db)
-            db *= step_size
+            db *= lr_t
             w[i : i + rows] -= db

@@ -3,26 +3,32 @@
 Default scoring is pseudo-log-likelihood: mask each position in turn and
 sum the cross-entropy of the true token at the masked slot.  The cheaper
 single-pass mode scores every position from one intact forward pass.
-Both run the model's inference pass (``keep_cache=False``), which
-computes only the real token rows, so padding costs only attention
-slots.  The single-pass mode reads every real row it returns.  PLL
-reads one masked row per copy: it passes that row's position in each
-batch row as ``at=``, and the model prunes its last layer to those rows,
-computing everything but the keys and values for them alone; this moves
-a score by about 1e-7 relative in float32 (``scripts/pll_digest.py``
-measures it).  Neither mode touches the model parameters.  At most
-CHUNK_ROWS copies or sentences go into one forward pass.
+Both run the model's inference pass (``keep_cache=False``).  Sentences
+are scored in chunks of whole sentences of one encoded length, so no
+forward pass holds a padded position: every mask is all real, and
+attention has no padded slot.  The single-pass mode reads every row it
+returns.  PLL reads one masked row per copy: it passes that row's
+position in each batch row as ``at=``, and the model prunes its last
+layer to those rows, computing everything but the keys and values for
+them alone; this moves a score by about 1e-7 relative in float32
+(``scripts/pll_digest.py`` measures it).  Neither mode touches the model
+parameters.  A chunk holds at most CHUNK_ROWS copies or sentences,
+unless one sentence alone has more copies.
 
-A call with more than one chunk scores its chunks on every CPU the
-process may use, one chunk per thread, with BLAS pinned to one thread
-while it runs (``blas.one_thread``).  Each sentence's total is summed in
-chunk order, so scores are bit-identical to scoring the chunks one at a
-time.  Where no OpenBLAS is found to pin, chunks run one at a time.
+Chunks are ordered longest sentences first, ties by sentence index, so
+their layout depends on the sentences alone.  A call with more than one
+chunk scores them on every CPU the process may use, one chunk per
+thread, in that order, so the costliest chunks start first and the
+threads finish together.  BLAS is pinned to one thread while they run
+(``blas.one_thread``).  Every sentence lies in one chunk, so scores are
+bit-identical to scoring the chunks one at a time.  Where no OpenBLAS is
+found to pin, chunks run one at a time.
 """
 
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -34,13 +40,14 @@ import numpy as np
 from . import blas, bpe
 from .corpora import MinimalPairSet
 from .model import ModelState, forward_batch, log_softmax, output_head
-from .training import encode_texts, pad_batch
+from .training import encode_texts
 
 PLL = "pll"
 UNMASKED = "unmasked"
 MODES = (PLL, UNMASKED)
 
 EVAL_FORMAT = "quantal-eval v1"
+EVAL_KEYS = ("mode", "n_pairs", "n_preferred", "accuracy", "per_pair_scores")
 
 CHUNK_ROWS = 256  # batch rows per forward pass
 
@@ -78,52 +85,50 @@ def surprisal_many(
     sentences,
     mode: str = PLL,
 ) -> np.ndarray:
-    """Surprisals for many sentences at once, batched by token length.
+    """Surprisals for many sentences at once, in chunks of one token length.
 
-    PLL expands each sentence of length L into L single-mask copies, so
-    chunking caps the rows per forward pass; scores are independent of
-    the chunking because padded keys are excluded from attention.
+    PLL expands each sentence of length L into L single-mask copies.  A
+    chunk holds whole sentences of one encoded length, longest first,
+    and at most CHUNK_ROWS rows unless one sentence alone has more, so
+    no forward pass sees a padded position.
     """
     _check_mode(mode)
     encoded = encode_texts(tok, sentences, state.config.max_positions)
     totals = np.zeros(len(encoded), dtype=np.float64)
-    # (sentence index, masked position or -1 for the intact pass)
-    if mode == PLL:
-        jobs = [(j, i) for j, ids in enumerate(encoded) for i in range(ids.size)]
-    else:
-        jobs = [(j, -1) for j in range(len(encoded))]
-    jobs.sort(key=lambda job: (encoded[job[0]].size, job[0], job[1]))
-
-    chunks = [jobs[start : start + CHUNK_ROWS] for start in range(0, len(jobs), CHUNK_ROWS)]
+    order = sorted(range(len(encoded)), key=lambda j: (-encoded[j].size, j))
+    chunks = []
+    for size, group in itertools.groupby(order, key=lambda j: encoded[j].size):
+        group = list(group)
+        per_chunk = max(1, CHUNK_ROWS // size) if mode == PLL else CHUNK_ROWS
+        chunks += [group[start : start + per_chunk] for start in range(0, len(group), per_chunk)]
 
     def score(chunk):
-        """Log-probability each row scores, in the model's dtype."""
-        seqs = [encoded[j] for j, _ in chunk]
-        ids, mask = pad_batch(seqs, tok.pad_id)
-        if mode == PLL:  # one masked position per row
-            at = np.array([i for _, i in chunk])
-            ids[np.arange(len(chunk)), at] = tok.mask_id
-            true_ids = np.array([encoded[j][i] for j, i in chunk])
-        else:  # every real position, row by row
+        """Each sentence's summed log-probability, in float64 for PLL."""
+        seqs = np.stack([encoded[j] for j in chunk])  # (S, L), every position real
+        S, L = seqs.shape
+        if mode == PLL:  # row s*L + i masks position i of sentence s
+            at = np.tile(np.arange(L), S)
+            ids = np.repeat(seqs, L, axis=0)
+            ids[np.arange(S * L), at] = tok.mask_id
+        else:  # every position, row by row
             at = None
-            true_ids = np.concatenate(seqs)
-        hidden, _ = forward_batch(state, ids, mask, keep_cache=False, at=at)
+            ids = seqs
+        hidden, _ = forward_batch(state, ids, np.ones(ids.shape, dtype=bool), keep_cache=False, at=at)
         logp = log_softmax(output_head(state, hidden), axis=-1)
-        taken = logp[np.arange(true_ids.size), true_ids]
-        if mode == PLL:
-            return taken
-        ends = np.cumsum([seq.size for seq in seqs])
-        return np.array([taken[end - seq.size : end].sum() for seq, end in zip(seqs, ends)])
+        taken = logp[np.arange(S * L), seqs.reshape(-1)].reshape(S, L)
+        if mode == PLL:  # position by position, as one row at a time would add them
+            return np.add.accumulate(taken, axis=1, dtype=np.float64)[:, -1]
+        return taken.sum(axis=1)
 
     # Chunks run on every usable CPU only while BLAS is pinned to one thread
-    # per caller; unpinned, OpenBLAS serializes concurrent callers.  Totals
-    # are summed here in chunk order, so scores equal the one-thread loop's.
+    # per caller; unpinned, OpenBLAS serializes concurrent callers.  The
+    # longest chunks go first, so the threads finish together.  Each
+    # sentence lies in one chunk, so scores equal the one-thread loop's.
     with blas.one_thread() if len(chunks) > 1 else contextlib.nullcontext(0) as pinned:
         threads = min(len(chunks), _usable_cpus()) if pinned else 1
         with ThreadPoolExecutor(threads) if threads > 1 else contextlib.nullcontext() as pool:
-            for chunk, row_scores in zip(chunks, (pool.map if pool else map)(score, chunks)):
-                for (j, _), value in zip(chunk, row_scores):
-                    totals[j] -= value
+            for chunk, sums in zip(chunks, (pool.map if pool else map)(score, chunks)):
+                totals[chunk] -= sums
     return totals
 
 
@@ -173,12 +178,12 @@ def write_eval_report(report: EvalReport, path: str | Path) -> None:
 
 def read_eval_report(path: str | Path) -> EvalReport:
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    if payload.get("format") != EVAL_FORMAT:
+    if not isinstance(payload, dict) or payload.pop("format", None) != EVAL_FORMAT:
         raise ValueError(f"not a {EVAL_FORMAT!r} file: {path}")
-    return EvalReport(
-        n_pairs=payload["n_pairs"],
-        n_preferred=payload["n_preferred"],
-        accuracy=payload["accuracy"],
-        per_pair_scores=tuple((r, f) for r, f in payload["per_pair_scores"]),
-        mode=payload["mode"],
-    )
+    if payload.keys() != set(EVAL_KEYS):
+        raise ValueError(f"eval report must hold exactly the keys {EVAL_KEYS}: {path}")
+    try:
+        per_pair_scores = tuple((r, f) for r, f in payload.pop("per_pair_scores"))
+    except (TypeError, ValueError):  # not a list of pairs
+        raise ValueError(f"per_pair_scores must be [rule, foil] pairs: {path}") from None
+    return EvalReport(per_pair_scores=per_pair_scores, **payload)

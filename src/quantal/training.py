@@ -1,8 +1,8 @@
 """MLM training loop: shuffle, mask, batch, one Adam step per batch.
 
 The recipe is fixed, as in every sweep: LEARNING_RATE, BATCH_SIZE and
-MASK_PROBABILITY.  Also home to the encode-and-pad path that scoring
-shares.
+MASK_PROBABILITY.  Also home to the length-checked encoding that
+scoring shares; scoring needs no padding.
 """
 
 from __future__ import annotations

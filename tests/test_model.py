@@ -555,22 +555,24 @@ def reference_adam(params, grad_seq, lr, b1=0.9, b2=0.999, eps=1e-8):
 
 
 def one_pass_adam_step(state, grads, lr):
-    """adam_step's formula as one pass over each whole tensor."""
+    """adam_step's formula as one pass over each whole tensor, its step
+    scalars rounded to the tensor's dtype."""
     state.step += 1
     t = state.step
     sqrt_c2 = np.sqrt(1.0 - model.ADAM_BETA2**t)
     step_size = lr * sqrt_c2 / (1.0 - model.ADAM_BETA1**t)
     for name, g in grads.items():
         m, v = state.opt_m[name], state.opt_v[name]
+        eps, lr_t = v.dtype.type(model.ADAM_EPS * sqrt_c2), v.dtype.type(step_size)
         m *= model.ADAM_BETA1
         m += (1.0 - model.ADAM_BETA1) * g
         g *= g
         v *= model.ADAM_BETA2
         v += (1.0 - model.ADAM_BETA2) * g
         denom = np.sqrt(v)
-        denom += model.ADAM_EPS * sqrt_c2
+        denom += eps
         np.divide(m, denom, out=denom)
-        denom *= step_size
+        denom *= lr_t
         state.params[name] -= denom
 
 

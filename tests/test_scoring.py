@@ -171,36 +171,41 @@ class TestFixedCheckpoint:
             logits = hidden[n, n] @ state.params["tok_emb"].T + state.params["out_bias"]
             reference.append(-log_softmax(logits)[n, ids].sum())
 
-        # Rows are scored shortest sentence first; one row past the shortest
-        # sentence puts the first chunk boundary inside the next sentence.
-        lengths = sorted(len(bpe.encode(tok, t)) for t in texts)
-        assert lengths[1] > 1
-        monkeypatch.setattr(scoring, "CHUNK_ROWS", lengths[0] + 1)
+        # A chunk holds whole sentences of one length.  CHUNK_ROWS equal to
+        # the commonest length gives each of its sentences a chunk of its own,
+        # so that length is scored in more than one chunk.
+        lengths = [len(bpe.encode(tok, t)) for t in texts]
+        common = max(set(lengths), key=lengths.count)
+        assert lengths.count(common) > 1
+        monkeypatch.setattr(scoring, "CHUNK_ROWS", common)
         got = surprisal_many(state, tok, texts)
         np.testing.assert_allclose(got, reference, rtol=1e-5)
 
 
 class TestUnmaskedTotals:
     def test_slice_sums_equal_masked_row_sums(self, monkeypatch):
-        # Each sentence's single-pass total is the sum of its slice of the
-        # scored rows; it must equal, bit for bit, the sum over a boolean
-        # mask of the rows of the real-row pass.
+        # Each sentence's single-pass total is the sum of its slice of its
+        # chunk's scores, one row of an (S, L) reshape; it must equal, bit
+        # for bit, the sum over a boolean mask of the rows of the real-row pass.
         corpus = corpora.gen_exp2_corpus(24, 0.25, string_len=8, seed=9)
         tok = bpe.train_tokenizer([corpus.to_text()], 16)
         state = init_model(ModelConfig(**{**CFG, "vocab_size": tok.vocab_size}), seed=3)
         texts = [s.text for s in corpus.sentences[:12]]
         encoded = encode_texts(tok, texts, state.config.max_positions)
-        order = sorted(range(len(texts)), key=lambda j: (encoded[j].size, j))
-        assert len({encoded[j].size for j in order}) > 1  # a ragged chunk
+        lengths = {ids.size for ids in encoded}
+        assert len(lengths) > 1  # more than one chunk
 
-        ids, mask = pad_batch([encoded[j] for j in order], tok.pad_id)
-        hidden, _ = forward_batch(state, ids, mask, keep_cache=False)  # (N, H), in mask order
-        rows, _ = np.nonzero(mask)
-        logp = log_softmax(output_head(state, hidden), axis=-1)
-        taken = logp[np.arange(rows.size), np.concatenate([encoded[j] for j in order])]
         reference = np.zeros(len(texts))
-        for row, j in enumerate(order):
-            reference[j] -= taken[rows == row].sum()
+        for size in lengths:  # one chunk per length, sentences in index order
+            order = [j for j in range(len(texts)) if encoded[j].size == size]
+            ids, mask = pad_batch([encoded[j] for j in order], tok.pad_id)
+            assert mask.all()
+            hidden, _ = forward_batch(state, ids, mask, keep_cache=False)  # (N, H), in mask order
+            rows, _ = np.nonzero(mask)
+            logp = log_softmax(output_head(state, hidden), axis=-1)
+            taken = logp[np.arange(rows.size), ids.reshape(-1)]
+            for row, j in enumerate(order):
+                reference[j] -= taken[rows == row].sum()
 
         monkeypatch.setattr(scoring, "CHUNK_ROWS", len(texts))
         got = surprisal_many(state, tok, texts, mode=UNMASKED)
@@ -209,6 +214,21 @@ class TestUnmaskedTotals:
 
 def hex_scores(scores):
     return [float(v).hex() for v in scores]
+
+
+def pll_sentences(ids, at, mask_id):
+    """The sentences of a PLL batch, checking that it holds each whole:
+    L consecutive copies of a length-L sentence, copy i masked at i."""
+    L = ids.shape[1]
+    assert L > 1 and ids.shape[0] % L == 0
+    npt.assert_array_equal(at, np.tile(np.arange(L), ids.shape[0] // L))
+    copies = ids.reshape(-1, L, L)
+    diagonal = np.eye(L, dtype=bool)
+    assert (copies[:, diagonal] == mask_id).all()
+    sentences = copies[:, (np.arange(L) + 1) % L, np.arange(L)]  # position i from copy i + 1
+    same = copies == sentences[:, None, :]
+    assert (same | diagonal).all()
+    return [tuple(sentence) for sentence in sentences.tolist()]
 
 
 @pytest.fixture
@@ -226,6 +246,8 @@ def blas_at_two_threads():
 
 
 class TestThreadedScoring:
+    CHUNK_ROWS = {PLL: 7, UNMASKED: 3}
+
     def setup_method(self):
         self.corpus = corpora.gen_exp2_corpus(24, 0.25, string_len=8, seed=9)
         self.tok = bpe.train_tokenizer([self.corpus.to_text()], 16)
@@ -233,47 +255,62 @@ class TestThreadedScoring:
         self.texts = [s.text for s in self.corpus.sentences[:10]]
 
     def score(self, monkeypatch, cpus, mode):
-        """Scores, and the ident of each thread that ran a forward pass.
+        """Scores, the ident of each thread that ran a forward pass, and
+        the sentences of each pass, in the order the passes began.
 
-        Every forward pass must be the inference pass, asking for the
-        rows scoring reads: in PLL mode the masked one of each batch row,
-        a (B,) position array, and in single-pass mode every real row,
-        with no at.
+        Every forward pass must be the inference pass on an all-real
+        mask, over whole sentences of one length, asking for the rows
+        scoring reads: in PLL mode one copy of each sentence per
+        position, masked there and passed as a (B,) at, and in
+        single-pass mode every row, with no at.
         """
-        threads = []
+        threads, batches = [], []
 
         def recording_forward(state, ids, mask, *args, **kwargs):
             threads.append(threading.get_ident())
             assert not args and kwargs["keep_cache"] is False
+            assert mask.shape == ids.shape and mask.all()
             at = kwargs["at"]
             if mode == PLL:
-                assert at.shape == (ids.shape[0],)
-                npt.assert_array_equal(ids[np.arange(at.size), at], self.tok.mask_id)
+                batches.append(pll_sentences(ids, at, self.tok.mask_id))
             else:
                 assert at is None
+                batches.append([tuple(row) for row in ids.tolist()])
             return forward_batch(state, ids, mask, *args, **kwargs)
 
         monkeypatch.setattr(scoring, "_usable_cpus", lambda: cpus)
         monkeypatch.setattr(scoring, "forward_batch", recording_forward)
-        # 7 rows per chunk: more chunks than threads, and in PLL mode chunk
-        # boundaries fall inside sentences.
-        monkeypatch.setattr(scoring, "CHUNK_ROWS", 7)
+        # More chunks than threads, and sentences of one length split over
+        # more than one chunk.
+        monkeypatch.setattr(scoring, "CHUNK_ROWS", self.CHUNK_ROWS[mode])
         scores = surprisal_many(self.state, self.tok, self.texts, mode=mode)
-        return hex_scores(scores), set(threads)
+        return hex_scores(scores), set(threads), batches
+
+    @pytest.mark.parametrize("mode", [PLL, UNMASKED])
+    def test_chunks_are_whole_sentences_longest_first(self, mode, monkeypatch):
+        _, _, batches = self.score(monkeypatch, 1, mode)
+        encoded = encode_texts(self.tok, self.texts, self.state.config.max_positions)
+        scored = sorted(sentence for batch in batches for sentence in batch)
+        assert scored == sorted(tuple(ids.tolist()) for ids in encoded)
+        lengths = [len(batch[0]) for batch in batches]
+        assert lengths == sorted(lengths, reverse=True)
+        assert len(lengths) > len(set(lengths))  # one length in several chunks
+        rows = [len(batch) * (len(batch[0]) if mode == PLL else 1) for batch in batches]
+        assert max(rows) <= self.CHUNK_ROWS[mode]
 
     @pytest.mark.parametrize("mode", [PLL, UNMASKED])
     def test_threads_give_one_thread_scores(self, mode, monkeypatch, blas_at_two_threads):
-        serial, serial_threads = self.score(monkeypatch, 1, mode)
-        threaded, threaded_threads = self.score(monkeypatch, 3, mode)
+        serial, serial_threads, _ = self.score(monkeypatch, 1, mode)
+        threaded, threaded_threads, _ = self.score(monkeypatch, 3, mode)
         assert serial_threads == {threading.get_ident()}
         assert threading.get_ident() not in threaded_threads
         assert threaded == serial
         assert blas.thread_counts() == [2] * len(blas_at_two_threads)
 
     def test_no_openblas_scores_on_one_thread(self, monkeypatch):
-        serial, _ = self.score(monkeypatch, 1, PLL)
+        serial, _, _ = self.score(monkeypatch, 1, PLL)
         monkeypatch.setattr(blas, "libraries", lambda: [])
-        fallback, threads = self.score(monkeypatch, 3, PLL)
+        fallback, threads, _ = self.score(monkeypatch, 3, PLL)
         assert threads == {threading.get_ident()}
         assert fallback == serial
 
@@ -354,4 +391,20 @@ class TestReportFile:
         path = tmp_path / "eval.json"
         path.write_text('{"format": "something else"}')
         with pytest.raises(ValueError, match="quantal-eval"):
+            read_eval_report(path)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"format": "quantal-eval v1"}',
+            '[1, 2]',
+            '{"format": "quantal-eval v1", "mode": "pll", "n_pairs": 1, "n_preferred": 1,'
+            ' "accuracy": 1.0, "per_pair_scores": [[1.0, 2.0, 3.0]]}',
+        ],
+        ids=["keys_missing", "array", "not_pairs"],
+    )
+    def test_rejects_malformed_file(self, tmp_path, text):
+        path = tmp_path / "eval.json"
+        path.write_text(text)
+        with pytest.raises(ValueError):
             read_eval_report(path)

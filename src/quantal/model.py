@@ -25,7 +25,10 @@ keys, so dropping them leaves every real row's values unchanged.  The
 cached pass, plain forward_batch, which returns (B, L, H) and the caches
 backward_batch reads, makes every one of the B*L positions a row.
 Dropout draws its uniforms for all B*L positions whichever rows are
-real, so the generator's stream is what a padded pass consumes.
+real, so the generator's stream is what a padded pass consumes.  The
+inference pass runs LayerNorm and GELU in place with the cached ops'
+arithmetic (one GELU kernel serves both), so its rows equal the
+training forward's bit for bit.
 
 Training: the loss and every gradient but one group are bit-identical to
 the padded pass's.  That group is each layer's qkv_w, attn_out_w, ff1_w
@@ -183,85 +186,75 @@ def _softmax_inplace(x: np.ndarray) -> np.ndarray:
 _GELU_BLOCK = 1 << 16  # elements per block; keeps temporaries cache-resident
 
 
-def _gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Tanh-approximation GELU via exp (libm tanh is several times slower).
+def _gelu_denominator(x: np.ndarray, d: np.ndarray) -> None:
+    """Write d = 1 + exp(-2c*x*(1 + a*x^2)) for the block x; gelu(x) = x / d.
 
-    Returns (gelu(x), s) where s = 1 - tanh(c*(x + a*x^3)) is cached for
-    the backward pass.  The clip only guards exp overflow; tanh is fully
-    saturated well inside the clipped range.  Work proceeds in row blocks
-    so the many elementwise passes stay in cache on large inputs.
+    This is the sigmoid form of the tanh approximation 0.5*x*(1 +
+    tanh(c*(x + a*x^3))).  For large negative x the exp overflows to inf
+    (callers silence the warning) and x / d is the correct -0.
     """
+    np.multiply(x, x, out=d)
+    d *= -2.0 * _GELU_C * _GELU_A
+    d -= 2.0 * _GELU_C
+    d *= x
+    np.exp(d, out=d)
+    d += 1.0
+
+
+def _gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(gelu(x), d), d kept for the backward; row blocks stay in cache."""
     y = np.empty_like(x)
-    s = np.empty_like(x)
+    d = np.empty_like(x)
     rows = max(1, _GELU_BLOCK // x.shape[-1])
-    for i in range(0, x.shape[0], rows):
-        xb = x[i : i + rows]
-        u = s[i : i + rows]
-        np.multiply(xb, xb, out=u)
-        u *= _GELU_A
-        u += 1.0
-        u *= xb
-        u *= 2.0 * _GELU_C
-        np.clip(u, -60.0, 60.0, out=u)
-        np.exp(u, out=u)
-        u += 1.0
-        np.divide(2.0, u, out=u)  # s in (0, 2)
-        yb = y[i : i + rows]
-        np.multiply(xb, u, out=yb)
-        yb *= -0.5
-        yb += xb  # x * (1 - s/2) = 0.5 * x * (1 + tanh)
-    return y, s
+    with np.errstate(over="ignore"):
+        for i in range(0, x.shape[0], rows):
+            _gelu_denominator(x[i : i + rows], d[i : i + rows])
+            np.divide(x[i : i + rows], d[i : i + rows], out=y[i : i + rows])
+    return y, d
 
 
 def _gelu_inplace(x: np.ndarray, bias: np.ndarray) -> tuple[np.ndarray, None]:
-    """_gelu(x + bias) without the backward's s, overwriting x; returns (x, None).
+    """_gelu(x + bias) without the backward's d, overwriting x; returns (x, None).
 
     The bias is added block by block, while each block is in cache, which
-    gives the same values as adding it to all of x first.  GELU takes the
-    sigmoid form x / (1 + exp(-2c*x*(1 + a*x^2))) of the same tanh
-    approximation, which takes fewer passes.  For large negative x the
-    exp overflows to inf and the quotient is the correct -0.
+    gives the same values as adding it to all of x first: the result is
+    bit-identical to _gelu's.
     """
     rows = max(1, _GELU_BLOCK // x.shape[-1])
-    u = np.empty_like(x[:rows])
+    d = np.empty_like(x[:rows])
     with np.errstate(over="ignore"):
         for i in range(0, x.shape[0], rows):
             xb = x[i : i + rows]
             xb += bias
-            ub = u[: xb.shape[0]]
-            np.multiply(xb, xb, out=ub)
-            ub *= -2.0 * _GELU_C * _GELU_A
-            ub -= 2.0 * _GELU_C
-            ub *= xb
-            np.exp(ub, out=ub)
-            ub += 1.0
-            xb /= ub
+            db = d[: xb.shape[0]]
+            _gelu_denominator(xb, db)
+            xb /= db
     return x, None
 
 
-def _gelu_backward(dy: np.ndarray, x: np.ndarray, s: np.ndarray) -> np.ndarray:
-    # d/dx [0.5x(1+t)] with t = 1 - s:  1 - s/2 + 0.5*x*s*(2-s)*c*(1+3a*x^2)
+def _gelu_backward(dy: np.ndarray, x: np.ndarray, d: np.ndarray) -> np.ndarray:
+    # gelu(x) = x*p with p = 1/d = sigmoid(2c*x*(1 + a*x^2)), so
+    # gelu'(x) = p*(1 + x*(1 - p)*2c*(1 + 3a*x^2)), exactly 0 where d = inf.
     # dy is consumed and returned; two block-sized temporaries serve every block.
     rows = max(1, _GELU_BLOCK // x.shape[-1])
     w = np.empty_like(x[:rows])
-    v = np.empty_like(s[:rows])
+    p = np.empty_like(d[:rows])
     for i in range(0, x.shape[0], rows):
         xb = x[i : i + rows]
-        sb = s[i : i + rows]
+        dyb = dy[i : i + rows]
         wb = w[: xb.shape[0]]
-        vb = v[: xb.shape[0]]
+        pb = p[: xb.shape[0]]
         np.multiply(xb, xb, out=wb)
         wb *= 3.0 * _GELU_A
         wb += 1.0
-        wb *= _GELU_C
+        wb *= 2.0 * _GELU_C
         wb *= xb
-        np.subtract(2.0, sb, out=vb)
-        vb *= sb
-        vb *= wb
-        vb -= sb
-        vb *= 0.5
-        vb += 1.0
-        dy[i : i + rows] *= vb
+        np.divide(1.0, d[i : i + rows], out=pb)
+        dyb *= pb
+        np.subtract(1.0, pb, out=pb)
+        wb *= pb
+        wb += 1.0
+        dyb *= wb
     return dy
 
 
@@ -381,9 +374,8 @@ def forward_batch(
     keep_cache=False is the inference pass: it takes no dropout_rng,
     LayerNorm and GELU overwrite their inputs, and the cache returned is
     None.  It returns the (N, H) rows of the real positions only, in the
-    order np.nonzero(attn_mask) lists them.  They equal the cached pass's
-    up to rounding, because its GELU is the sigmoid form of the same
-    formula.
+    order np.nonzero(attn_mask) lists them, bit-identical to the cached
+    pass's rows there.
 
     at, a (B,) int array of one real position per batch row, asks the
     inference pass for the (B, H) rows at (b, at[b]) only, and the last
@@ -481,9 +473,9 @@ def _forward(state: ModelState, ids, attn_mask, dropout_rng, keep_cache, real_on
         f1 = h1 @ p[f"l{n}.ff1_w"]
         if keep_cache:
             f1 += p[f"l{n}.ff1_b"]
-            g, gelu_s = _gelu(f1)
+            g, gelu_d = _gelu(f1)
         else:
-            g, gelu_s = _gelu_inplace(f1, p[f"l{n}.ff1_b"])
+            g, gelu_d = _gelu_inplace(f1, p[f"l{n}.ff1_b"])
         f2 = g @ p[f"l{n}.ff2_w"]
         f2 += p[f"l{n}.ff2_b"]
         f2, ff_keep = _dropout(f2, drop_p, dropout_rng, rows)
@@ -495,7 +487,7 @@ def _forward(state: ModelState, ids, attn_mask, dropout_rng, keep_cache, real_on
                 dict(
                     x_in=x_in, q=q, k=k, v=v, probs=probs, ctx=ctx,
                     attn_keep=attn_keep, ln1_cache=ln1_cache, h1=h1,
-                    f1=f1, gelu_s=gelu_s, g=g, ff_keep=ff_keep, ln2_cache=ln2_cache,
+                    f1=f1, gelu_d=gelu_d, g=g, ff_keep=ff_keep, ln2_cache=ln2_cache,
                 )
             )
 
@@ -545,7 +537,7 @@ def _backward(state: ModelState, dx: np.ndarray, cache) -> dict[str, np.ndarray]
         df2 = dr2 if c["ff_keep"] is None else dr2 * c["ff_keep"]
         grads[f"l{n}.ff2_w"] = c["g"].T @ df2
         grads[f"l{n}.ff2_b"] = df2.sum(axis=0)
-        df1 = _gelu_backward(df2 @ p[f"l{n}.ff2_w"].T, c["f1"], c["gelu_s"])
+        df1 = _gelu_backward(df2 @ p[f"l{n}.ff2_w"].T, c["f1"], c["gelu_d"])
         grads[f"l{n}.ff1_w"] = c["h1"].T @ df1
         grads[f"l{n}.ff1_b"] = df1.sum(axis=0)
         dh1 = df1 @ p[f"l{n}.ff1_w"].T

@@ -104,13 +104,19 @@ class SweepConfig:
 
     def __post_init__(self):
         # Seeds hash repr(prop) and str(n), so 0 and 0.0 (or 6 and 6.0) would
-        # derive different data for what --reuse reads back as one cell.
+        # derive different data for what --reuse reads back as one cell; an
+        # integer field holding 1.5 is refused rather than hashed as "1.5".
         object.__setattr__(self, "proportions", tuple(float(p) for p in self.proportions))
+
+        def integral(name, v):
+            if int(v) != v:
+                raise ValueError(f"{name} must be integers, got {getattr(self, name)!r}")
+            return int(v)
+
         for name in ("sizes", "epoch_settings"):
-            values = tuple(getattr(self, name))
-            if any(int(v) != v for v in values):
-                raise ValueError(f"{name} must be integers, got {values}")
-            object.__setattr__(self, name, tuple(int(v) for v in values))
+            object.__setattr__(self, name, tuple(integral(name, v) for v in getattr(self, name)))
+        for name in ("replicates", "base_seed", "n_test_pairs"):
+            object.__setattr__(self, name, integral(name, getattr(self, name)))
         if self.experiment not in (WORD_ORDER, BINARY):
             raise ValueError(f"unknown experiment {self.experiment!r}")
         for name in ("sizes", "proportions", "epoch_settings"):

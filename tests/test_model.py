@@ -191,20 +191,25 @@ def masked_ragged_batch():
 
 
 class TestCacheFreeForward:
-    @pytest.mark.parametrize("dtype, rtol, atol", [(np.float64, 1e-12, 1e-12), (np.float32, 1e-5, 1e-6)])
-    def test_matches_cached_pass(self, dtype, rtol, atol, monkeypatch):
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_cached_pass(self, dtype, monkeypatch):
         # A small block makes _gelu_inplace run several row blocks, the last one partial.
         monkeypatch.setattr(model, "_GELU_BLOCK", 3 * TINY["intermediate"])
         st = lively_state(dtype)
         # _gelu_inplace adds ff1_b block by block; a zero bias would hide a slip there.
         assert all(st.params[f"l{n}.ff1_b"].all() for n in range(TINY["n_layers"]))
-        ids, mask = masked_ragged_batch()
-        ref, _ = forward_batch(st, ids, mask)
-        got, cache = forward_batch(st, ids, mask, keep_cache=False)
-        assert cache is None
-        # the real rows only, in the order mask lists them
-        assert got.dtype == dtype and got.shape == (mask.sum(), TINY["hidden"])
-        npt.assert_allclose(got, ref[mask], rtol=rtol, atol=atol)
+        ragged_ids, ragged_mask = masked_ragged_batch()
+        full_ids = ragged_ids[[1, 1, 1]]  # the full-width row three times
+        for ids, mask in ((ragged_ids, ragged_mask), (full_ids, np.ones(full_ids.shape, bool))):
+            padded, _ = forward_batch(st, ids, mask)
+            training, _ = model._forward(st, ids, mask, None, keep_cache=True, real_only=True)
+            got, cache = forward_batch(st, ids, mask, keep_cache=False)
+            assert cache is None
+            # the real rows only, in the order mask lists them
+            assert got.dtype == dtype and got.shape == (mask.sum(), TINY["hidden"])
+            # one GELU kernel: the inference pass is the training forward bit for bit
+            npt.assert_array_equal(got, training)
+            npt.assert_array_equal(got, padded[mask])
 
     def test_dropout_rejected(self):
         st = lively_state(np.float64)
@@ -221,15 +226,13 @@ class TestCacheFreeForward:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_gelu_inplace_matches_gelu_without_overflow_warnings(self, dtype):
         x = np.linspace(-120.0, 120.0, 4001, dtype=dtype).reshape(-1, 1)
-        ref, _ = model._gelu(x)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got, s = model._gelu_inplace(x.copy(), np.zeros(1, dtype))
-        assert s is None
-        # _gelu's x - x*s/2 cancels in the negative tail, so allow eps*|x| there.
-        eps = np.finfo(dtype).eps
-        bound = 8 * eps * (np.abs(ref) + np.abs(x)) + np.finfo(dtype).tiny
-        npt.assert_array_less(np.abs(got - ref), bound)
+            ref, d = model._gelu(x)
+            got, cache = model._gelu_inplace(x.copy(), np.zeros(1, dtype))
+        assert cache is None and np.isinf(d).any()  # the negative tail overflows exp
+        npt.assert_array_equal(got, ref)
+        npt.assert_array_equal(np.signbit(got), np.signbit(ref))
 
     def test_gelu_inplace_bias_in_blocks_is_bit_identical(self, monkeypatch):
         # Adding the bias per row block gives the values of one add over all rows.
@@ -326,6 +329,24 @@ class TestGradientCheck:
             report[name] = worst
         for name, worst in report.items():
             assert worst < 1e-5, f"{name}: relative error {worst:.3e}"
+
+    def test_gelu_backward_matches_central_differences(self):
+        x = np.linspace(-12.0, 12.0, 2401).reshape(-1, 7)
+        h = 1e-6
+        fd = (model._gelu(x + h)[0] - model._gelu(x - h)[0]) / (2 * h)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, d = model._gelu(x)
+            got = model._gelu_backward(np.ones_like(x), x, d)
+        npt.assert_allclose(got, fd, rtol=1e-6, atol=1e-8)
+        # the saturated negative tail, where exp overflows: exactly 0, not nan
+        tail = np.array([[-30.0], [-120.0], [-1e4]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, d = model._gelu(tail)
+            got = model._gelu_backward(np.ones_like(tail), tail, d)
+        assert np.isinf(d).all()
+        npt.assert_array_equal(got, 0.0)
 
     def test_position_rows_beyond_batch_get_zero_gradient(self):
         st = init_model(ModelConfig(**TINY), seed=1, dtype=np.float64)

@@ -95,6 +95,13 @@ class TestConfig:
         with pytest.raises(ValueError, match="epoch_settings must be integers"):
             tiny_config(epoch_settings=(1.5,))
 
+    @pytest.mark.parametrize("name", ["replicates", "base_seed", "n_test_pairs"])
+    def test_integral_scalars_normalised(self, name):
+        cfg = tiny_config(**{name: float(getattr(tiny_config(), name))})
+        assert cfg == tiny_config() and type(getattr(cfg, name)) is int
+        with pytest.raises(ValueError, match=f"{name} must be integers"):
+            tiny_config(**{name: 2.5})
+
     def test_int_and_float_proportion_are_one_cell(self):
         # --reuse reads a stored 0 back as 0.0, so both spellings must derive
         # the same seeds and the same corpus

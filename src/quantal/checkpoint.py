@@ -26,16 +26,22 @@ TENSOR_DTYPE = "<f4"
 HEADER_KEYS = ("model_config", "train_config", "tokenizer_sha256", "step", "tensors")
 
 
+def _tensor_bytes(state: ModelState):
+    """Yield each parameter's bytes as a checkpoint stores them, in file order."""
+    for name, _, _ in param_specs(state.config):
+        yield np.ascontiguousarray(state.params[name], dtype=TENSOR_DTYPE).tobytes()
+
+
 def state_digest(state: ModelState) -> str:
     """SHA-256 over the model config and parameter tensors.
 
-    Matches what save_checkpoint would persist (float32, init order), so
-    two states with the same digest score identically.
+    It hashes the tensor bytes save_checkpoint writes, so two states with
+    the same digest score identically.
     """
     h = hashlib.sha256()
     h.update(json.dumps(asdict(state.config), sort_keys=True).encode("utf-8"))
-    for name, _, _ in param_specs(state.config):
-        h.update(np.ascontiguousarray(state.params[name], dtype=TENSOR_DTYPE).tobytes())
+    for raw in _tensor_bytes(state):
+        h.update(raw)
     return h.hexdigest()
 
 
@@ -57,8 +63,7 @@ def save_checkpoint(
     with open(path, "wb") as f:
         f.write(MAGIC)
         f.write(json.dumps(header).encode("utf-8") + b"\n")
-        for name in names:
-            f.write(np.ascontiguousarray(state.params[name], dtype=TENSOR_DTYPE).tobytes())
+        f.writelines(_tensor_bytes(state))
 
 
 def load_checkpoint(path: str | Path) -> tuple[ModelState, dict]:

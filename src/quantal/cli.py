@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -47,7 +48,12 @@ def _parse_range(text: str | None) -> tuple[float, float] | None:
     parts = text.split(",")
     if len(parts) != 2:
         raise UsageError(f"range must be 'low,high', got {text!r}")
-    lo, hi = (float(p) for p in parts)
+    try:
+        lo, hi = (float(p) for p in parts)
+    except ValueError:
+        raise UsageError(f"range bounds must be numbers, got {text!r}") from None
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise UsageError(f"range bounds must be finite, got {text!r}")
     if not lo < hi:
         raise UsageError(f"range must increase, got {text!r}")
     return lo, hi

@@ -25,10 +25,10 @@ keys, so dropping them leaves every real row's values unchanged.  The
 cached pass, plain forward_batch, which returns (B, L, H) and the caches
 backward_batch reads, makes every one of the B*L positions a row.
 Dropout draws its uniforms for all B*L positions whichever rows are
-real, so the generator's stream is what a padded pass consumes.  The
-inference pass runs LayerNorm and GELU in place with the cached ops'
-arithmetic (one GELU kernel serves both), so its rows equal the
-training forward's bit for bit.
+real, so the generator's stream is what a padded pass consumes.  Both
+passes run one LayerNorm and one GELU kernel; keep_cache only chooses
+whether a kernel keeps what the backward reads or overwrites its input,
+so the inference pass's rows equal the training forward's bit for bit.
 
 Training: the loss and every gradient but one group are bit-identical to
 the padded pass's.  That group is each layer's qkv_w, attn_out_w, ff1_w
@@ -186,50 +186,29 @@ def _softmax_inplace(x: np.ndarray) -> np.ndarray:
 _GELU_BLOCK = 1 << 16  # elements per block; keeps temporaries cache-resident
 
 
-def _gelu_denominator(x: np.ndarray, d: np.ndarray) -> None:
-    """Write d = 1 + exp(-2c*x*(1 + a*x^2)) for the block x; gelu(x) = x / d.
+def _gelu(x: np.ndarray, keep_cache=True):
+    """(gelu(x), d) with d = 1 + exp(-2c*x*(1 + a*x^2)) kept for the backward.
 
-    This is the sigmoid form of the tanh approximation 0.5*x*(1 +
+    This is the sigmoid form x / d of the tanh approximation 0.5*x*(1 +
     tanh(c*(x + a*x^3))).  For large negative x the exp overflows to inf
-    (callers silence the warning) and x / d is the correct -0.
-    """
-    np.multiply(x, x, out=d)
-    d *= -2.0 * _GELU_C * _GELU_A
-    d -= 2.0 * _GELU_C
-    d *= x
-    np.exp(d, out=d)
-    d += 1.0
-
-
-def _gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(gelu(x), d), d kept for the backward; row blocks stay in cache."""
-    y = np.empty_like(x)
-    d = np.empty_like(x)
-    rows = max(1, _GELU_BLOCK // x.shape[-1])
-    with np.errstate(over="ignore"):
-        for i in range(0, x.shape[0], rows):
-            _gelu_denominator(x[i : i + rows], d[i : i + rows])
-            np.divide(x[i : i + rows], d[i : i + rows], out=y[i : i + rows])
-    return y, d
-
-
-def _gelu_inplace(x: np.ndarray, bias: np.ndarray) -> tuple[np.ndarray, None]:
-    """_gelu(x + bias) without the backward's d, overwriting x; returns (x, None).
-
-    The bias is added block by block, while each block is in cache, which
-    gives the same values as adding it to all of x first: the result is
-    bit-identical to _gelu's.
+    (silenced) and x / d is the correct -0.  Row blocks stay in cache.
+    With keep_cache=False the result overwrites x, one block-sized d
+    serves every block, and the cache returned is None.
     """
     rows = max(1, _GELU_BLOCK // x.shape[-1])
-    d = np.empty_like(x[:rows])
+    y, d = (np.empty_like(x), np.empty_like(x)) if keep_cache else (x, np.empty_like(x[:rows]))
     with np.errstate(over="ignore"):
         for i in range(0, x.shape[0], rows):
             xb = x[i : i + rows]
-            xb += bias
-            db = d[: xb.shape[0]]
-            _gelu_denominator(xb, db)
-            xb /= db
-    return x, None
+            db = d[i : i + rows] if keep_cache else d[: xb.shape[0]]
+            np.multiply(xb, xb, out=db)
+            db *= -2.0 * _GELU_C * _GELU_A
+            db -= 2.0 * _GELU_C
+            db *= xb
+            np.exp(db, out=db)
+            db += 1.0
+            np.divide(xb, db, out=y[i : i + rows])
+    return y, (d if keep_cache else None)
 
 
 def _gelu_backward(dy: np.ndarray, x: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -258,28 +237,22 @@ def _gelu_backward(dy: np.ndarray, x: np.ndarray, d: np.ndarray) -> np.ndarray:
     return dy
 
 
-def _layer_norm(x, scale, offset):
-    mu = x.mean(axis=-1, keepdims=True)
-    xhat = x - mu
-    var = np.einsum("...h,...h->...", xhat, xhat) / x.shape[-1]
-    inv_std = 1.0 / np.sqrt(var + LN_EPS)[..., None]
-    xhat *= inv_std
-    y = xhat * scale
-    y += offset
-    return y, (xhat, inv_std)
+def _layer_norm(x, scale, offset, keep_cache=True):
+    """(y, (xhat, inv_std)); x is normalized in place into xhat, y is new.
 
-
-def _layer_norm_inplace(x, scale, offset):
-    """_layer_norm without the backward cache, overwriting x; returns (x, None).
-
-    The same arithmetic in the same order, so the output is bit-identical.
+    With keep_cache=False, y overwrites x and the cache returned is None.
     """
     x -= x.mean(axis=-1, keepdims=True)
     var = np.einsum("...h,...h->...", x, x) / x.shape[-1]
-    x *= 1.0 / np.sqrt(var + LN_EPS)[..., None]
-    x *= scale
-    x += offset
-    return x, None
+    inv_std = 1.0 / np.sqrt(var + LN_EPS)[..., None]
+    x *= inv_std
+    if not keep_cache:
+        x *= scale
+        x += offset
+        return x, None
+    y = x * scale
+    y += offset
+    return y, (x, inv_std)
 
 
 def _layer_norm_backward(dy, cache, scale):
@@ -371,11 +344,12 @@ def forward_batch(
     default cached pass returns (B, L, H), every position a row, padded
     ones too, and the caches backward_batch reads.
 
-    keep_cache=False is the inference pass: it takes no dropout_rng,
-    LayerNorm and GELU overwrite their inputs, and the cache returned is
-    None.  It returns the (N, H) rows of the real positions only, in the
-    order np.nonzero(attn_mask) lists them, bit-identical to the cached
-    pass's rows there.
+    keep_cache=False is the inference pass: it takes no dropout_rng, runs
+    the cached pass's kernels without their backward caches (LayerNorm
+    and GELU then write their results over their inputs), and the cache
+    returned is None.  It returns the (N, H) rows of the real positions
+    only, in the order np.nonzero(attn_mask) lists them, bit-identical
+    to the cached pass's rows there.
 
     at, a (B,) int array of one real position per batch row, asks the
     inference pass for the (B, H) rows at (b, at[b]) only, and the last
@@ -417,7 +391,6 @@ def _forward(state: ModelState, ids, attn_mask, dropout_rng, keep_cache, real_on
     if at is not None:  # each query's index among the rows
         flat = np.arange(B) * L + at
         query_rows = flat if rows.index is None else np.searchsorted(rows.index, flat)
-    layer_norm = _layer_norm if keep_cache else _layer_norm_inplace
     drop_p = cfg.dropout if dropout_rng is not None else 0.0
     H, nh, dh = cfg.hidden, cfg.n_heads, cfg.head_dim
     scale = 1.0 / np.sqrt(dh)
@@ -434,7 +407,7 @@ def _forward(state: ModelState, ids, attn_mask, dropout_rng, keep_cache, real_on
         by_position += p["pos_emb"][:L]
     else:
         emb_sum += p["pos_emb"][rows.l]
-    x, emb_ln_cache = layer_norm(emb_sum, p["emb_ln_scale"], p["emb_ln_offset"])
+    x, emb_ln_cache = _layer_norm(emb_sum, p["emb_ln_scale"], p["emb_ln_offset"], keep_cache)
     x, emb_keep = _dropout(x, drop_p, dropout_rng, rows)
 
     layer_caches = []
@@ -468,19 +441,16 @@ def _forward(state: ModelState, ids, attn_mask, dropout_rng, keep_cache, real_on
         attn += p[f"l{n}.attn_out_b"]
         attn, attn_keep = _dropout(attn, drop_p, dropout_rng, rows)
         attn += x
-        h1, ln1_cache = layer_norm(attn, p[f"l{n}.ln1_scale"], p[f"l{n}.ln1_offset"])
+        h1, ln1_cache = _layer_norm(attn, p[f"l{n}.ln1_scale"], p[f"l{n}.ln1_offset"], keep_cache)
 
         f1 = h1 @ p[f"l{n}.ff1_w"]
-        if keep_cache:
-            f1 += p[f"l{n}.ff1_b"]
-            g, gelu_d = _gelu(f1)
-        else:
-            g, gelu_d = _gelu_inplace(f1, p[f"l{n}.ff1_b"])
+        f1 += p[f"l{n}.ff1_b"]
+        g, gelu_d = _gelu(f1, keep_cache)
         f2 = g @ p[f"l{n}.ff2_w"]
         f2 += p[f"l{n}.ff2_b"]
         f2, ff_keep = _dropout(f2, drop_p, dropout_rng, rows)
         f2 += h1
-        x, ln2_cache = layer_norm(f2, p[f"l{n}.ln2_scale"], p[f"l{n}.ln2_offset"])
+        x, ln2_cache = _layer_norm(f2, p[f"l{n}.ln2_scale"], p[f"l{n}.ln2_offset"], keep_cache)
 
         if keep_cache:
             layer_caches.append(

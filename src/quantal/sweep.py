@@ -24,6 +24,8 @@ import fcntl
 import functools
 import itertools
 import json
+import math
+import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
@@ -106,10 +108,17 @@ class SweepConfig:
         # Seeds hash repr(prop) and str(n), so 0 and 0.0 (or 6 and 6.0) would
         # derive different data for what --reuse reads back as one cell; an
         # integer field holding 1.5 is refused rather than hashed as "1.5".
-        object.__setattr__(self, "proportions", tuple(float(p) for p in self.proportions))
+        # Booleans and strings are refused too: True would pass as 1 and
+        # "0.5" as 0.5.
+        def number(name, v):
+            if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
+                raise ValueError(f"{name} must be finite numbers, got {getattr(self, name)!r}")
+            return v
+
+        object.__setattr__(self, "proportions", tuple(float(number("proportions", p)) for p in self.proportions))
 
         def integral(name, v):
-            if int(v) != v:
+            if int(number(name, v)) != v:
                 raise ValueError(f"{name} must be integers, got {getattr(self, name)!r}")
             return int(v)
 

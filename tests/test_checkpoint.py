@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from quantal import bpe, corpora
-from quantal.checkpoint import MAGIC, load_checkpoint, save_checkpoint
+from quantal.checkpoint import MAGIC, load_checkpoint, save_checkpoint, state_digest
 from quantal.model import ModelConfig, TrainConfig, init_model
 from quantal.scoring import surprisal_many
 from quantal.training import train
@@ -66,6 +66,17 @@ class TestRoundTrip:
         a = surprisal_many(state, tok, texts)
         b = surprisal_many(loaded, tok, texts)
         assert np.array_equal(a, b)
+
+    def test_digest_covers_the_saved_tensor_bytes(self, tmp_path):
+        state, _ = trained_state()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(state, path)
+        loaded, _ = load_checkpoint(path)
+        digest = state_digest(state)
+        assert state_digest(loaded) == digest
+        w = loaded.params["l1.ff2_w"]
+        w[3, 5] = np.nextafter(w[3, 5], np.float32(np.inf))  # one float32 ulp
+        assert state_digest(loaded) != digest
 
     def test_metadata_round_trip(self, tmp_path):
         state, _ = trained_state()

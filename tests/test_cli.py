@@ -460,9 +460,11 @@ class TestPlotCommand:
                  "--epochs", 10, "--out", tmp_path / "x.svg")
         assert rc == 1
 
-    def test_bad_range_is_usage_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("bad", ["oops", "a,b", "0,inf"])
+    def test_bad_range_is_usage_error(self, tmp_path, capsys, bad):
         store = self.filled_store(tmp_path)
         rc = run("plot", "--kind", "heatmap", "--table", store,
                  "--epochs", 10, "--out", tmp_path / "x.svg",
-                 "--x-range", "oops")
+                 "--x-range", bad)
         assert rc == 2
+        assert not (tmp_path / "x.svg").exists()

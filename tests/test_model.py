@@ -193,10 +193,10 @@ def masked_ragged_batch():
 class TestCacheFreeForward:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_matches_cached_pass(self, dtype, monkeypatch):
-        # A small block makes _gelu_inplace run several row blocks, the last one partial.
+        # A small block makes GELU run several row blocks, the last one partial.
         monkeypatch.setattr(model, "_GELU_BLOCK", 3 * TINY["intermediate"])
         st = lively_state(dtype)
-        # _gelu_inplace adds ff1_b block by block; a zero bias would hide a slip there.
+        # a zero ff1_b would hide a slip in the inference pass's bias add
         assert all(st.params[f"l{n}.ff1_b"].all() for n in range(TINY["n_layers"]))
         ragged_ids, ragged_mask = masked_ragged_batch()
         full_ids = ragged_ids[[1, 1, 1]]  # the full-width row three times
@@ -224,33 +224,43 @@ class TestCacheFreeForward:
         assert {name: arr.tobytes() for name, arr in st.params.items()} == before
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_gelu_inplace_matches_gelu_without_overflow_warnings(self, dtype):
+    def test_gelu_without_cache_matches_default(self, dtype):
         x = np.linspace(-120.0, 120.0, 4001, dtype=dtype).reshape(-1, 1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             ref, d = model._gelu(x)
-            got, cache = model._gelu_inplace(x.copy(), np.zeros(1, dtype))
-        assert cache is None and np.isinf(d).any()  # the negative tail overflows exp
+            buf = x.copy()
+            got, cache = model._gelu(buf, keep_cache=False)
+        assert cache is None and got is buf  # the result overwrites its input
+        assert np.isinf(d).any()  # the negative tail overflows exp
         npt.assert_array_equal(got, ref)
         npt.assert_array_equal(np.signbit(got), np.signbit(ref))
 
-    def test_gelu_inplace_bias_in_blocks_is_bit_identical(self, monkeypatch):
-        # Adding the bias per row block gives the values of one add over all rows.
-        monkeypatch.setattr(model, "_GELU_BLOCK", 3 * 16)
+    def test_gelu_without_cache_in_blocks_is_bit_identical(self, monkeypatch):
+        # One block-sized d serves every block, the last one partial.
         rng = np.random.default_rng(1)
         x = rng.normal(0.0, 3.0, size=(10, 16)).astype(np.float32)
-        bias = rng.normal(0.0, 1.0, size=16).astype(np.float32)
-        ref, _ = model._gelu_inplace(x + bias, np.zeros(16, np.float32))
-        got, _ = model._gelu_inplace(x.copy(), bias)
+        ref, _ = model._gelu(x)
+        monkeypatch.setattr(model, "_GELU_BLOCK", 3 * 16)
+        got, _ = model._gelu(x.copy(), keep_cache=False)
         npt.assert_array_equal(got, ref)
 
-    def test_layer_norm_inplace_is_bit_identical(self):
+    def test_layer_norm_without_cache_is_bit_identical(self):
         x = np.random.default_rng(0).normal(size=(3, 5, 16)).astype(np.float32)
         scale = np.linspace(0.5, 1.5, 16, dtype=np.float32)
         offset = np.linspace(-1.0, 1.0, 16, dtype=np.float32)
-        ref, _ = model._layer_norm(x, scale, offset)
-        got, cache = model._layer_norm_inplace(x.copy(), scale, offset)
-        assert cache is None
+        x64 = x.astype(np.float64)
+        centred = x64 - x64.mean(axis=-1, keepdims=True)
+        xhat = centred / np.sqrt((centred**2).mean(axis=-1, keepdims=True) + model.LN_EPS)
+        buf = x.copy()
+        ref, (cached_xhat, _) = model._layer_norm(buf, scale, offset)
+        # the input is normalized in place and kept; the output is a new array
+        assert cached_xhat is buf and ref is not buf
+        npt.assert_allclose(cached_xhat, xhat, rtol=1e-5, atol=1e-6)
+        npt.assert_allclose(ref, xhat * scale + offset, rtol=1e-5, atol=1e-6)
+        buf = x.copy()
+        got, cache = model._layer_norm(buf, scale, offset, keep_cache=False)
+        assert cache is None and got is buf
         npt.assert_array_equal(got, ref)
 
 
@@ -456,6 +466,20 @@ class TestRealRowsOnly:
         labels[0, 6] = 3
         with pytest.raises(ValueError, match="padded"):
             loss_and_grads(st, ids, mask, labels)
+
+    def test_training_pass_leaves_its_inputs_alone(self):
+        # LayerNorm normalizes its input in place; that input is never the caller's array
+        st = lively_state(np.float32)
+        st.config.dropout = 0.3
+        ragged_ids, ragged_mask = masked_ragged_batch()
+        full_ids = ragged_ids[[1, 1, 1]]  # every position real: rows are a view of the batch
+        for ids, mask in ((ragged_ids, ragged_mask), (full_ids, np.ones(full_ids.shape, bool))):
+            labels = np.where(ids == 2, 5, IGNORE_INDEX)
+            args = (ids, mask, labels)
+            before = [a.tobytes() for a in (*args, *st.params.values())]
+            loss_and_grads(st, *args, dropout_rng=make_rng(8))
+            forward_batch(st, ids, mask, dropout_rng=make_rng(8))
+            assert [a.tobytes() for a in (*args, *st.params.values())] == before
 
     def test_backward_batch_leaves_its_inputs_alone(self):
         st = lively_state(np.float64)

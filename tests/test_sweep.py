@@ -102,6 +102,24 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"{name} must be integers"):
             tiny_config(**{name: 2.5})
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("sizes", [True]),
+            ("epoch_settings", [True]),
+            ("replicates", True),
+            ("base_seed", False),
+            ("n_test_pairs", True),
+            ("n_test_pairs", float("inf")),
+            ("proportions", ["0.5"]),
+            ("proportions", [True]),
+        ],
+        ids=str,
+    )
+    def test_booleans_strings_and_infinities_refused(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite numbers"):
+            tiny_config(**{name: value})
+
     def test_int_and_float_proportion_are_one_cell(self):
         # --reuse reads a stored 0 back as 0.0, so both spellings must derive
         # the same seeds and the same corpus

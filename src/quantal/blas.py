@@ -59,11 +59,6 @@ def libraries() -> list[OpenBLAS]:
     return [lib for lib in found if lib is not None]
 
 
-def thread_counts() -> list[int]:
-    """The thread count of each library ``libraries()`` finds."""
-    return [lib.get_threads() for lib in libraries()]
-
-
 def pin_one_thread() -> int:
     """Set every OpenBLAS to one thread; returns how many libraries were set.
 

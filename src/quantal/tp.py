@@ -7,6 +7,15 @@ regression with a step dummy at the predicted break (is there a jump?) and
 a Spearman rank correlation (is the decline monotone and gradual?).
 Whether a cell has learned at all is read against untrained models of the
 same cell with an exact permutation test over model replicates.
+
+Only the analysis functions load scipy.stats, inside the call:
+fit_piecewise_step for the t tail, gradience_measure for spearmanr.  A
+sweep computes one statistic per row, above_chance_test, and takes it
+from scipy.special alone: the binomial tail P(X >= k) at p = 1/2 is the
+regularized incomplete beta I_{1/2}(k, n - k + 1), which is the value
+stats.binomtest(k, n, 0.5, alternative="greater") returns, bit for bit
+(tests pin the two together).  So importing quantal, and running a
+sweep, never pays for importing scipy.stats.
 """
 
 from __future__ import annotations
@@ -18,7 +27,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .util import round_half_up
 
@@ -132,6 +141,8 @@ def fit_piecewise_step(points, break_x: float) -> RegressionReport:
             p_value = 0.0
     else:
         t_stat = b2 / se
+        from scipy import stats
+
         p_value = 2.0 * float(stats.t.sf(abs(t_stat), df))
 
     left_fit = (b1, b0)
@@ -158,10 +169,14 @@ def above_chance_test(n_correct_credit: float, n_pairs: int) -> float:
     correlated across pairs.  Use beats_baseline_test to ask whether
     training helped.
     """
+    if n_pairs < 1 or n_pairs != int(n_pairs):
+        raise ValueError(f"n_pairs must be a positive integer, got {n_pairs}")
     if not 0 <= n_correct_credit <= n_pairs:
         raise ValueError(f"credit {n_correct_credit} outside [0, {n_pairs}]")
     k = round_half_up(n_correct_credit)
-    return float(stats.binomtest(k, n_pairs, 0.5, alternative="greater").pvalue)
+    if k == 0:
+        return 1.0
+    return float(special.betainc(k, n_pairs - k + 1, 0.5))
 
 
 def beats_baseline_test(trained, untrained) -> float:
@@ -206,6 +221,8 @@ def gradience_measure(points) -> Gradience:
         raise ValueError("x values must be distinct (average replicates first)")
     if len(set(y)) == 1:
         return Gradience(0.0, True)
+    from scipy import stats
+
     rho = float(stats.spearmanr(x, y).statistic)
     return Gradience(rho, False)
 

@@ -1,10 +1,11 @@
+import itertools
 import time
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from quantal import bpe, corpora
+from quantal import bpe, corpora, sweep
 from quantal.bpe import (
     MARKER,
     SPECIALS,
@@ -92,6 +93,83 @@ class TestTrainAgainstNaiveOracle:
         tok_two = train_tokenizer([a, b], 20)
         tok_one = train_tokenizer([a + "\n" + b], 20)
         assert tok_two == tok_one
+
+
+def pair_counts_per_merge(texts, merges):
+    """Pair counts by full recount before the first merge and after each."""
+    words = Counter()
+    for t in texts:
+        words.update(pre_tokenize(t))
+    words = [(list(w), f) for w, f in words.items()]
+    history = []
+    for step in range(len(merges) + 1):
+        if step:
+            words = [(bpe._replace_pair(s, *merges[step - 1]), f) for s, f in words]
+        counts = Counter()
+        for symbols, f in words:
+            for p in zip(symbols, symbols[1:]):
+                counts[p] += f
+        history.append(counts)
+    return history
+
+
+def has_overlap(merges, history):
+    return any(a == b for a, b in merges)
+
+
+def has_ties(merges, history):
+    return any(sum(c == max(counts.values()) for c in counts.values()) >= 3 for counts in history[:-1])
+
+
+def has_stale_entry(merges, history):
+    """A pair's count falls but stays >= 2, and the pair is merged later."""
+    return any(
+        2 <= after[p] < before[p] and p in merges[step:]
+        for step, (before, after) in enumerate(zip(history, history[1:]))
+        for p in before
+    )
+
+
+def has_marker(merges, history):
+    return any(MARKER in a + b for a, b in merges)
+
+
+class TestLazyHeapAgainstNaiveOracle:
+    """Corpora that stress the lazy heap: the incremental trainer must pick
+    the merges a full recount picks (highest count, then smallest pair).
+    Each corpus is checked to have the feature it is named for.
+    """
+
+    CORPORA = {
+        "overlapping-repeats": (["aaaa aaaaa aaa aaaaaaa aaaa", "abab ababab bababa abab aabbaabb"], has_overlap),
+        "many-ties": ([" ".join("".join(p) for p in itertools.permutations("abcd"))], has_ties),
+        "falling-counts": (["abc abc abd abd bcd bcd bce bce", "cde cde xbcd xbcd"], has_stale_entry),
+        "marked-words": (["the cat sat", "the cat sat on the mat", "on the mat the cat sat", "a cat"],
+                         has_marker),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CORPORA))
+    def test_matches_full_recount(self, name):
+        texts, feature = self.CORPORA[name]
+        tok = train_tokenizer(texts, 200)
+        merges, token_to_id, final = naive_train(texts, 200)
+        assert list(tok.merges) == merges
+        assert tok.token_to_id == token_to_id
+        for word, segmented in final.items():
+            assert tok._segment(word) == segmented
+        assert feature(merges, pair_counts_per_merge(texts, merges))
+
+
+class TestGoldenCellTokenizers:
+    """The tokenizers of two reference cells, by the hash of their saved file."""
+
+    @pytest.mark.parametrize("experiment, n_train, prop, sha256", [
+        (corpora.WORD_ORDER, 1000, 0.1, "254abef6fa1b421b2a62c98c68fbd1fb9348a8894b72bc1fe70bdfc916f01c90"),
+        (corpora.BINARY, 50, 0.0, "f8a551c69fbff43750de8fa1f349fe46cc49ab1c686e9e30d251d3d6f0be0a1f"),
+    ])
+    def test_cell_tokenizer_sha256(self, experiment, n_train, prop, sha256):
+        vocab, corpus, _ = sweep.cell_data(experiment, 101, n_train, prop, n_test_pairs=1)
+        assert bpe.tokenizer_sha256(sweep.cell_tokenizer(experiment, corpus, vocab)) == sha256
 
 
 class TestTrainValidation:

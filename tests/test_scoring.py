@@ -305,7 +305,7 @@ class TestThreadedScoring:
         assert serial_threads == {threading.get_ident()}
         assert threading.get_ident() not in threaded_threads
         assert threaded == serial
-        assert blas.thread_counts() == [2] * len(blas_at_two_threads)
+        assert [lib.get_threads() for lib in blas.libraries()] == [2] * len(blas_at_two_threads)
 
     def test_no_openblas_scores_on_one_thread(self, monkeypatch):
         serial, _, _ = self.score(monkeypatch, 1, PLL)
@@ -318,13 +318,13 @@ class TestThreadedScoring:
         n = len(blas_at_two_threads)
         with blas.one_thread() as pinned:
             assert pinned == n
-            assert blas.thread_counts() == [1] * n
-        assert blas.thread_counts() == [2] * n
+            assert [lib.get_threads() for lib in blas.libraries()] == [1] * n
+        assert [lib.get_threads() for lib in blas.libraries()] == [2] * n
         with pytest.raises(KeyError):
             with blas.one_thread():
-                assert blas.thread_counts() == [1] * n
+                assert [lib.get_threads() for lib in blas.libraries()] == [1] * n
                 raise KeyError("inside the block")
-        assert blas.thread_counts() == [2] * n
+        assert [lib.get_threads() for lib in blas.libraries()] == [2] * n
 
 
 class TestEvaluatePairs:

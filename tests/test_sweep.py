@@ -480,7 +480,7 @@ class TestRunSweep:
             pytest.skip("no OpenBLAS mapped into this process")
 
         def report_threads(*args, **kwargs):
-            raise RuntimeError(blas.thread_counts())
+            raise RuntimeError([lib.get_threads() for lib in blas.libraries()])
 
         # Workers are forked, so they see this replacement of run_cell.
         monkeypatch.setattr(sweep, "run_cell", report_threads)
@@ -490,7 +490,7 @@ class TestRunSweep:
             for lib in libs:
                 lib.set_threads(2)
             _, _, failures = run_sweep(cfg, tmp_path / "results.csv", workers=2)
-            assert blas.thread_counts() == [2] * len(libs)
+            assert [lib.get_threads() for lib in blas.libraries()] == [2] * len(libs)
         finally:
             for lib, n in zip(libs, old):
                 lib.set_threads(n)

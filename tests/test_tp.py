@@ -1,11 +1,17 @@
+import json
 import math
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import stats
 from scipy.special import gammaln, logsumexp
 
+import quantal
 from quantal.tp import (
     INSUFFICIENT,
     JUMP_DETECTED,
@@ -23,6 +29,7 @@ from quantal.tp import (
     tp_threshold,
     write_report,
 )
+from quantal.util import round_half_up
 
 
 def two_line_oracle(points, break_x):
@@ -219,6 +226,73 @@ class TestAboveChance:
             above_chance_test(-1, 10)
         with pytest.raises(ValueError):
             above_chance_test(11, 10)
+
+
+def binomtest_hex(k, n):
+    return float(stats.binomtest(k, n, 0.5, alternative="greater").pvalue).hex()
+
+
+class TestAboveChanceIsBinomtest:
+    """above_chance_test computes scipy.stats.binomtest's p-value from
+    scipy.special.betainc.  Stored above_chance_p values must not move, so
+    the two are compared bit for bit; a scipy whose betainc differs fails
+    here rather than silently changing rows.
+    """
+
+    @pytest.mark.parametrize("n", [*range(1, 41), 300, 1000, 2000])
+    def test_every_k_bit_for_bit(self, n):
+        got = [above_chance_test(k, n).hex() for k in range(n + 1)]
+        assert got == [binomtest_hex(k, n) for k in range(n + 1)]
+
+    @pytest.mark.parametrize("credit, n", [(0.5, 1), (0.5, 1000), (10.5, 20), (499.5, 1000),
+                                           (500.5, 1000), (999.5, 1000), (1000.5, 2000)])
+    def test_half_credits_round_half_up(self, credit, n):
+        assert above_chance_test(credit, n).hex() == binomtest_hex(round_half_up(credit), n)
+
+    def test_zero_credit_is_one(self):
+        for n in (1, 2, 1000):
+            assert above_chance_test(0, n) == 1.0 == stats.binomtest(0, n, 0.5, alternative="greater").pvalue
+
+    def test_no_pairs_rejected(self):
+        with pytest.raises(ValueError):
+            above_chance_test(0, 0)
+
+
+IMPORT_GUARD = """
+import json, sys
+import quantal.cli, quantal.sweep, quantal.tp
+before = "scipy.stats" in sys.modules
+points = json.loads(sys.argv[1])
+report = quantal.tp.analyze_column(points, n_types=500)
+print(json.dumps({
+    "before": before,
+    "after": "scipy.stats" in sys.modules,
+    "classification": report.classification,
+    "p_value": report.regression.p_value,
+    "rho": report.gradience.rho,
+}))
+"""
+
+
+class TestScipyStatsLoadsOnlyForAnalysis:
+    def test_fresh_interpreter(self):
+        src = str(Path(quantal.__file__).resolve().parents[1])
+        points = TestAnalyzeColumn()._column_points(jump=False)
+        done = subprocess.run(
+            [sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r})\n" + IMPORT_GUARD,
+             json.dumps(points)],
+            capture_output=True, text=True, check=True,
+        )
+        seen = json.loads(done.stdout)
+        assert seen["before"] is False
+        assert seen["after"] is True
+        # The expectations of TestAnalyzeColumn.test_no_jump_column, and the
+        # same figures as this process computes.
+        assert seen["classification"] == NO_JUMP
+        assert seen["p_value"] > 0.05
+        assert seen["rho"] <= -0.9
+        here = analyze_column(points, n_types=500)
+        assert (seen["p_value"], seen["rho"]) == (here.regression.p_value, here.gradience.rho)
 
 
 def permutation_oracle(trained, untrained):

@@ -74,10 +74,6 @@ class TokenizerModel:
     def mask_id(self) -> int:
         return self.token_to_id[MASK]
 
-    @property
-    def special_ids(self) -> dict[str, int]:
-        return {tok: self.token_to_id[tok] for tok in SPECIALS}
-
     def __eq__(self, other):
         if not isinstance(other, TokenizerModel):
             return NotImplemented
@@ -254,16 +250,17 @@ def save_tokenizer(tok: TokenizerModel, path: str | Path) -> None:
 
 
 def tokenizer_sha256(tok: TokenizerModel) -> str:
-    """SHA-256 of the file save_tokenizer writes; checkpoints record it."""
+    """SHA-256 of the text save_tokenizer_text writes (and a checkpoint embeds)."""
     return sha256_bytes(save_tokenizer_text(tok).encode("utf-8"))
 
 
-def load_tokenizer(path: str | Path) -> TokenizerModel:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+def parse_tokenizer(text: str, source: str = "tokenizer text") -> TokenizerModel:
+    """Inverse of save_tokenizer_text; source names the text in errors."""
+    lines = text.splitlines()
     if not lines or lines[0] != FORMAT_HEADER:
-        raise ValueError(f"not a {FORMAT_HEADER!r} file: {path}")
+        raise ValueError(f"not a {FORMAT_HEADER!r} file: {source}")
     if len(lines) < 2:
-        raise ValueError(f"tokenizer file ends after its header: {path}")
+        raise ValueError(f"tokenizer file ends after its header: {source}")
     kind, n = lines[1].split()
     if kind != "merges":
         raise ValueError(f"expected merge count line, got {lines[1]!r}")
@@ -278,10 +275,14 @@ def load_tokenizer(path: str | Path) -> TokenizerModel:
     if kind != "vocab":
         raise ValueError(f"expected vocab count line, got {lines[2 + n_merges]!r}")
     n_vocab = int(n)
-    vocab_lines = lines[3 + n_merges : 3 + n_merges + n_vocab]
+    vocab_lines = lines[3 + n_merges :]
     if len(vocab_lines) != n_vocab:
-        raise ValueError("vocab listing shorter than declared count")
+        raise ValueError(f"vocab listing has {len(vocab_lines)} lines, not the declared {n_vocab}")
     token_to_id = {tokstr: i for i, tokstr in enumerate(vocab_lines)}
     if len(token_to_id) != n_vocab:
         raise ValueError("duplicate token in vocab listing")
     return TokenizerModel(merges, token_to_id)
+
+
+def load_tokenizer(path: str | Path) -> TokenizerModel:
+    return parse_tokenizer(Path(path).read_text(encoding="utf-8"), str(path))

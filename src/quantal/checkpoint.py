@@ -1,12 +1,12 @@
-"""Model checkpoint container.
+"""Model checkpoint container: a trained model is one file.
 
-Layout: an ASCII magic line, one JSON header line (model config, optional
-train config with the fixed training recipe, optional tokenizer hash,
-step counter, tensor names with shapes), then the raw tensors as
-little-endian float32 in header order.  The tensor order is the init
-order of model.param_specs.  Optimizer moments are not stored, so a
-loaded state can score but not train: training.train refuses a state
-without moments.
+Layout: an ASCII magic line, one JSON header line, then the raw tensors
+as little-endian float32 in the init order of model.param_specs.  The
+header holds the model config, the experiment, the train config with the
+fixed training recipe (null for an untrained model), the tokenizer as
+the text bpe.save_tokenizer_text writes, the step counter and the tensor
+names with shapes.  Optimizer moments are not stored, so a loaded state
+can score but not train: training.train refuses a state without moments.
 """
 
 from __future__ import annotations
@@ -18,12 +18,14 @@ from pathlib import Path
 
 import numpy as np
 
+from . import bpe
+from .corpora import EXPERIMENTS
 from .model import ModelConfig, ModelState, TrainConfig, param_specs
 from .training import BATCH_SIZE, LEARNING_RATE, MASK_PROBABILITY
 
-MAGIC = b"quantal-ckpt v1\n"
+MAGIC = b"quantal-ckpt v2\n"
 TENSOR_DTYPE = "<f4"
-HEADER_KEYS = ("model_config", "train_config", "tokenizer_sha256", "step", "tensors")
+HEADER_KEYS = ("model_config", "experiment", "train_config", "tokenizer", "step", "tensors")
 
 
 def _tensor_bytes(state: ModelState):
@@ -48,15 +50,17 @@ def state_digest(state: ModelState) -> str:
 def save_checkpoint(
     state: ModelState,
     path: str | Path,
+    tok: bpe.TokenizerModel,
+    experiment: str,
     train_config: TrainConfig | None = None,
-    tokenizer_sha256: str | None = None,
 ) -> None:
     names = [name for name, _, _ in param_specs(state.config)]
     recipe = dict(learning_rate=LEARNING_RATE, batch_size=BATCH_SIZE, mask_probability=MASK_PROBABILITY)
     header = {
         "model_config": asdict(state.config),
+        "experiment": experiment,
         "train_config": {**asdict(train_config), **recipe} if train_config else None,
-        "tokenizer_sha256": tokenizer_sha256,
+        "tokenizer": bpe.save_tokenizer_text(tok),
         "step": state.step,
         "tensors": [[name, list(state.params[name].shape)] for name in names],
     }
@@ -67,6 +71,7 @@ def save_checkpoint(
 
 
 def load_checkpoint(path: str | Path) -> tuple[ModelState, dict]:
+    """(state, meta); meta holds the train config, tokenizer and experiment."""
     with open(path, "rb") as f:
         magic = f.read(len(MAGIC))
         if magic != MAGIC:
@@ -78,6 +83,19 @@ def load_checkpoint(path: str | Path) -> tuple[ModelState, dict]:
             cfg = ModelConfig(**header["model_config"])
         except TypeError as exc:  # an unknown or missing model_config key
             raise ValueError(f"bad model_config in checkpoint {path}: {exc}") from None
+        if header["experiment"] not in EXPERIMENTS:
+            raise ValueError(f"unknown experiment {header['experiment']!r} in checkpoint {path}")
+        if not isinstance(header["tokenizer"], str):
+            raise ValueError(f"checkpoint tokenizer must be tokenizer text: {path}")
+        try:
+            tok = bpe.parse_tokenizer(header["tokenizer"])
+        except ValueError as exc:
+            raise ValueError(f"bad tokenizer in checkpoint {path}: {exc}") from None
+        if tok.vocab_size != cfg.vocab_size:
+            raise ValueError(
+                f"checkpoint tokenizer vocab {tok.vocab_size} does not match model vocab "
+                f"{cfg.vocab_size}: {path}"
+            )
         expected = [[name, list(shape)] for name, shape, _ in param_specs(cfg)]
         if header["tensors"] != expected:
             raise ValueError("checkpoint tensor listing does not match its model config")
@@ -99,6 +117,7 @@ def load_checkpoint(path: str | Path) -> tuple[ModelState, dict]:
     )
     meta = {
         "train_config": header["train_config"],
-        "tokenizer_sha256": header["tokenizer_sha256"],
+        "tokenizer": tok,
+        "experiment": header["experiment"],
     }
     return state, meta

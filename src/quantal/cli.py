@@ -1,5 +1,9 @@
 """Command-line surface: gen, train, eval, sweep, analyze, plot.
 
+A trained model is one file: `train` writes a checkpoint that embeds its
+tokenizer and experiment, so `eval` needs only the checkpoint and pairs,
+and refuses pairs that are not sentences of the model's experiment.
+
 Exit codes: 0 success, 2 usage error, 1 runtime failure.  Failures are
 reported as one JSON object per line on stderr so callers can parse them.
 """
@@ -12,7 +16,7 @@ import math
 import sys
 from pathlib import Path
 
-from . import bpe, corpora
+from . import corpora
 from .checkpoint import load_checkpoint, save_checkpoint
 from .scoring import MODES, PLL, evaluate_pairs, write_eval_report
 from .sweep import (
@@ -94,15 +98,10 @@ def cmd_train(args) -> int:
     corpus = corpora.read_corpus(args.corpus, experiment)
     vocab = corpora.read_vocabulary(args.vocab) if args.vocab else None
     tok = cell_tokenizer(experiment, corpus, vocab)
-    tok_path = f"{args.out}.tok"
-    bpe.save_tokenizer(tok, tok_path)
     state, train_config = train_replicate(
         tok, corpus, stable_seed(args.seed, "init"), args.epochs, stable_seed(args.seed, "train")
     )
-    save_checkpoint(
-        state, args.out, train_config=train_config, tokenizer_sha256=bpe.tokenizer_sha256(tok)
-    )
-    print(f"wrote {tok_path}")
+    save_checkpoint(state, args.out, tok, experiment, train_config=train_config)
     print(f"wrote {args.out}")
     if state.loss_history:
         print(f"final loss {state.loss_history[-1]:.4f} over {state.step} steps")
@@ -113,21 +112,8 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     state, meta = load_checkpoint(args.checkpoint)
-    tok = bpe.load_tokenizer(args.tokenizer)
-    if tok.vocab_size != state.config.vocab_size:
-        raise ValueError(
-            f"tokenizer vocab {tok.vocab_size} does not match model vocab "
-            f"{state.config.vocab_size}"
-        )
-    # a checkpoint saved without a tokenizer hash cannot be checked
-    tok_hash = bpe.tokenizer_sha256(tok)
-    if meta["tokenizer_sha256"] not in (None, tok_hash):
-        raise ValueError(
-            f"tokenizer {args.tokenizer} has sha256 {tok_hash}, but the checkpoint "
-            f"records tokenizer sha256 {meta['tokenizer_sha256']}"
-        )
-    pairs = corpora.read_pairs(args.pairs, EXPERIMENT_BY_FLAG[args.exp])
-    report = evaluate_pairs(state, tok, pairs, mode=args.mode)
+    pairs = corpora.read_pairs(args.pairs, meta["experiment"])
+    report = evaluate_pairs(state, meta["tokenizer"], pairs, mode=args.mode)
     write_eval_report(report, args.out)
     print(f"wrote {args.out}")
     print(f"accuracy {report.accuracy:.4f} ({report.mode}, {report.n_pairs} pairs)")
@@ -223,15 +209,13 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--exp", type=int, choices=(1, 2), required=True)
     tr.add_argument("--epochs", type=int, required=True, help="0 writes the untrained model")
     tr.add_argument("--seed", type=int, required=True)
-    tr.add_argument("--out", required=True, help="checkpoint path; the tokenizer goes to <out>.tok")
+    tr.add_argument("--out", required=True, help="checkpoint path; it embeds the tokenizer")
     tr.add_argument("--vocab", help="vocabulary.txt from gen; the tokenizer trains on it too")
     tr.set_defaults(func=cmd_train)
 
     ev = sub.add_parser("eval", help="score minimal pairs with a trained checkpoint")
-    ev.add_argument("--checkpoint", required=True)
-    ev.add_argument("--tokenizer", required=True)
-    ev.add_argument("--pairs", required=True)
-    ev.add_argument("--exp", type=int, choices=(1, 2), required=True)
+    ev.add_argument("--checkpoint", required=True, help="checkpoint from train or sweep --artifacts")
+    ev.add_argument("--pairs", required=True, help="pairs.tsv of the model's experiment")
     ev.add_argument("--mode", choices=MODES, default=PLL)
     ev.add_argument("--out", required=True, help="evaluation report path")
     ev.set_defaults(func=cmd_eval)

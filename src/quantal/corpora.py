@@ -25,6 +25,7 @@ from .util import make_rng, round_half_up, sha256_bytes
 
 WORD_ORDER = "word_order"
 BINARY = "binary"
+EXPERIMENTS = (WORD_ORDER, BINARY)
 
 LETTERS = string.ascii_letters  # 52 chars, case-sensitive
 
@@ -310,21 +311,32 @@ def classify_shift_sentence(tokens: tuple[str, ...]) -> str:
     raise ValueError(f"tokens 4-6 are not a known permutation of tokens 1-3: {tokens}")
 
 
+def parse_sentence(line: str, experiment: str) -> Sentence:
+    """One line of a corpus or test-pair file as a sentence of its experiment.
+
+    Word order: a 7-token shift sentence of a known pattern; binary: a
+    nonempty 0/1 string.  is_exception is recomputed from the text.
+    """
+    if experiment == WORD_ORDER:
+        tokens = tuple(line.split(" "))
+        pattern = classify_shift_sentence(tokens)
+        return Sentence(tokens, is_exception=(pattern == EXCEPTION_PATTERN))
+    if experiment == BINARY:
+        if not line or set(line) - {"0", "1"}:
+            raise ValueError(f"not a binary string: {line!r}")
+        return Sentence((line,), is_exception=line.startswith("0"))
+    raise ValueError(f"unknown experiment {experiment!r}")
+
+
 def read_corpus(path: str | Path, experiment: str) -> Corpus:
     """Re-parse a corpus file, recomputing pattern flags and type counts."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     sentences = []
-    for line in lines:
-        if experiment == WORD_ORDER:
-            tokens = tuple(line.split(" "))
-            pattern = classify_shift_sentence(tokens)
-            sentences.append(Sentence(tokens, is_exception=(pattern == EXCEPTION_PATTERN)))
-        elif experiment == BINARY:
-            if not line or set(line) - {"0", "1"}:
-                raise ValueError(f"not a binary string: {line!r}")
-            sentences.append(Sentence((line,), is_exception=line.startswith("0")))
-        else:
-            raise ValueError(f"unknown experiment {experiment!r}")
+    for line_no, line in enumerate(lines, start=1):
+        try:
+            sentences.append(parse_sentence(line, experiment))
+        except ValueError as exc:
+            raise ValueError(f"{path} line {line_no}: {exc}") from None
     n_types = len({s.tokens for s in sentences})
     n_exc = sum(s.is_exception for s in sentences)
     return Corpus(tuple(sentences), experiment, n_types=n_types, exception_count=n_exc)
@@ -340,6 +352,11 @@ def write_pairs(pairset: MinimalPairSet, path: str | Path) -> None:
 
 
 def read_pairs(path: str | Path, experiment: str) -> MinimalPairSet:
+    """Re-parse a test-pair file; each member must be a sentence of experiment.
+
+    Which patterns a pair contrasts is not checked, so a file may pit BAC
+    against ACB as well as against CAB.
+    """
     pairs = []
     with open(path, encoding="utf-8", newline="") as f:
         reader = csv.reader(f, delimiter="\t")
@@ -347,11 +364,10 @@ def read_pairs(path: str | Path, experiment: str) -> MinimalPairSet:
         if header != ["pair_id", "rule_sentence", "foil_sentence"]:
             raise ValueError(f"unexpected test-pair header: {header}")
         for row in reader:
-            _, rule_text, foil_text = row
-            pairs.append(
-                (
-                    Sentence(tuple(rule_text.split(" ")), is_exception=False),
-                    Sentence(tuple(foil_text.split(" ")), is_exception=True),
-                )
-            )
+            try:
+                if len(row) != 3:
+                    raise ValueError(f"want 3 tab-separated fields, got {len(row)}")
+                pairs.append(tuple(parse_sentence(text, experiment) for text in row[1:]))
+            except ValueError as exc:
+                raise ValueError(f"{path} line {reader.line_num}: {exc}") from None
     return MinimalPairSet(tuple(pairs), experiment)

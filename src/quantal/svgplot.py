@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from xml.sax.saxutils import escape
 
+from .sweep import require_one_kind
 from .tp import AnalysisReport
 
 WIDTH, HEIGHT = 720, 480  # pixels, both figure kinds
@@ -138,14 +139,13 @@ def heatmap_svg(
     title: str | None = None,
 ) -> str:
     """Shaded accuracy cells over (n_train, exception_prop) at one epoch
-    setting, with the tolerance curve 1/ln N overlaid."""
-    cells = [
-        (row["n_train"], row["exception_prop"], row["mean_accuracy"])
-        for row in rows
-        if row["epochs"] == epochs
-    ]
-    if not cells:
+    setting, with the tolerance curve 1/ln N overlaid.  Rows of different
+    experiments or surprisal modes are refused."""
+    rows = [row for row in rows if row["epochs"] == epochs]
+    if not rows:
         raise ValueError(f"no rows at epochs={epochs}")
+    require_one_kind(rows, f"epochs={epochs}")
+    cells = [(row["n_train"], row["exception_prop"], row["mean_accuracy"]) for row in rows]
     xs = sorted({c[0] for c in cells})
     ys = sorted({c[1] for c in cells})
     gap_x = _min_gap(xs)

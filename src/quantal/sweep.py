@@ -35,7 +35,7 @@ import numpy as np
 
 from . import blas, bpe, corpora
 from .checkpoint import save_checkpoint, state_digest
-from .corpora import BINARY, WORD_ORDER
+from .corpora import BINARY, EXPERIMENTS, WORD_ORDER
 from .model import ModelConfig, TrainConfig, init_model
 from .scoring import MODES, PLL, evaluate_pairs
 from .tp import above_chance_test
@@ -126,7 +126,7 @@ class SweepConfig:
             object.__setattr__(self, name, tuple(integral(name, v) for v in getattr(self, name)))
         for name in ("replicates", "base_seed", "n_test_pairs"):
             object.__setattr__(self, name, integral(name, getattr(self, name)))
-        if self.experiment not in (WORD_ORDER, BINARY):
+        if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         for name in ("sizes", "proportions", "epoch_settings"):
             if not getattr(self, name):
@@ -236,8 +236,6 @@ def expand_grid(cfg: SweepConfig) -> list[CellJob]:
                         )
                     )
                 cell_index += 1
-    if not jobs:
-        raise ValueError("grid expansion produced no jobs")
     return jobs
 
 
@@ -354,10 +352,10 @@ def run_cell(
 
     A 0-epoch cell skips training and scores the freshly initialized
     models.  With artifacts_dir set, the cell's input files (those
-    `quantal gen` writes) and tokenizer, a checkpoint per replicate as it
-    finishes, and finally the manifest are written there; hashes are
-    recorded either way.  Only one replicate's model is held in memory at
-    a time.
+    `quantal gen` writes), a checkpoint per replicate as it finishes (each
+    embeds the tokenizer), and finally the manifest are written there;
+    hashes are recorded either way.  Only one replicate's model is held
+    in memory at a time.
     """
     if not jobs:
         raise ValueError("run_cell needs at least one job")
@@ -371,12 +369,10 @@ def run_cell(
         cfg.experiment, cfg.base_seed, coords["n_train"], coords["exception_prop"], cfg.n_test_pairs
     )
     tok = cell_tokenizer(cfg.experiment, corpus, vocab)
-    tokenizer_hash = bpe.tokenizer_sha256(tok)
     cell_dir = None
     if artifacts_dir is not None:
         cell_dir = Path(artifacts_dir) / _cell_stem(coords)
         write_cell_inputs(cell_dir, vocab, corpus, pairs)
-        bpe.save_tokenizer(tok, cell_dir / "tokenizer.txt")
 
     accuracies = []
     ckpt_hashes = []
@@ -389,10 +385,7 @@ def run_cell(
         ckpt_hashes.append(state_digest(state))
         if cell_dir is not None:
             save_checkpoint(
-                state,
-                cell_dir / f"replicate{r}.ckpt",
-                train_config=train_config,
-                tokenizer_sha256=tokenizer_hash,
+                state, cell_dir / f"replicate{r}.ckpt", tok, cfg.experiment, train_config=train_config
             )
         del state  # frees this replicate's weights and Adam moments before the next init
 
@@ -406,7 +399,7 @@ def run_cell(
             mean_accuracy * cfg.n_test_pairs, cfg.n_test_pairs
         ),
         corpus_hash=corpora.corpus_sha256(corpus),
-        tokenizer_hash=tokenizer_hash,
+        tokenizer_hash=bpe.tokenizer_sha256(tok),
         checkpoint_hashes=tuple(ckpt_hashes),
         wall_seconds=time.perf_counter() - t0,
     )
@@ -424,11 +417,6 @@ def write_manifest(path: str | Path, cfg: SweepConfig, result: SweepCellResult, 
         "derived_seeds": dict(seeds),
     }
     Path(path).write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
-
-
-def result_to_row(result: SweepCellResult) -> dict:
-    """The CSV-visible view of a result, keyed by header column."""
-    return {name: getattr(result, name) for name in COLUMN_NAMES}
 
 
 def append_result(store: str | Path, result: SweepCellResult) -> None:
@@ -474,20 +462,30 @@ def load_results(store: str | Path) -> list[dict]:
     return rows
 
 
+def require_one_kind(rows: list[dict], where: str) -> None:
+    """Refuse rows that mix experiments or surprisal modes.
+
+    A column or a figure compares cells of one measurement; a store may
+    hold several.
+    """
+    for key in ("experiment", "surprisal_mode"):
+        kinds = sorted({row[key] for row in rows})
+        if len(kinds) > 1:
+            raise ValueError(f"rows at {where} mix {key} values {kinds}")
+
+
 def column_slice(table: list[dict], n_train: int, epochs: int) -> list[tuple[float, float]]:
     """(exception_prop, mean_accuracy) points at fixed size and epochs.
 
     Sorted by proportion; repeated proportions (re-runs) are all kept,
-    which downstream analysis treats as replicate measurements.
+    which downstream analysis treats as replicate measurements.  Rows of
+    different experiments or surprisal modes are refused.
     """
-    points = [
-        (row["exception_prop"], row["mean_accuracy"])
-        for row in table
-        if row["n_train"] == n_train and row["epochs"] == epochs
-    ]
-    if not points:
+    rows = [row for row in table if row["n_train"] == n_train and row["epochs"] == epochs]
+    if not rows:
         raise ValueError(f"no rows at n_train={n_train}, epochs={epochs}")
-    return sorted(points)
+    require_one_kind(rows, f"n_train={n_train}, epochs={epochs}")
+    return sorted((row["exception_prop"], row["mean_accuracy"]) for row in rows)
 
 
 def save_sweep_config(cfg: SweepConfig, path: str | Path) -> None:

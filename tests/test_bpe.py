@@ -195,7 +195,7 @@ class TestEncodeDecode:
     def test_ids_in_range_and_no_specials(self):
         ids = encode(self.tok, "ab cd ab")
         assert all(0 <= i < self.tok.vocab_size for i in ids)
-        special_ids = set(self.tok.special_ids.values())
+        special_ids = {self.tok.token_to_id[tok] for tok in SPECIALS}
         assert not set(ids) & special_ids
 
     def test_round_trip(self):
@@ -306,6 +306,19 @@ class TestSerialization:
         p.write_text(text)
         with pytest.raises(ValueError):
             load_tokenizer(p)
+
+    def test_file_reader_is_the_text_parser(self, tmp_path):
+        tok = train_tokenizer(["ab ab cd"], 9)
+        p = tmp_path / "tok.txt"
+        save_tokenizer(tok, p)
+        assert bpe.parse_tokenizer(bpe.save_tokenizer_text(tok)) == tok == load_tokenizer(p)
+        with pytest.raises(ValueError, match="quantal-bpe"):
+            bpe.parse_tokenizer("")
+
+    def test_rejects_lines_after_vocab(self):
+        text = bpe.save_tokenizer_text(train_tokenizer(["ab ab cd"], 9))
+        with pytest.raises(ValueError, match="not the declared"):
+            bpe.parse_tokenizer(text + "zz\n")
 
 
 class TestModelValidation:

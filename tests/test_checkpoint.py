@@ -33,9 +33,9 @@ def trained_state():
 
 class TestRoundTrip:
     def test_params_bitwise_equal(self, tmp_path):
-        state, _ = trained_state()
+        state, tok = trained_state()
         path = tmp_path / "model.ckpt"
-        save_checkpoint(state, path)
+        save_checkpoint(state, path, tok, corpora.BINARY)
         loaded, meta = load_checkpoint(path)
         assert loaded.config == state.config
         assert loaded.step == state.step
@@ -49,7 +49,7 @@ class TestRoundTrip:
         # correction with fresh moments; train refuses instead
         state, tok = trained_state()
         path = tmp_path / "model.ckpt"
-        save_checkpoint(state, path)
+        save_checkpoint(state, path, tok, corpora.BINARY)
         loaded, _ = load_checkpoint(path)
         assert loaded.opt_m is None and loaded.opt_v is None
         corpus = corpora.gen_exp2_corpus(12, 0.0, string_len=6, seed=2)
@@ -58,19 +58,20 @@ class TestRoundTrip:
         assert loaded.step == state.step
 
     def test_loaded_state_scores_identically(self, tmp_path):
+        # with the tokenizer the checkpoint carries
         state, tok = trained_state()
         path = tmp_path / "model.ckpt"
-        save_checkpoint(state, path)
-        loaded, _ = load_checkpoint(path)
+        save_checkpoint(state, path, tok, corpora.BINARY)
+        loaded, meta = load_checkpoint(path)
         texts = ["110101", "000111"]
         a = surprisal_many(state, tok, texts)
-        b = surprisal_many(loaded, tok, texts)
+        b = surprisal_many(loaded, meta["tokenizer"], texts)
         assert np.array_equal(a, b)
 
     def test_digest_covers_the_saved_tensor_bytes(self, tmp_path):
-        state, _ = trained_state()
+        state, tok = trained_state()
         path = tmp_path / "model.ckpt"
-        save_checkpoint(state, path)
+        save_checkpoint(state, path, tok, corpora.BINARY)
         loaded, _ = load_checkpoint(path)
         digest = state_digest(state)
         assert state_digest(loaded) == digest
@@ -79,30 +80,39 @@ class TestRoundTrip:
         assert state_digest(loaded) != digest
 
     def test_metadata_round_trip(self, tmp_path):
-        state, _ = trained_state()
+        state, tok = trained_state()
         tc = TrainConfig(epochs=2, seed=3)
         path = tmp_path / "model.ckpt"
-        save_checkpoint(state, path, train_config=tc, tokenizer_sha256="ab" * 32)
+        save_checkpoint(state, path, tok, corpora.BINARY, train_config=tc)
         _, meta = load_checkpoint(path)
         assert meta["train_config"] == {
             "epochs": 2, "seed": 3, "learning_rate": 1e-4, "batch_size": 16, "mask_probability": 0.15,
         }
-        assert meta["tokenizer_sha256"] == "ab" * 32
+        assert meta["tokenizer"] == tok
+        assert meta["experiment"] == corpora.BINARY
 
     def test_metadata_defaults_to_none(self, tmp_path):
-        state, _ = trained_state()
+        state, tok = trained_state()
         path = tmp_path / "model.ckpt"
-        save_checkpoint(state, path)
+        save_checkpoint(state, path, tok, corpora.BINARY)
         _, meta = load_checkpoint(path)
         assert meta["train_config"] is None
-        assert meta["tokenizer_sha256"] is None
+        assert set(meta) == {"train_config", "tokenizer", "experiment"}
+
+    def test_header_embeds_the_tokenizer_file_text(self, tmp_path):
+        state, tok = trained_state()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(state, path, tok, corpora.BINARY)
+        header = json.loads(path.read_bytes()[len(MAGIC) :].split(b"\n", 1)[0])
+        assert header["tokenizer"] == bpe.save_tokenizer_text(tok)
+        assert "tokenizer_sha256" not in header
 
 
 class TestCorruption:
     def make_checkpoint(self, tmp_path):
-        state, _ = trained_state()
+        state, tok = trained_state()
         path = tmp_path / "model.ckpt"
-        save_checkpoint(state, path)
+        save_checkpoint(state, path, tok, corpora.BINARY)
         return path
 
     def test_wrong_magic(self, tmp_path):
@@ -130,7 +140,7 @@ class TestCorruption:
         change(header)
         path.write_bytes(MAGIC + json.dumps(header).encode() + b"\n" + rest)
 
-    @pytest.mark.parametrize("key", ["model_config", "tensors", "step"])
+    @pytest.mark.parametrize("key", ["model_config", "tensors", "step", "experiment", "tokenizer"])
     def test_header_key_missing(self, tmp_path, key):
         path = self.make_checkpoint(tmp_path)
         self.rewrite_header(path, lambda header: header.pop(key))
@@ -152,4 +162,38 @@ class TestCorruption:
         header["tensors"][0][1] = [1, 1]
         path.write_bytes(MAGIC + json.dumps(header).encode() + b"\n" + rest)
         with pytest.raises(ValueError, match="does not match"):
+            load_checkpoint(path)
+
+    def test_v1_file_is_refused(self, tmp_path):
+        # a v1 header held a tokenizer hash, not the tokenizer
+        path = self.make_checkpoint(tmp_path)
+        header_line, _, rest = path.read_bytes()[len(MAGIC) :].partition(b"\n")
+        header = json.loads(header_line)
+        del header["tokenizer"], header["experiment"]
+        header["tokenizer_sha256"] = None
+        path.write_bytes(b"quantal-ckpt v1\n" + json.dumps(header).encode() + b"\n" + rest)
+        with pytest.raises(ValueError, match="not a 'quantal-ckpt v2' file"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("text", ["quantal-bpe v1\n", "quantal-bpe v1\nmerges x\n", "", None],
+                             ids=["header-only", "bad-count", "empty", "null"])
+    def test_malformed_tokenizer(self, tmp_path, text):
+        path = self.make_checkpoint(tmp_path)
+        self.rewrite_header(path, lambda header: header.update(tokenizer=text))
+        with pytest.raises(ValueError, match="tokenizer"):
+            load_checkpoint(path)
+
+    def test_tokenizer_vocab_differs_from_model_config(self, tmp_path):
+        path = self.make_checkpoint(tmp_path)
+        smaller = bpe.train_tokenizer(["0110 1001"], 8)
+        assert smaller.vocab_size != CFG["vocab_size"]
+        self.rewrite_header(path, lambda header: header.update(tokenizer=bpe.save_tokenizer_text(smaller)))
+        with pytest.raises(ValueError, match="tokenizer vocab 8 does not match model vocab 11"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("experiment", ["music", None, "Binary"])
+    def test_unknown_experiment(self, tmp_path, experiment):
+        path = self.make_checkpoint(tmp_path)
+        self.rewrite_header(path, lambda header: header.update(experiment=experiment))
+        with pytest.raises(ValueError, match="unknown experiment"):
             load_checkpoint(path)

@@ -4,26 +4,30 @@ import argparse
 import hashlib
 import io
 import json
+import re
+import shlex
 import sys
 from pathlib import Path
 
 import pytest
 
 from quantal import bpe, corpora
-from quantal.checkpoint import load_checkpoint
+from quantal.checkpoint import MAGIC, load_checkpoint
 from quantal.cli import build_parser, main
 from quantal.scoring import read_eval_report
 from quantal.sweep import (
     SweepCellResult,
     SweepConfig,
     append_result,
+    cell_tokenizer,
     expand_grid,
     load_results,
     run_cell,
     save_sweep_config,
 )
 
-ACCEPTANCE_DIR = Path(__file__).resolve().parents[1] / "results" / "acceptance"
+ROOT = Path(__file__).resolve().parents[1]
+ACCEPTANCE_DIR = ROOT / "results" / "acceptance"
 
 
 def run(*argv):
@@ -32,6 +36,18 @@ def run(*argv):
 
 def file_hash(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def embedded_tokenizer_text(ckpt):
+    """The tokenizer text in a checkpoint's header, as the file holds it."""
+    return json.loads(ckpt.read_bytes()[len(MAGIC) :].split(b"\n", 1)[0])["tokenizer"]
+
+
+def rewrite_header(src, dst, change):
+    header_line, _, rest = src.read_bytes()[len(MAGIC) :].partition(b"\n")
+    header = json.loads(header_line)
+    change(header)
+    dst.write_bytes(MAGIC + json.dumps(header).encode() + b"\n" + rest)
 
 
 def synthetic_store(path, accs_by_prop, n_train=55, epochs=10):
@@ -145,8 +161,10 @@ class TestGen:
         for name in shared:
             assert file_hash(out / name) == file_hash(cell_dir / name), name
         assert file_hash(out / "corpus.txt") == cell.corpus_hash
-        assert file_hash(tmp_path / "m.ckpt.tok") == file_hash(cell_dir / "tokenizer.txt")
-        assert file_hash(tmp_path / "m.ckpt.tok") == cell.tokenizer_hash
+        # both checkpoints embed the cell's tokenizer text, byte for byte
+        text = embedded_tokenizer_text(tmp_path / "m.ckpt")
+        assert text == embedded_tokenizer_text(cell_dir / "replicate0.ckpt")
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == cell.tokenizer_hash
 
 
 @pytest.fixture(scope="module")
@@ -162,46 +180,85 @@ def artifacts(tmp_path_factory):
 
 
 class TestTrainEval:
-    def test_train_writes_checkpoint_and_tokenizer(self, artifacts):
+    def test_train_writes_checkpoint_and_tokenizer(self, artifacts, tmp_path):
+        # one file: the checkpoint embeds the tokenizer and the experiment
         root, data, ckpt = artifacts
-        assert ckpt.exists()
-        assert (root / "model.ckpt.tok").exists()
+        out = tmp_path / "m.ckpt"
+        assert run("train", "--corpus", data / "corpus.txt", "--exp", 2,
+                   "--epochs", 1, "--seed", 3, "--out", out) == 0
+        assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
+        assert file_hash(out) == file_hash(ckpt)
+        _, meta = load_checkpoint(out)
+        corpus = corpora.read_corpus(data / "corpus.txt", corpora.BINARY)
+        assert meta["tokenizer"] == cell_tokenizer(corpora.BINARY, corpus)
+        assert meta["experiment"] == corpora.BINARY
 
     def test_eval_writes_report(self, artifacts, capsys):
         root, data, ckpt = artifacts
         out = root / "eval.json"
-        assert run("eval", "--checkpoint", ckpt, "--tokenizer", root / "model.ckpt.tok",
-                   "--pairs", data / "pairs.tsv", "--exp", 2, "--out", out) == 0
+        assert run("eval", "--checkpoint", ckpt, "--pairs", data / "pairs.tsv", "--out", out) == 0
         report = read_eval_report(out)
         assert report.n_pairs == 4
         assert 0.0 <= report.accuracy <= 1.0
         assert "accuracy" in capsys.readouterr().out
 
+    def test_eval_scores_a_sweep_artifact_checkpoint(self, tmp_path):
+        cfg = SweepConfig(experiment=corpora.BINARY, sizes=(8,), proportions=(0.0,),
+                          epoch_settings=(1,), replicates=1, base_seed=11, n_test_pairs=4)
+        cell = run_cell(cfg, expand_grid(cfg), artifacts_dir=tmp_path)
+        cell_dir = tmp_path / "binary_n8_p0.0_e1"
+        out = tmp_path / "r.json"
+        assert run("eval", "--checkpoint", cell_dir / "replicate0.ckpt",
+                   "--pairs", cell_dir / "pairs.tsv", "--out", out) == 0
+        assert read_eval_report(out).accuracy == cell.accuracies[0]
+
     def test_eval_vocab_mismatch(self, artifacts, tmp_path, capsys):
+        # the embedded tokenizer's vocabulary must be the model's
         root, data, ckpt = artifacts
         other = bpe.train_tokenizer([(data / "corpus.txt").read_text()], 8)
-        tok_path = tmp_path / "small.tok"
-        bpe.save_tokenizer(other, tok_path)
-        rc = run("eval", "--checkpoint", ckpt, "--tokenizer", tok_path,
-                 "--pairs", data / "pairs.tsv", "--exp", 2, "--out", tmp_path / "r.json")
+        bad = tmp_path / "small.ckpt"
+        rewrite_header(ckpt, bad, lambda h: h.update(tokenizer=bpe.save_tokenizer_text(other)))
+        rc = run("eval", "--checkpoint", bad, "--pairs", data / "pairs.tsv", "--out", tmp_path / "r.json")
         assert rc == 1
         assert "vocab" in json.loads(capsys.readouterr().err)["error"]
+        assert not (tmp_path / "r.json").exists()
 
-    def test_eval_tokenizer_hash_mismatch(self, artifacts, tmp_path, capsys):
-        # same vocabulary size, so only the recorded tokenizer hash tells them apart
+    @pytest.mark.parametrize("broken", ["v1", "experiment"])
+    def test_eval_refuses_checkpoint(self, artifacts, tmp_path, capsys, broken):
         root, data, ckpt = artifacts
-        tok = bpe.load_tokenizer(root / "model.ckpt.tok")
-        swapped = dict(tok.token_to_id, **{"0": tok.token_to_id["1"], "1": tok.token_to_id["0"]})
-        tok_path = tmp_path / "swapped.tok"
-        bpe.save_tokenizer(bpe.TokenizerModel(tok.merges, swapped), tok_path)
-        rc = run("eval", "--checkpoint", ckpt, "--tokenizer", tok_path,
-                 "--pairs", data / "pairs.tsv", "--exp", 2, "--out", tmp_path / "r.json")
+        bad = tmp_path / "bad.ckpt"
+        if broken == "v1":
+            bad.write_bytes(b"quantal-ckpt v1\n" + ckpt.read_bytes()[len(MAGIC) :])
+        else:
+            rewrite_header(ckpt, bad, lambda h: h.update(experiment="music"))
+        rc = run("eval", "--checkpoint", bad, "--pairs", data / "pairs.tsv", "--out", tmp_path / "r.json")
         assert rc == 1
         err = json.loads(capsys.readouterr().err)
         assert err["kind"] == "runtime"
-        assert file_hash(tok_path) in err["error"]
-        assert file_hash(root / "model.ckpt.tok") in err["error"]
+        assert ("quantal-ckpt v2" if broken == "v1" else "unknown experiment") in err["error"]
         assert not (tmp_path / "r.json").exists()
+
+    def test_eval_refuses_pairs_of_the_other_experiment(self, artifacts, tmp_path, capsys):
+        # both directions: a binary model with word-order pairs, and a
+        # word-order model with binary pairs
+        root, data, binary_ckpt = artifacts
+        wo = tmp_path / "wo"
+        assert run("gen", "--exp", 1, "--n", 4, "--prop", 0.0, "--seed", 5,
+                   "--out-dir", wo, "--pairs", 3) == 0
+        wo_ckpt = tmp_path / "wo.ckpt"
+        assert run("train", "--corpus", wo / "corpus.txt", "--exp", 1, "--epochs", 0,
+                   "--seed", 5, "--out", wo_ckpt) == 0
+        capsys.readouterr()
+        for ckpt, pairs, want in [
+            (binary_ckpt, wo / "pairs.tsv", "not a binary string"),
+            (wo_ckpt, data / "pairs.tsv", "not a shift sentence"),
+        ]:
+            rc = run("eval", "--checkpoint", ckpt, "--pairs", pairs, "--out", tmp_path / "r.json")
+            assert rc == 1
+            err = json.loads(capsys.readouterr().err)
+            assert err["kind"] == "runtime"
+            assert f"pairs.tsv line 2: {want}" in err["error"]
+            assert not (tmp_path / "r.json").exists()
 
     def test_epochs_zero_writes_untrained_checkpoint(self, artifacts, tmp_path, capsys):
         root, data, ckpt = artifacts
@@ -212,7 +269,7 @@ class TestTrainEval:
         state, meta = load_checkpoint(out)
         assert state.step == 0
         assert meta["train_config"] is None
-        assert meta["tokenizer_sha256"] == file_hash(tmp_path / "fresh.ckpt.tok")
+        assert meta["tokenizer"] == load_checkpoint(ckpt)[1]["tokenizer"]
 
     def test_negative_epochs_is_usage_error(self, artifacts, tmp_path, capsys):
         root, data, ckpt = artifacts
@@ -236,27 +293,24 @@ class TestTrainEval:
     @pytest.mark.parametrize("broken", ["tokenizer", "pairs", "checkpoint"])
     def test_malformed_input_is_runtime_error(self, artifacts, tmp_path, capsys, broken):
         root, data, ckpt = artifacts
-        paths = {"checkpoint": ckpt, "tokenizer": root / "model.ckpt.tok", "pairs": data / "pairs.tsv"}
-        bad = tmp_path / broken
-        if broken == "tokenizer":
-            bad.write_text("quantal-bpe v1\n")
+        paths = {"checkpoint": ckpt, "pairs": data / "pairs.tsv"}
+        if broken == "tokenizer":  # the checkpoint's embedded tokenizer
+            paths["checkpoint"] = tmp_path / "bad.ckpt"
+            rewrite_header(ckpt, paths["checkpoint"], lambda h: h.update(tokenizer="quantal-bpe v1\n"))
         elif broken == "pairs":
-            bad.write_text("")
+            paths["pairs"] = tmp_path / "pairs.tsv"
+            paths["pairs"].write_text("")
         else:
-            magic, header_line, rest = ckpt.read_bytes().split(b"\n", 2)
-            header = json.loads(header_line)
-            del header["step"]
-            bad.write_bytes(b"\n".join([magic, json.dumps(header).encode(), rest]))
-        paths[broken] = bad
-        rc = run("eval", "--checkpoint", paths["checkpoint"], "--tokenizer", paths["tokenizer"],
-                 "--pairs", paths["pairs"], "--exp", 2, "--out", tmp_path / "r.json")
+            paths["checkpoint"] = tmp_path / "bad.ckpt"
+            rewrite_header(ckpt, paths["checkpoint"], lambda h: h.pop("step"))
+        rc = run("eval", "--checkpoint", paths["checkpoint"], "--pairs", paths["pairs"],
+                 "--out", tmp_path / "r.json")
         assert rc == 1
         assert json.loads(capsys.readouterr().err)["kind"] == "runtime"
 
     def test_missing_checkpoint_is_runtime_error(self, tmp_path, capsys):
         rc = run("eval", "--checkpoint", tmp_path / "nope.ckpt",
-                 "--tokenizer", tmp_path / "nope.tok",
-                 "--pairs", tmp_path / "nope.tsv", "--exp", 2,
+                 "--pairs", tmp_path / "nope.tsv",
                  "--out", tmp_path / "r.json")
         assert rc == 1
         assert json.loads(capsys.readouterr().err)["kind"] == "runtime"
@@ -267,7 +321,7 @@ class TestTrainEval:
 OPTIONS = {
     "gen": {"--exp", "--n", "--prop", "--seed", "--out-dir", "--pairs"},
     "train": {"--corpus", "--exp", "--epochs", "--seed", "--out", "--vocab"},
-    "eval": {"--checkpoint", "--tokenizer", "--pairs", "--exp", "--mode", "--out"},
+    "eval": {"--checkpoint", "--pairs", "--mode", "--out"},
     "sweep": {"--config", "--store", "--artifacts", "--reuse", "--workers"},
     "analyze": {"--table", "--n-train", "--epochs", "--alpha", "--out"},
     "plot": {"--kind", "--table", "--epochs", "--n-train", "--x-range", "--y-range", "--out"},
@@ -281,6 +335,31 @@ def test_option_sets_are_pinned():
         for name, sub in subparsers.choices.items()
     }
     assert found == OPTIONS
+
+
+def readme_commands():
+    """Argument lists of every `quantal ...` line in README's sh blocks,
+    with backslash continuations joined."""
+    blocks = re.findall(r"^```sh\n(.*?)^```", (ROOT / "README.md").read_text(), flags=re.S | re.M)
+    commands = []
+    for block in blocks:
+        for line in block.replace("\\\n", " ").splitlines():
+            argv = shlex.split(line, comments=True)
+            if argv[:1] == ["quantal"]:
+                commands.append(argv[1:])
+    return commands
+
+
+def test_readme_commands_parse():
+    # a renamed or deleted flag fails here, not in a reader's shell
+    commands = readme_commands()
+    assert {argv[0] for argv in commands} == set(OPTIONS)
+    parser = build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: quantal {shlex.join(argv)}")
 
 
 class TestSweepCommand:

@@ -300,6 +300,56 @@ class TestFileRoundTrips:
         with pytest.raises(ValueError, match="header"):
             read_pairs(p, WORD_ORDER)
 
+    @pytest.mark.parametrize("experiment", [WORD_ORDER, BINARY])
+    def test_pairs_round_trip_exactly(self, tmp_path, experiment):
+        if experiment == WORD_ORDER:
+            ps = gen_exp1_test_pairs(gen_vocabulary(40, 3, 7, seed=2), 25, seed=4)
+        else:
+            ps = gen_exp2_test_pairs(25, string_len=8, seed=4)
+        p = tmp_path / "pairs.tsv"
+        write_pairs(ps, p)
+        assert read_pairs(p, experiment) == ps
+
+    @pytest.mark.parametrize("written, read_as", [(WORD_ORDER, BINARY), (BINARY, WORD_ORDER)])
+    def test_pairs_of_the_other_experiment_name_the_line(self, tmp_path, written, read_as):
+        if written == WORD_ORDER:
+            ps = gen_exp1_test_pairs(gen_vocabulary(40, 3, 7, seed=2), 3, seed=4)
+        else:
+            ps = gen_exp2_test_pairs(3, string_len=8, seed=4)
+        p = tmp_path / "pairs.tsv"
+        write_pairs(ps, p)
+        want = "not a binary string" if read_as == BINARY else "not a shift sentence"
+        with pytest.raises(ValueError, match=f"pairs.tsv line 2: {want}"):
+            read_pairs(p, read_as)
+
+    def test_pairs_name_the_bad_line(self, tmp_path):
+        p = tmp_path / "pairs.tsv"
+        p.write_text(
+            "pair_id\trule_sentence\tfoil_sentence\n"
+            "0\ta b c b a c .\ta b c c a b .\n"
+            "1\ta b c b a c .\ta b c a b c .\n"  # ABC is not a known pattern
+        )
+        with pytest.raises(ValueError, match="line 3: tokens 4-6"):
+            read_pairs(p, WORD_ORDER)
+        p.write_text("pair_id\trule_sentence\tfoil_sentence\n0\t10\n")
+        with pytest.raises(ValueError, match="line 2: want 3"):
+            read_pairs(p, BINARY)
+
+    def test_pairs_may_contrast_any_known_patterns(self, tmp_path):
+        # the reader checks sentences, not which patterns a pair pits
+        # against each other: BAC against the trained exception ACB reads
+        a, b, c = "Xy", "pQr", "zz"
+        pair = (make_shift_sentence(a, b, c, "BAC"), make_shift_sentence(a, b, c, "ACB"))
+        p = tmp_path / "pairs.tsv"
+        write_pairs(MinimalPairSet((pair,), WORD_ORDER), p)
+        assert read_pairs(p, WORD_ORDER).pairs == (pair,)
+
+    def test_read_corpus_names_the_bad_line(self, tmp_path):
+        p = tmp_path / "corpus.txt"
+        p.write_text("10\n01\n1x\n")
+        with pytest.raises(ValueError, match="corpus.txt line 3: not a binary string"):
+            read_corpus(p, BINARY)
+
 
 class TestSeededFuzz:
     def test_random_configs_all_valid(self):

@@ -10,13 +10,15 @@ from quantal.svgplot import Frame, column_svg, heatmap_svg, shade, write_svg
 from quantal.tp import analyze_column
 
 
-def grid_rows(sizes, props, epochs=10, acc=0.8):
+def grid_rows(sizes, props, epochs=10, acc=0.8, experiment="binary", mode="pll"):
     return [
         {
+            "experiment": experiment,
             "n_train": n,
             "exception_prop": p,
             "mean_accuracy": acc,
             "epochs": epochs,
+            "surprisal_mode": mode,
         }
         for n in sizes
         for p in props
@@ -74,11 +76,21 @@ class TestHeatmap:
         with pytest.raises(ValueError, match="no rows"):
             heatmap_svg(rows, epochs=7)
 
+    @pytest.mark.parametrize("key, other", [
+        ("experiment", {"experiment": "word_order"}),
+        ("surprisal_mode", {"mode": "unmasked"}),
+    ])
+    def test_mixed_rows_are_an_error(self, key, other):
+        # one figure holds one kind of measurement, even at disjoint sizes
+        rows = grid_rows(sizes=[100], props=[0.0]) + grid_rows(sizes=[200], props=[0.0], **other)
+        with pytest.raises(ValueError, match=f"mix {key}"):
+            heatmap_svg(rows, epochs=10)
+        # rows of another kind at other epochs are not selected
+        rows = grid_rows(sizes=[100], props=[0.0]) + grid_rows(sizes=[200], props=[0.0], epochs=4, **other)
+        assert heatmap_svg(rows, epochs=10).count('class="cell"') == 1
+
     def test_cell_shade_tracks_accuracy(self):
-        rows = [
-            {"n_train": 100, "exception_prop": 0.0, "mean_accuracy": 1.0, "epochs": 10},
-            {"n_train": 200, "exception_prop": 0.0, "mean_accuracy": 0.5, "epochs": 10},
-        ]
+        rows = grid_rows(sizes=[100], props=[0.0], acc=1.0) + grid_rows(sizes=[200], props=[0.0], acc=0.5)
         svg = heatmap_svg(rows, epochs=10)
         assert 'fill="#ffffff"' in svg
         assert 'fill="#000000"' in svg

@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 
 from quantal import blas, corpora, sweep
-from quantal.bpe import load_tokenizer
-from quantal.checkpoint import load_checkpoint, state_digest
+from quantal.bpe import tokenizer_sha256
+from quantal.checkpoint import MAGIC, load_checkpoint, state_digest
 from quantal.corpora import BINARY, WORD_ORDER
 from quantal.model import ModelConfig, init_model
 from quantal.scoring import PLL, UNMASKED
 from quantal.sweep import (
+    COLUMN_NAMES,
     CSV_HEADER,
     SweepCellResult,
     SweepConfig,
@@ -24,7 +25,6 @@ from quantal.sweep import (
     expand_grid,
     load_results,
     load_sweep_config,
-    result_to_row,
     run_cell,
     run_sweep,
     save_sweep_config,
@@ -261,8 +261,8 @@ class TestRunCell:
     def test_deterministic_modulo_wall_time(self, tiny_cell_result):
         cfg, jobs, first = tiny_cell_result
         second = run_cell(cfg, jobs)
-        a = {**result_to_row(first), "wall_seconds": None}
-        b = {**result_to_row(second), "wall_seconds": None}
+        a = {name: getattr(first, name) for name in COLUMN_NAMES if name != "wall_seconds"}
+        b = {name: getattr(second, name) for name in COLUMN_NAMES if name != "wall_seconds"}
         assert a == b
 
     def test_seeds_follow_replicate_order(self, tiny_cell_result):
@@ -285,8 +285,8 @@ class TestRunCell:
         jobs = expand_grid(cfg)
         result = run_cell(cfg, jobs, artifacts_dir=tmp_path)
         cell_dir = tmp_path / "binary_n6_p0.0_e1"
-        for name in ("corpus.txt", "pairs.tsv", "tokenizer.txt", "replicate0.ckpt", "manifest.json"):
-            assert (cell_dir / name).exists(), name
+        written = {"corpus.txt", "pairs.tsv", "replicate0.ckpt", "manifest.json"}
+        assert {path.name for path in cell_dir.iterdir()} == written
         manifest = json.loads((cell_dir / "manifest.json").read_text())
         assert manifest["format"] == "quantal-manifest v1"
         assert manifest["config"]["base_seed"] == 77
@@ -294,8 +294,16 @@ class TestRunCell:
         assert set(manifest["derived_seeds"]) == {
             "vocab_seed", "corpus_seed", "pairs_seed", "train_seed",
         }
+        # the checkpoint embeds the cell's tokenizer: its text hashes to the
+        # manifest's tokenizer_hash
+        raw = (cell_dir / "replicate0.ckpt").read_bytes()
+        header = json.loads(raw[len(MAGIC):].split(b"\n", 1)[0])
+        assert sha256_bytes(header["tokenizer"].encode("utf-8")) == result.tokenizer_hash
+        assert manifest["cell"]["tokenizer_hash"] == result.tokenizer_hash
         state, meta = load_checkpoint(cell_dir / "replicate0.ckpt")
-        assert meta["tokenizer_sha256"] == result.tokenizer_hash
+        assert tokenizer_sha256(meta["tokenizer"]) == result.tokenizer_hash
+        assert meta["experiment"] == BINARY
+        assert state_digest(state) == result.checkpoint_hashes[0]
 
     def test_untrained_cell_takes_no_optimizer_step(self, tmp_path):
         cfg = tiny_config(epoch_settings=(0,))
@@ -303,7 +311,7 @@ class TestRunCell:
         result = run_cell(cfg, jobs, artifacts_dir=tmp_path)
         assert result.epochs == 0
         cell_dir = tmp_path / "binary_n6_p0.0_e0"
-        vocab_size = load_tokenizer(cell_dir / "tokenizer.txt").vocab_size
+        vocab_size = load_checkpoint(cell_dir / "replicate0.ckpt")[1]["tokenizer"].vocab_size
         for r, job in enumerate(jobs):
             fresh = init_model(ModelConfig(vocab_size=vocab_size), seed=job.init_seed)
             assert result.checkpoint_hashes[r] == state_digest(fresh)
@@ -334,7 +342,7 @@ class TestStore:
         append_result(store, result)
         rows = load_results(store)
         assert len(rows) == 1
-        expected = result_to_row(result)
+        expected = {name: getattr(result, name) for name in COLUMN_NAMES}
         expected["wall_seconds"] = float(f"{result.wall_seconds:.3f}")
         assert rows[0] == expected
 
@@ -393,6 +401,7 @@ class TestColumnSlice:
                 "exception_prop": prop,
                 "epochs": ep,
                 "mean_accuracy": acc,
+                "surprisal_mode": PLL,
             }
 
         return [
@@ -410,7 +419,7 @@ class TestColumnSlice:
     def test_keeps_repeated_proportions(self):
         rows = self.rows() + [
             {"experiment": BINARY, "n_train": 500, "exception_prop": 0.1,
-             "epochs": 10, "mean_accuracy": 0.86}
+             "epochs": 10, "mean_accuracy": 0.86, "surprisal_mode": PLL}
         ]
         points = column_slice(rows, 500, 10)
         assert points.count((0.1, 0.88)) == 1
@@ -419,6 +428,16 @@ class TestColumnSlice:
     def test_no_rows_is_an_error(self):
         with pytest.raises(ValueError, match="no rows"):
             column_slice(self.rows(), 999, 10)
+
+    @pytest.mark.parametrize("key, value", [("experiment", WORD_ORDER), ("surprisal_mode", UNMASKED)])
+    def test_mixed_kinds_are_an_error(self, key, value):
+        # a binary and a word-order row (or a PLL and an unmasked row) at
+        # one size are two measurements, not one column
+        rows = self.rows() + [{**self.rows()[0], "exception_prop": 0.3, key: value}]
+        with pytest.raises(ValueError, match=f"mix {key}"):
+            column_slice(rows, 500, 10)
+        # at another size the row is not selected
+        assert column_slice(rows, 300, 10) == [(0.1, 0.9)]
 
 
 class TestRunSweep:

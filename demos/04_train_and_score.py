@@ -11,7 +11,7 @@ tokens, and prefers the pair member with the lower total.
 from quantal.bpe import train_tokenizer
 from quantal.corpora import gen_exp2_corpus, gen_exp2_test_pairs
 from quantal.model import ModelConfig, TrainConfig, init_model
-from quantal.scoring import PLL, UNMASKED, evaluate_pairs, sentence_surprisal
+from quantal.scoring import PLL, UNMASKED, evaluate_pairs, surprisal_many
 from quantal.training import train
 
 # All-rule corpus: every training string starts with '1'.
@@ -48,10 +48,10 @@ print()
 # all positions from a single pass over the intact sentence.
 rule, foil = pairs.pairs[0]
 for mode in (PLL, UNMASKED):
-    sr = sentence_surprisal(state, tok, rule.text, mode=mode)
-    sf = sentence_surprisal(state, tok, foil.text, mode=mode)
-    pick = "rule" if sr.value < sf.value else "foil"
-    print(f"{mode:>8}: rule={sr.value:8.3f} nats  foil={sf.value:8.3f} nats  -> prefers {pick}")
+    sr = surprisal_many(state, tok, [rule.text], mode)[0]
+    sf = surprisal_many(state, tok, [foil.text], mode)[0]
+    pick = "rule" if sr < sf else "foil"
+    print(f"{mode:>8}: rule={sr:8.3f} nats  foil={sf:8.3f} nats  -> prefers {pick}")
 print()
 print(f"rule member: {rule.text}")
 print(f"foil:        {foil.text}")

@@ -4,9 +4,12 @@ Layout: an ASCII magic line, one JSON header line, then the raw tensors
 as little-endian float32 in the init order of model.param_specs.  The
 header holds the model config, the experiment, the train config with the
 fixed training recipe (null for an untrained model), the tokenizer as
-the text bpe.save_tokenizer_text writes, the step counter and the tensor
-names with shapes.  Optimizer moments are not stored, so a loaded state
-can score but not train: training.train refuses a state without moments.
+the text bpe.save_tokenizer_text writes, and the tensor names with
+shapes.  Optimizer moments and the step counter are not stored, so a
+loaded state can score but not train: training.train refuses a state
+without moments, and a loaded state's step is 0.  The loader ignores
+header keys it does not read, so v2 files that still carry a "step" key
+load as before.
 """
 
 from __future__ import annotations
@@ -25,7 +28,8 @@ from .training import BATCH_SIZE, LEARNING_RATE, MASK_PROBABILITY
 
 MAGIC = b"quantal-ckpt v2\n"
 TENSOR_DTYPE = "<f4"
-HEADER_KEYS = ("model_config", "experiment", "train_config", "tokenizer", "step", "tensors")
+HEADER_KEYS = ("model_config", "experiment", "train_config", "tokenizer", "tensors")
+TRAIN_CONFIG_KEYS = ("epochs", "seed", "learning_rate", "batch_size", "mask_probability")
 
 
 def _tensor_bytes(state: ModelState):
@@ -61,13 +65,29 @@ def save_checkpoint(
         "experiment": experiment,
         "train_config": {**asdict(train_config), **recipe} if train_config else None,
         "tokenizer": bpe.save_tokenizer_text(tok),
-        "step": state.step,
         "tensors": [[name, list(state.params[name].shape)] for name in names],
     }
     with open(path, "wb") as f:
         f.write(MAGIC)
         f.write(json.dumps(header).encode("utf-8") + b"\n")
         f.writelines(_tensor_bytes(state))
+
+
+def _check_train_config(train_config, path) -> None:
+    """Null, or the five keys save_checkpoint writes with a valid epochs and seed."""
+    if train_config is None:
+        return
+    if not isinstance(train_config, dict) or train_config.keys() != set(TRAIN_CONFIG_KEYS):
+        raise ValueError(f"checkpoint train_config must be null or hold exactly {TRAIN_CONFIG_KEYS}: {path}")
+    epochs, seed = train_config["epochs"], train_config["seed"]
+    if any(isinstance(v, bool) or not isinstance(v, int) for v in (epochs, seed)):
+        raise ValueError(
+            f"bad train_config in checkpoint {path}: epochs {epochs!r} and seed {seed!r} must be integers"
+        )
+    try:
+        TrainConfig(epochs=epochs, seed=seed)
+    except ValueError as exc:
+        raise ValueError(f"bad train_config in checkpoint {path}: {exc}") from None
 
 
 def load_checkpoint(path: str | Path) -> tuple[ModelState, dict]:
@@ -81,8 +101,9 @@ def load_checkpoint(path: str | Path) -> tuple[ModelState, dict]:
             raise ValueError(f"checkpoint header must hold the keys {HEADER_KEYS}: {path}")
         try:
             cfg = ModelConfig(**header["model_config"])
-        except TypeError as exc:  # an unknown or missing model_config key
+        except (TypeError, ValueError) as exc:  # an unknown, missing or bad model_config key
             raise ValueError(f"bad model_config in checkpoint {path}: {exc}") from None
+        _check_train_config(header["train_config"], path)
         if header["experiment"] not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {header['experiment']!r} in checkpoint {path}")
         if not isinstance(header["tokenizer"], str):
@@ -108,13 +129,7 @@ def load_checkpoint(path: str | Path) -> tuple[ModelState, dict]:
             params[name] = np.frombuffer(raw, dtype=TENSOR_DTYPE).reshape(shape).copy()
         if f.read(1):
             raise ValueError("trailing bytes after final tensor")
-    state = ModelState(
-        config=cfg,
-        params=params,
-        opt_m=None,
-        opt_v=None,
-        step=header["step"],
-    )
+    state = ModelState(config=cfg, params=params, opt_m=None, opt_v=None)
     meta = {
         "train_config": header["train_config"],
         "tokenizer": tok,

@@ -81,14 +81,18 @@ class ModelConfig:
     dropout: float = 0.1
 
     def __post_init__(self):
+        # Checked first, so n_heads 0 or max_positions 8.0 (say, from a
+        # checkpoint header) is refused here, not by a division or a reshape.
+        for name in ("vocab_size", "n_layers", "n_heads", "hidden", "intermediate", "max_positions"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
         if self.hidden % self.n_heads != 0:
             raise ValueError(f"hidden {self.hidden} not divisible by n_heads {self.n_heads}")
         if self.vocab_size < 4:
             raise ValueError("vocab_size must cover the three specials plus content")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
-        if self.max_positions < 1 or self.n_layers < 1:
-            raise ValueError("max_positions and n_layers must be >= 1")
 
     @property
     def head_dim(self) -> int:

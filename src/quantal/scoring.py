@@ -47,18 +47,8 @@ UNMASKED = "unmasked"
 MODES = (PLL, UNMASKED)
 
 EVAL_FORMAT = "quantal-eval v1"
-EVAL_KEYS = ("mode", "n_pairs", "n_preferred", "accuracy", "per_pair_scores")
 
 CHUNK_ROWS = 256  # batch rows per forward pass
-
-
-@dataclass(frozen=True)
-class SurprisalScore:
-    value: float
-
-    def __post_init__(self):
-        if not np.isfinite(self.value) or self.value < 0:
-            raise ValueError(f"surprisal must be finite and >= 0, got {self.value}")
 
 
 @dataclass(frozen=True)
@@ -132,13 +122,6 @@ def surprisal_many(
     return totals
 
 
-def sentence_surprisal(
-    state: ModelState, tok: bpe.TokenizerModel, sentence: str, mode: str = PLL
-) -> SurprisalScore:
-    """Summed cross-entropy of one sentence, in nats."""
-    return SurprisalScore(float(surprisal_many(state, tok, [sentence], mode=mode)[0]))
-
-
 def evaluate_pairs(
     state: ModelState, tok: bpe.TokenizerModel, pairs: MinimalPairSet, mode: str = PLL
 ) -> EvalReport:
@@ -174,16 +157,3 @@ def write_eval_report(report: EvalReport, path: str | Path) -> None:
         "per_pair_scores": [[r, f] for r, f in report.per_pair_scores],
     }
     Path(path).write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
-
-
-def read_eval_report(path: str | Path) -> EvalReport:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(payload, dict) or payload.pop("format", None) != EVAL_FORMAT:
-        raise ValueError(f"not a {EVAL_FORMAT!r} file: {path}")
-    if payload.keys() != set(EVAL_KEYS):
-        raise ValueError(f"eval report must hold exactly the keys {EVAL_KEYS}: {path}")
-    try:
-        per_pair_scores = tuple((r, f) for r, f in payload.pop("per_pair_scores"))
-    except (TypeError, ValueError):  # not a list of pairs
-        raise ValueError(f"per_pair_scores must be [rule, foil] pairs: {path}") from None
-    return EvalReport(per_pair_scores=per_pair_scores, **payload)

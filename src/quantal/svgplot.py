@@ -17,7 +17,7 @@ from pathlib import Path
 from xml.sax.saxutils import escape
 
 from .sweep import require_one_kind
-from .tp import AnalysisReport
+from .tp import AnalysisReport, threshold_curve
 
 WIDTH, HEIGHT = 720, 480  # pixels, both figure kinds
 # integer-N curve sampling keeps the N=16 landmark exact on small spans
@@ -114,14 +114,13 @@ def tolerance_curve_path(frame: Frame) -> str:
     """
     lo = max(2.0, frame.x0)
     if frame.x1 - lo <= MAX_INTEGER_SAMPLING_SPAN:
-        ns = [float(n) for n in range(math.ceil(lo), math.floor(frame.x1) + 1)]
+        ns = range(math.ceil(lo), math.floor(frame.x1) + 1)
     else:
         step = (frame.x1 - lo) / (CURVE_SAMPLES - 1)
         ns = [lo + i * step for i in range(CURVE_SAMPLES)]
     pieces = []
     pen_down = False
-    for n in ns:
-        y = 1.0 / math.log(n)
+    for n, y in threshold_curve(ns):
         if not frame.contains_y(y):
             pen_down = False
             continue

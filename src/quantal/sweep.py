@@ -65,7 +65,6 @@ COLUMNS = (
     ("wall_seconds", "{:.3f}".format, float),
 )
 COLUMN_NAMES = [name for name, _, _ in COLUMNS]
-CSV_HEADER = ",".join(COLUMN_NAMES)
 # wall_seconds is the only column allowed to differ between identical runs
 TIMING_COLUMNS = ("wall_seconds",)
 # The columns that make two rows the same cell for --reuse.  The seeds hash

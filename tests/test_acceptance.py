@@ -33,7 +33,7 @@ from quantal.model import (
     loss_and_grads,
 )
 from quantal.sweep import (
-    CSV_HEADER,
+    COLUMN_NAMES,
     TIMING_COLUMNS,
     SweepConfig,
     load_results,
@@ -322,8 +322,7 @@ def test_criterion_8_sweep_determinism(tmp_path):
         base_seed=7,
         n_test_pairs=100,
     )
-    cols = CSV_HEADER.split(",")
-    keep = [i for i, c in enumerate(cols) if c not in TIMING_COLUMNS]
+    keep = [i for i, c in enumerate(COLUMN_NAMES) if c not in TIMING_COLUMNS]
     digests = []
     for name in ("first", "second"):
         store = tmp_path / f"{name}.csv"

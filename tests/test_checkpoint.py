@@ -20,6 +20,8 @@ CFG = dict(
     max_positions=12,
     dropout=0.1,
 )
+# the header's train_config for TrainConfig(epochs=2, seed=3)
+SAVED_TRAIN_CONFIG = {"epochs": 2, "seed": 3, "learning_rate": 1e-4, "batch_size": 16, "mask_probability": 0.15}
 
 
 def trained_state():
@@ -38,7 +40,7 @@ class TestRoundTrip:
         save_checkpoint(state, path, tok, corpora.BINARY)
         loaded, meta = load_checkpoint(path)
         assert loaded.config == state.config
-        assert loaded.step == state.step
+        assert state.step == 2 and loaded.step == 0  # the step counter is not stored
         assert set(loaded.params) == set(state.params)
         for name in state.params:
             assert np.array_equal(loaded.params[name], state.params[name])
@@ -55,7 +57,7 @@ class TestRoundTrip:
         corpus = corpora.gen_exp2_corpus(12, 0.0, string_len=6, seed=2)
         with pytest.raises(ValueError, match="optimizer moments"):
             train(loaded, corpus, tok, TrainConfig(epochs=1, seed=3))
-        assert loaded.step == state.step
+        assert loaded.step == 0
 
     def test_loaded_state_scores_identically(self, tmp_path):
         # with the tokenizer the checkpoint carries
@@ -85,9 +87,7 @@ class TestRoundTrip:
         path = tmp_path / "model.ckpt"
         save_checkpoint(state, path, tok, corpora.BINARY, train_config=tc)
         _, meta = load_checkpoint(path)
-        assert meta["train_config"] == {
-            "epochs": 2, "seed": 3, "learning_rate": 1e-4, "batch_size": 16, "mask_probability": 0.15,
-        }
+        assert meta["train_config"] == SAVED_TRAIN_CONFIG
         assert meta["tokenizer"] == tok
         assert meta["experiment"] == corpora.BINARY
 
@@ -106,6 +106,22 @@ class TestRoundTrip:
         header = json.loads(path.read_bytes()[len(MAGIC) :].split(b"\n", 1)[0])
         assert header["tokenizer"] == bpe.save_tokenizer_text(tok)
         assert "tokenizer_sha256" not in header
+        assert "step" not in header
+
+    def test_header_with_a_step_key_still_loads(self, tmp_path):
+        # v2 files written before the step counter was dropped carry "step"
+        state, tok = trained_state()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(state, path, tok, corpora.BINARY)
+        header_line, _, rest = path.read_bytes()[len(MAGIC) :].partition(b"\n")
+        header = json.loads(header_line)
+        header["step"] = state.step
+        old = tmp_path / "old.ckpt"
+        old.write_bytes(MAGIC + json.dumps(header).encode() + b"\n" + rest)
+        loaded, meta = load_checkpoint(old)
+        assert loaded.step == 0
+        assert state_digest(loaded) == state_digest(state)
+        assert meta["tokenizer"] == tok
 
 
 class TestCorruption:
@@ -140,7 +156,7 @@ class TestCorruption:
         change(header)
         path.write_bytes(MAGIC + json.dumps(header).encode() + b"\n" + rest)
 
-    @pytest.mark.parametrize("key", ["model_config", "tensors", "step", "experiment", "tokenizer"])
+    @pytest.mark.parametrize("key", ["model_config", "tensors", "train_config", "experiment", "tokenizer"])
     def test_header_key_missing(self, tmp_path, key):
         path = self.make_checkpoint(tmp_path)
         self.rewrite_header(path, lambda header: header.pop(key))
@@ -151,6 +167,36 @@ class TestCorruption:
         path = self.make_checkpoint(tmp_path)
         self.rewrite_header(path, lambda header: header["model_config"].update(width=3))
         with pytest.raises(ValueError, match="model_config"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("name, value", [("n_heads", 0), ("max_positions", 8.0), ("hidden", True)],
+                             ids=["zero-heads", "float-positions", "bool-hidden"])
+    def test_bad_model_config_dimension(self, tmp_path, name, value):
+        # The float comes with a tensor listing that matches it, so only the
+        # config check stands between it and a reshape.
+        path = self.make_checkpoint(tmp_path)
+
+        def edit(header):
+            header["model_config"][name] = value
+            if name == "max_positions":
+                assert header["tensors"][1][0] == "pos_emb"
+                header["tensors"][1][1][0] = value
+        self.rewrite_header(path, edit)
+        with pytest.raises(ValueError, match=f"bad model_config in checkpoint .*{name} must be a positive integer"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "train_config",
+        ["nonsense", [], {"epochs": 2, "seed": 3}, {**SAVED_TRAIN_CONFIG, "step": 6},
+         *({**SAVED_TRAIN_CONFIG, **bad} for bad in
+           [{"epochs": "2"}, {"epochs": True}, {"epochs": 2.0}, {"epochs": 0}, {"seed": -1}])],
+        ids=["string", "array", "keys-missing", "extra-key", "string-epochs", "bool-epochs",
+             "float-epochs", "zero-epochs", "negative-seed"],
+    )
+    def test_malformed_train_config(self, tmp_path, train_config):
+        path = self.make_checkpoint(tmp_path)
+        self.rewrite_header(path, lambda header: header.update(train_config=train_config))
+        with pytest.raises(ValueError, match="train_config"):
             load_checkpoint(path)
 
     def test_header_tensor_mismatch(self, tmp_path):

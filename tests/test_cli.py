@@ -14,7 +14,6 @@ import pytest
 from quantal import bpe, corpora
 from quantal.checkpoint import MAGIC, load_checkpoint
 from quantal.cli import build_parser, main
-from quantal.scoring import read_eval_report
 from quantal.sweep import (
     SweepCellResult,
     SweepConfig,
@@ -197,9 +196,10 @@ class TestTrainEval:
         root, data, ckpt = artifacts
         out = root / "eval.json"
         assert run("eval", "--checkpoint", ckpt, "--pairs", data / "pairs.tsv", "--out", out) == 0
-        report = read_eval_report(out)
-        assert report.n_pairs == 4
-        assert 0.0 <= report.accuracy <= 1.0
+        report = json.loads(out.read_text())
+        assert report["format"] == "quantal-eval v1"
+        assert report["n_pairs"] == len(report["per_pair_scores"]) == 4
+        assert 0.0 <= report["accuracy"] <= 1.0
         assert "accuracy" in capsys.readouterr().out
 
     def test_eval_scores_a_sweep_artifact_checkpoint(self, tmp_path):
@@ -210,7 +210,7 @@ class TestTrainEval:
         out = tmp_path / "r.json"
         assert run("eval", "--checkpoint", cell_dir / "replicate0.ckpt",
                    "--pairs", cell_dir / "pairs.tsv", "--out", out) == 0
-        assert read_eval_report(out).accuracy == cell.accuracies[0]
+        assert json.loads(out.read_text())["accuracy"] == cell.accuracies[0]
 
     def test_eval_vocab_mismatch(self, artifacts, tmp_path, capsys):
         # the embedded tokenizer's vocabulary must be the model's
@@ -223,19 +223,24 @@ class TestTrainEval:
         assert "vocab" in json.loads(capsys.readouterr().err)["error"]
         assert not (tmp_path / "r.json").exists()
 
-    @pytest.mark.parametrize("broken", ["v1", "experiment"])
+    @pytest.mark.parametrize("broken", ["v1", "experiment", "n_heads"])
     def test_eval_refuses_checkpoint(self, artifacts, tmp_path, capsys, broken):
         root, data, ckpt = artifacts
         bad = tmp_path / "bad.ckpt"
         if broken == "v1":
             bad.write_bytes(b"quantal-ckpt v1\n" + ckpt.read_bytes()[len(MAGIC) :])
-        else:
+        elif broken == "experiment":
             rewrite_header(ckpt, bad, lambda h: h.update(experiment="music"))
+        else:  # hidden % n_heads would divide by zero
+            rewrite_header(ckpt, bad, lambda h: h["model_config"].update(n_heads=0))
         rc = run("eval", "--checkpoint", bad, "--pairs", data / "pairs.tsv", "--out", tmp_path / "r.json")
         assert rc == 1
-        err = json.loads(capsys.readouterr().err)
+        err_lines = capsys.readouterr().err.splitlines()
+        assert len(err_lines) == 1
+        err = json.loads(err_lines[0])
         assert err["kind"] == "runtime"
-        assert ("quantal-ckpt v2" if broken == "v1" else "unknown experiment") in err["error"]
+        want = {"v1": "quantal-ckpt v2", "experiment": "unknown experiment", "n_heads": "bad model_config"}
+        assert want[broken] in err["error"]
         assert not (tmp_path / "r.json").exists()
 
     def test_eval_refuses_pairs_of_the_other_experiment(self, artifacts, tmp_path, capsys):
@@ -302,7 +307,7 @@ class TestTrainEval:
             paths["pairs"].write_text("")
         else:
             paths["checkpoint"] = tmp_path / "bad.ckpt"
-            rewrite_header(ckpt, paths["checkpoint"], lambda h: h.pop("step"))
+            rewrite_header(ckpt, paths["checkpoint"], lambda h: h.pop("tensors"))
         rc = run("eval", "--checkpoint", paths["checkpoint"], "--pairs", paths["pairs"],
                  "--out", tmp_path / "r.json")
         assert rc == 1

@@ -63,6 +63,14 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ModelConfig(vocab_size=3)
 
+    @pytest.mark.parametrize("bad", [dict(n_heads=0), dict(max_positions=8.0), dict(n_layers=True),
+                                     dict(hidden=-256), dict(intermediate="1024")],
+                             ids=["zero", "float", "bool", "negative", "string"])
+    def test_dimensions_are_positive_integers(self, bad):
+        (name, value), = bad.items()
+        with pytest.raises(ValueError, match=f"{name} must be a positive integer"):
+            ModelConfig(vocab_size=32, **bad)
+
     def test_defaults_match_reported_architecture(self):
         cfg = ModelConfig(vocab_size=4096)
         assert (cfg.n_layers, cfg.n_heads, cfg.hidden, cfg.intermediate) == (8, 8, 256, 1024)

@@ -1,5 +1,6 @@
 """Surprisal scoring oracles: uniform-model values, ties, invariances."""
 
+import json
 import math
 import threading
 
@@ -13,10 +14,7 @@ from quantal.scoring import (
     PLL,
     UNMASKED,
     EvalReport,
-    SurprisalScore,
     evaluate_pairs,
-    read_eval_report,
-    sentence_surprisal,
     surprisal_many,
     write_eval_report,
 )
@@ -65,7 +63,7 @@ class TestUniformModelOracle:
         state = zeroed_state(tok.vocab_size)
         for text in ["1", "10", "110101", "0001"]:
             n_tokens = len(bpe.encode(tok, text))
-            got = sentence_surprisal(state, tok, text, mode=mode).value
+            got = surprisal_many(state, tok, [text], mode)[0]
             assert got == pytest.approx(n_tokens * math.log(tok.vocab_size), rel=1e-6)
 
     def test_pairs_all_tie_at_half_credit(self):
@@ -105,7 +103,7 @@ class TestBiasedModelOracle:
         state = zeroed_state(tok.vocab_size)
         state.params["out_bias"][one_id] = 5.0
         per_pos = math.log(1.0 + 4.0 * math.exp(-5.0))
-        got = sentence_surprisal(state, tok, "111").value
+        got = surprisal_many(state, tok, ["111"])[0]
         assert got == pytest.approx(3 * per_pos, rel=1e-5)
 
 
@@ -137,6 +135,7 @@ class TestInvariances:
         a = surprisal_many(self.state, self.tok, self.texts)
         b = surprisal_many(self.state, self.tok, self.texts)
         assert np.array_equal(a, b)
+        assert np.isfinite(a).all() and (a >= 0).all()
         for name, p in self.state.params.items():
             assert np.array_equal(p, before[name])
 
@@ -360,18 +359,7 @@ class TestEvaluatePairs:
         tok = binary_tok()
         state = zeroed_state(tok.vocab_size)
         with pytest.raises(ValueError, match="too long"):
-            sentence_surprisal(state, tok, "1" * 64)
-
-
-class TestSurprisalScore:
-    def test_rejects_negative_and_non_finite(self):
-        with pytest.raises(ValueError):
-            SurprisalScore(-0.1)
-        with pytest.raises(ValueError):
-            SurprisalScore(float("nan"))
-        with pytest.raises(ValueError):
-            SurprisalScore(float("inf"))
-        assert SurprisalScore(0.0).value == 0.0
+            surprisal_many(state, tok, ["1" * 64])
 
 
 class TestReportFile:
@@ -385,26 +373,11 @@ class TestReportFile:
         )
         path = tmp_path / "eval.json"
         write_eval_report(rep, path)
-        assert read_eval_report(path) == rep
-
-    def test_rejects_other_format(self, tmp_path):
-        path = tmp_path / "eval.json"
-        path.write_text('{"format": "something else"}')
-        with pytest.raises(ValueError, match="quantal-eval"):
-            read_eval_report(path)
-
-    @pytest.mark.parametrize(
-        "text",
-        [
-            '{"format": "quantal-eval v1"}',
-            '[1, 2]',
-            '{"format": "quantal-eval v1", "mode": "pll", "n_pairs": 1, "n_preferred": 1,'
-            ' "accuracy": 1.0, "per_pair_scores": [[1.0, 2.0, 3.0]]}',
-        ],
-        ids=["keys_missing", "array", "not_pairs"],
-    )
-    def test_rejects_malformed_file(self, tmp_path, text):
-        path = tmp_path / "eval.json"
-        path.write_text(text)
-        with pytest.raises(ValueError):
-            read_eval_report(path)
+        assert json.loads(path.read_text(encoding="utf-8")) == {
+            "format": "quantal-eval v1",
+            "mode": PLL,
+            "n_pairs": 2,
+            "n_preferred": 1.5,
+            "accuracy": 0.75,
+            "per_pair_scores": [[1.0, 2.0], [3.5, 3.5]],
+        }

@@ -1,13 +1,19 @@
-"""The maintenance scripts run from a checkout, on the checkout's code."""
+"""The maintenance scripts run from a checkout, on the checkout's code,
+and every demo and script asks quantal only for names it has."""
 
+import ast
+import importlib
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = ROOT / "scripts"
+DEMOS = ROOT / "demos"
 
 
 @pytest.mark.parametrize("script", ["populate_acceptance.py", "pll_digest.py", "grad_digest.py"])
@@ -19,3 +25,49 @@ def test_help_runs_without_pythonpath(script, tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert "usage:" in done.stdout
+
+
+def imported(module_name, name):
+    """What `from module_name import name` binds, or None if it fails."""
+    module = importlib.import_module(module_name)
+    if hasattr(module, name):
+        return getattr(module, name)
+    try:
+        return importlib.import_module(f"{module_name}.{name}")
+    except ImportError:
+        return None
+
+
+def quantal_names_missing(path):
+    """Each quantal name that a file imports, or reads off a quantal module
+    it imports, that quantal does not have."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    modules, missing = {}, []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "quantal":
+            for alias in node.names:
+                bound = imported(node.module, alias.name)
+                if bound is None:
+                    missing.append(f"{node.module}.{alias.name}")
+                elif isinstance(bound, ModuleType):
+                    modules[alias.asname or alias.name] = bound
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
+            module = modules[node.value.id]
+            if not hasattr(module, node.attr):
+                missing.append(f"{module.__name__}.{node.attr}")
+    return missing
+
+
+@pytest.mark.parametrize("path", sorted([*DEMOS.glob("*.py"), *SCRIPTS.glob("*.py")]),
+                         ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_names_taken_from_quantal_exist(path):
+    assert quantal_names_missing(path) == []
+
+
+def test_a_missing_name_is_found(tmp_path):
+    demo = tmp_path / "demo.py"
+    demo.write_text("from quantal.scoring import PLL, sentence_surprisal\n"
+                    "from quantal import sweep\n"
+                    "sweep.run_sweep, sweep.CSV_HEADER\n")
+    assert quantal_names_missing(demo) == ["quantal.scoring.sentence_surprisal", "quantal.sweep.CSV_HEADER"]

@@ -15,7 +15,6 @@ from quantal.model import ModelConfig, init_model
 from quantal.scoring import PLL, UNMASKED
 from quantal.sweep import (
     COLUMN_NAMES,
-    CSV_HEADER,
     SweepCellResult,
     SweepConfig,
     append_result,
@@ -352,7 +351,7 @@ class TestStore:
         append_result(store, result)
         append_result(store, result)
         lines = store.read_text().splitlines()
-        assert lines[0] == CSV_HEADER
+        assert lines[0] == ",".join(COLUMN_NAMES)
         assert len(lines) == 3
 
     def test_empty_and_missing_store(self, tmp_path):
@@ -389,7 +388,7 @@ class TestStore:
                 f.result()
         rows = load_results(store)
         assert len(rows) == 80
-        assert store.read_text().splitlines()[0] == CSV_HEADER
+        assert store.read_text().splitlines()[0] == ",".join(COLUMN_NAMES)
 
 
 class TestColumnSlice:

@@ -25,6 +25,7 @@ from . import bpe
 from .corpora import EXPERIMENTS
 from .model import ModelConfig, ModelState, TrainConfig, param_specs
 from .training import BATCH_SIZE, LEARNING_RATE, MASK_PROBABILITY
+from .util import finite, whole
 
 MAGIC = b"quantal-ckpt v2\n"
 TENSOR_DTYPE = "<f4"
@@ -74,18 +75,17 @@ def save_checkpoint(
 
 
 def _check_train_config(train_config, path) -> None:
-    """Null, or the five keys save_checkpoint writes with a valid epochs and seed."""
+    """Null, or the five keys save_checkpoint writes, each a valid value."""
     if train_config is None:
         return
     if not isinstance(train_config, dict) or train_config.keys() != set(TRAIN_CONFIG_KEYS):
         raise ValueError(f"checkpoint train_config must be null or hold exactly {TRAIN_CONFIG_KEYS}: {path}")
-    epochs, seed = train_config["epochs"], train_config["seed"]
-    if any(isinstance(v, bool) or not isinstance(v, int) for v in (epochs, seed)):
-        raise ValueError(
-            f"bad train_config in checkpoint {path}: epochs {epochs!r} and seed {seed!r} must be integers"
-        )
     try:
-        TrainConfig(epochs=epochs, seed=seed)
+        TrainConfig(epochs=train_config["epochs"], seed=train_config["seed"])
+        whole("batch_size", train_config["batch_size"], 1)
+        for name in ("learning_rate", "mask_probability"):
+            if not 0.0 < finite(name, train_config[name]) < 1.0:
+                raise ValueError(f"{name} must be in (0, 1), got {train_config[name]!r}")
     except ValueError as exc:
         raise ValueError(f"bad train_config in checkpoint {path}: {exc}") from None
 

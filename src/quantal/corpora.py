@@ -10,6 +10,12 @@ Two experiment families are supported:
   "first digit is 1"; exceptions start with 0.  Test pairs are identical
   strings differing only in the first digit.
 
+Both corpora follow one rule.  A corpus of n sentences holds
+round-half-up(p * n) exceptions and n distinct sentence types.  The rule
+class is drawn first, then the exceptions; a sentence that repeats one
+already drawn in its class is redrawn; one permutation then shuffles the
+whole corpus.
+
 Everything is a pure function of its arguments plus a seed, so repeated
 calls reproduce byte-identical files.
 """
@@ -138,50 +144,65 @@ def _draw_distinct_triple(rng, n: int) -> tuple[int, int, int]:
             return int(i), int(j), int(k)
 
 
+def _suffix_count(string_len: int) -> int:
+    """How many binary strings of string_len digits share a first digit."""
+    if string_len < 1:
+        raise ValueError(f"string_len must be >= 1, got {string_len}")
+    return 2 ** (string_len - 1)
+
+
+def _bit_suffix(rng, string_len: int) -> str:
+    """Uniform 0/1 digits for every position of a binary string after its first."""
+    return "".join(map(str, rng.integers(0, 2, size=string_len - 1).tolist()))
+
+
+def _distinct(count: int, draw) -> list:
+    """The first ``count`` distinct results of calling ``draw()``, in draw order."""
+    found: dict = {}  # a repeat changes nothing, so the loop redraws it
+    while len(found) < count:
+        found[draw()] = None
+    return list(found)
+
+
+def _rule_corpus(
+    experiment: str, n: int, exception_prop: float, capacity: int, draw, seed: int
+) -> Corpus:
+    """The shared corpus rule (module docstring); ``draw(rng, is_exception)`` makes one sentence."""
+    if n < 1:
+        raise ValueError(f"corpus size must be >= 1, got {n}")
+    if not 0.0 <= exception_prop <= 1.0:
+        raise ValueError(f"exception_prop must be in [0, 1], got {exception_prop}")
+    n_exc = round_half_up(exception_prop * n)
+    if max(n - n_exc, n_exc) > capacity:
+        raise ValueError(
+            f"cannot draw {max(n - n_exc, n_exc)} distinct {experiment} sentences of one class; "
+            f"only {capacity} exist"
+        )
+    rng = make_rng(seed)
+    sentences = []
+    for count, is_exception in ((n - n_exc, False), (n_exc, True)):
+        sentences += _distinct(count, lambda: draw(rng, is_exception))
+    order = rng.permutation(n)
+    return Corpus(tuple(sentences[i] for i in order), experiment, n_types=n, exception_count=n_exc)
+
+
 def gen_exp1_corpus(
     vocab: Vocabulary, n_sentences: int, exception_prop: float, seed: int
 ) -> Corpus:
     """Word-order corpus: BAC rule sentences plus ACB exceptions.
 
-    Triples are drawn from the training half of the vocabulary, without
-    replacement within a sentence and with replacement across sentences.
-    Duplicate sentences are redrawn so every sentence is a distinct type.
-    The exception count is round-half-up of ``exception_prop * n_sentences``.
+    Each sentence's three words are drawn from the training half of the
+    vocabulary, without replacement within a sentence and with
+    replacement across sentences.
     """
-    if n_sentences < 1:
-        raise ValueError("n_sentences must be >= 1")
-    if not (0.0 <= exception_prop <= 1.0):
-        raise ValueError(f"exception_prop must be in [0, 1], got {exception_prop}")
     train = vocab.train_words
     t = len(train)
-    if t < 3:
-        raise ValueError(f"training half has {t} words; need >= 3")
 
-    n_exc = round_half_up(exception_prop * n_sentences)
-    n_rule = n_sentences - n_exc
-    triple_space = t * (t - 1) * (t - 2)
-    if n_rule > triple_space or n_exc > triple_space:
-        raise ValueError(
-            f"triple space exhausted: {triple_space} ordered triples over "
-            f"{t} training words cannot yield {max(n_rule, n_exc)} unique sentences"
-        )
+    def draw(rng, is_exception):
+        i, j, k = _draw_distinct_triple(rng, t)
+        return make_shift_sentence(train[i], train[j], train[k], "ACB" if is_exception else "BAC")
 
-    rng = make_rng(seed)
-    sentences: list[Sentence] = []
-    seen: set[tuple[str, ...]] = set()
-    for count, pattern in ((n_rule, "BAC"), (n_exc, "ACB")):
-        made = 0
-        while made < count:
-            i, j, k = _draw_distinct_triple(rng, t)
-            s = make_shift_sentence(train[i], train[j], train[k], pattern)
-            if s.tokens in seen:
-                continue
-            seen.add(s.tokens)
-            sentences.append(s)
-            made += 1
-    order = rng.permutation(len(sentences))
-    shuffled = tuple(sentences[i] for i in order)
-    return Corpus(shuffled, WORD_ORDER, n_types=len(shuffled), exception_count=n_exc)
+    return _rule_corpus(WORD_ORDER, n_sentences, exception_prop, t * (t - 1) * (t - 2), draw, seed)
 
 
 def gen_exp1_test_pairs(vocab: Vocabulary, n_pairs: int, seed: int) -> MinimalPairSet:
@@ -200,75 +221,33 @@ def gen_exp1_test_pairs(vocab: Vocabulary, n_pairs: int, seed: int) -> MinimalPa
     return MinimalPairSet(tuple(pairs), WORD_ORDER)
 
 
-def _bits_to_str(bits) -> str:
-    return "".join("1" if b else "0" for b in bits)
-
-
-def gen_exp2_corpus(
-    n_strings: int, exception_prop: float, string_len: int = 16, seed: int = 0
-) -> Corpus:
+def gen_exp2_corpus(n_strings: int, exception_prop: float, string_len: int, seed: int) -> Corpus:
     """Binary-string corpus: rule strings start '1', exceptions start '0'.
 
-    All positions after the first are uniform random; strings are unique
-    within the corpus (uniqueness per first-digit class suffices).
+    Every digit after the first is uniform random.
     """
-    if n_strings < 1:
-        raise ValueError("n_strings must be >= 1")
-    if not (0.0 <= exception_prop <= 1.0):
-        raise ValueError(f"exception_prop must be in [0, 1], got {exception_prop}")
-    if string_len < 1:
-        raise ValueError("string_len must be >= 1")
 
-    n_exc = round_half_up(exception_prop * n_strings)
-    n_rule = n_strings - n_exc
-    per_class = 2 ** (string_len - 1)
-    if n_rule > per_class or n_exc > per_class:
-        raise ValueError(
-            f"cannot draw {max(n_rule, n_exc)} unique strings per class; "
-            f"only 2^{string_len - 1} = {per_class} exist"
-        )
+    def draw(rng, is_exception):
+        return Sentence((("0" if is_exception else "1") + _bit_suffix(rng, string_len),), is_exception)
 
-    rng = make_rng(seed)
-    sentences: list[Sentence] = []
-    for count, first in ((n_rule, "1"), (n_exc, "0")):
-        seen: set[str] = set()
-        while len(seen) < count:
-            suffix = _bits_to_str(rng.integers(0, 2, size=string_len - 1))
-            if suffix in seen:
-                continue
-            seen.add(suffix)
-            sentences.append(Sentence((first + suffix,), is_exception=(first == "0")))
-    order = rng.permutation(len(sentences))
-    shuffled = tuple(sentences[i] for i in order)
-    return Corpus(shuffled, BINARY, n_types=len(shuffled), exception_count=n_exc)
+    return _rule_corpus(BINARY, n_strings, exception_prop, _suffix_count(string_len), draw, seed)
 
 
-def gen_exp2_test_pairs(n_pairs: int, string_len: int = 16, seed: int = 0) -> MinimalPairSet:
+def gen_exp2_test_pairs(n_pairs: int, string_len: int, seed: int) -> MinimalPairSet:
     """Pairs of identical strings differing only in the first digit.
 
     The shared suffix is unique across pairs, so every pair is a distinct
     minimal contrast at Hamming distance 1.
     """
-    per_class = 2 ** (string_len - 1)
+    per_class = _suffix_count(string_len)
     if n_pairs < 1:
         raise ValueError("n_pairs must be >= 1")
     if n_pairs > per_class:
         raise ValueError(f"n_pairs {n_pairs} exceeds 2^{string_len - 1} = {per_class} suffixes")
     rng = make_rng(seed)
-    seen: set[str] = set()
-    pairs = []
-    while len(pairs) < n_pairs:
-        suffix = _bits_to_str(rng.integers(0, 2, size=string_len - 1))
-        if suffix in seen:
-            continue
-        seen.add(suffix)
-        pairs.append(
-            (
-                Sentence(("1" + suffix,), is_exception=False),
-                Sentence(("0" + suffix,), is_exception=True),
-            )
-        )
-    return MinimalPairSet(tuple(pairs), BINARY)
+    suffixes = _distinct(n_pairs, lambda: _bit_suffix(rng, string_len))
+    pairs = tuple((Sentence(("1" + s,), False), Sentence(("0" + s,), True)) for s in suffixes)
+    return MinimalPairSet(pairs, BINARY)
 
 
 # ---------------------------------------------------------------------------

@@ -55,7 +55,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .util import make_rng
+from .util import finite, make_rng, whole
 
 IGNORE_INDEX = -100
 LN_EPS = 1e-5
@@ -84,13 +84,12 @@ class ModelConfig:
         # Checked first, so n_heads 0 or max_positions 8.0 (say, from a
         # checkpoint header) is refused here, not by a division or a reshape.
         for name in ("vocab_size", "n_layers", "n_heads", "hidden", "intermediate", "max_positions"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+            setattr(self, name, whole(name, getattr(self, name), 1))
         if self.hidden % self.n_heads != 0:
             raise ValueError(f"hidden {self.hidden} not divisible by n_heads {self.n_heads}")
         if self.vocab_size < 4:
             raise ValueError("vocab_size must cover the three specials plus content")
+        self.dropout = float(finite("dropout", self.dropout))  # asdict() feeds json and state_digest
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
 
@@ -107,10 +106,8 @@ class TrainConfig:
     seed: int
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+        self.epochs = whole("epochs", self.epochs, 1)
+        self.seed = whole("seed", self.seed, 0)
 
 
 def param_specs(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...], str]]:

@@ -24,8 +24,6 @@ import fcntl
 import functools
 import itertools
 import json
-import math
-import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
@@ -40,7 +38,7 @@ from .model import ModelConfig, TrainConfig, init_model
 from .scoring import MODES, PLL, evaluate_pairs
 from .tp import above_chance_test
 from .training import train
-from .util import stable_seed
+from .util import finite, stable_seed, whole
 
 
 def _listed(fmt, parse):
@@ -105,43 +103,26 @@ class SweepConfig:
 
     def __post_init__(self):
         # Seeds hash repr(prop) and str(n), so 0 and 0.0 (or 6 and 6.0) would
-        # derive different data for what --reuse reads back as one cell; an
-        # integer field holding 1.5 is refused rather than hashed as "1.5".
-        # Booleans and strings are refused too: True would pass as 1 and
-        # "0.5" as 0.5.
-        def number(name, v):
-            if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
-                raise ValueError(f"{name} must be finite numbers, got {getattr(self, name)!r}")
-            return v
+        # derive different data for what --reuse reads back as one cell: an
+        # integral float is stored as its int, and 1.5 is refused rather than
+        # hashed as "1.5".  int(v) == v compares the value itself, so a 64-bit
+        # base_seed never passes through float().
+        def integral(name, v, minimum):
+            return whole(name, int(v) if int(finite(name, v)) == v else v, minimum)
 
-        object.__setattr__(self, "proportions", tuple(float(number("proportions", p)) for p in self.proportions))
-
-        def integral(name, v):
-            if int(number(name, v)) != v:
-                raise ValueError(f"{name} must be integers, got {getattr(self, name)!r}")
-            return int(v)
-
-        for name in ("sizes", "epoch_settings"):
-            object.__setattr__(self, name, tuple(integral(name, v) for v in getattr(self, name)))
-        for name in ("replicates", "base_seed", "n_test_pairs"):
-            object.__setattr__(self, name, integral(name, getattr(self, name)))
+        object.__setattr__(self, "proportions", tuple(float(finite("proportions", p)) for p in self.proportions))
+        # epoch setting 0 is an untrained baseline
+        for name, minimum in (("sizes", 1), ("epoch_settings", 0)):
+            object.__setattr__(self, name, tuple(integral(name, v, minimum) for v in getattr(self, name)))
+        for name, minimum in (("replicates", 1), ("base_seed", 0), ("n_test_pairs", 1)):
+            object.__setattr__(self, name, integral(name, getattr(self, name), minimum))
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         for name in ("sizes", "proportions", "epoch_settings"):
             if not getattr(self, name):
                 raise ValueError(f"{name} must be nonempty")
-        if any(n < 1 for n in self.sizes):
-            raise ValueError("sizes must be >= 1")
         if any(not 0.0 <= p <= 1.0 for p in self.proportions):
             raise ValueError("proportions must lie in [0, 1]")
-        if any(e < 0 for e in self.epoch_settings):
-            raise ValueError("epoch_settings must be >= 0 (0 = untrained)")
-        if self.replicates < 1:
-            raise ValueError("replicates must be >= 1")
-        if self.base_seed < 0:
-            raise ValueError("base_seed must be unsigned")
-        if self.n_test_pairs < 1:
-            raise ValueError("n_test_pairs must be >= 1")
         if self.surprisal_mode not in MODES:
             raise ValueError(f"surprisal_mode must be one of {MODES}")
 

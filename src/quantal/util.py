@@ -1,9 +1,10 @@
-"""Small shared helpers: rounding, seed derivation, hashing."""
+"""Small shared helpers: rounding, config number checks, seed derivation, hashing."""
 
 from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 
 import numpy as np
 
@@ -16,6 +17,23 @@ def round_half_up(x: float) -> int:
     goes through here instead.
     """
     return int(math.floor(x + 0.5))
+
+
+def finite(name: str, v):
+    """v, if it is a finite real number: not a bool, a string or an infinity."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
+        raise ValueError(f"{name} must be a finite number, got {v!r}")
+    return v
+
+
+def whole(name: str, v, minimum: int) -> int:
+    """v as an int, if it is an integer >= minimum: not a bool, a float or a string.
+
+    The check never goes through float(), so 64-bit seeds stay exact.
+    """
+    if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {v!r}")
+    return int(v)
 
 
 def stable_seed(*parts) -> int:

@@ -257,7 +257,7 @@ class TestOnGeneratedCorpora:
         assert len(encode(tok, ".")) == 1
 
     def test_determinism(self):
-        c = corpora.gen_exp2_corpus(100, 0.1, seed=6)
+        c = corpora.gen_exp2_corpus(100, 0.1, string_len=16, seed=6)
         assert train_tokenizer([c.to_text()], 32) == train_tokenizer([c.to_text()], 32)
 
     def test_full_scale_training_speed(self):
@@ -272,7 +272,7 @@ class TestOnGeneratedCorpora:
 
 class TestSerialization:
     def test_round_trip(self, tmp_path):
-        c = corpora.gen_exp2_corpus(80, 0.2, seed=9)
+        c = corpora.gen_exp2_corpus(80, 0.2, string_len=16, seed=9)
         tok = train_tokenizer([c.to_text()], 32)
         p = tmp_path / "tok.txt"
         save_tokenizer(tok, p)

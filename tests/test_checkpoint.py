@@ -182,16 +182,20 @@ class TestCorruption:
                 assert header["tensors"][1][0] == "pos_emb"
                 header["tensors"][1][1][0] = value
         self.rewrite_header(path, edit)
-        with pytest.raises(ValueError, match=f"bad model_config in checkpoint .*{name} must be a positive integer"):
+        with pytest.raises(ValueError, match=f"bad model_config in checkpoint .*{name} must be an integer >= 1"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize(
         "train_config",
         ["nonsense", [], {"epochs": 2, "seed": 3}, {**SAVED_TRAIN_CONFIG, "step": 6},
          *({**SAVED_TRAIN_CONFIG, **bad} for bad in
-           [{"epochs": "2"}, {"epochs": True}, {"epochs": 2.0}, {"epochs": 0}, {"seed": -1}])],
+           [{"epochs": "2"}, {"epochs": True}, {"epochs": 2.0}, {"epochs": 0}, {"seed": -1},
+            {"learning_rate": "fast"}, {"learning_rate": 0}, {"mask_probability": 1.5},
+            {"mask_probability": None}, {"batch_size": 0}, {"batch_size": 16.0}])],
         ids=["string", "array", "keys-missing", "extra-key", "string-epochs", "bool-epochs",
-             "float-epochs", "zero-epochs", "negative-seed"],
+             "float-epochs", "zero-epochs", "negative-seed", "string-learning-rate",
+             "zero-learning-rate", "mask-probability-over-1", "null-mask-probability",
+             "zero-batch-size", "float-batch-size"],
     )
     def test_malformed_train_config(self, tmp_path, train_config):
         path = self.make_checkpoint(tmp_path)

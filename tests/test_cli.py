@@ -223,7 +223,7 @@ class TestTrainEval:
         assert "vocab" in json.loads(capsys.readouterr().err)["error"]
         assert not (tmp_path / "r.json").exists()
 
-    @pytest.mark.parametrize("broken", ["v1", "experiment", "n_heads"])
+    @pytest.mark.parametrize("broken", ["v1", "experiment", "n_heads", "learning_rate"])
     def test_eval_refuses_checkpoint(self, artifacts, tmp_path, capsys, broken):
         root, data, ckpt = artifacts
         bad = tmp_path / "bad.ckpt"
@@ -231,15 +231,18 @@ class TestTrainEval:
             bad.write_bytes(b"quantal-ckpt v1\n" + ckpt.read_bytes()[len(MAGIC) :])
         elif broken == "experiment":
             rewrite_header(ckpt, bad, lambda h: h.update(experiment="music"))
-        else:  # hidden % n_heads would divide by zero
+        elif broken == "n_heads":  # hidden % n_heads would divide by zero
             rewrite_header(ckpt, bad, lambda h: h["model_config"].update(n_heads=0))
+        else:
+            rewrite_header(ckpt, bad, lambda h: h["train_config"].update(learning_rate="fast"))
         rc = run("eval", "--checkpoint", bad, "--pairs", data / "pairs.tsv", "--out", tmp_path / "r.json")
         assert rc == 1
         err_lines = capsys.readouterr().err.splitlines()
         assert len(err_lines) == 1
         err = json.loads(err_lines[0])
         assert err["kind"] == "runtime"
-        want = {"v1": "quantal-ckpt v2", "experiment": "unknown experiment", "n_heads": "bad model_config"}
+        want = {"v1": "quantal-ckpt v2", "experiment": "unknown experiment", "n_heads": "bad model_config",
+                "learning_rate": "bad train_config"}
         assert want[broken] in err["error"]
         assert not (tmp_path / "r.json").exists()
 

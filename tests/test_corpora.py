@@ -208,8 +208,11 @@ class TestExp2Corpus:
             gen_exp2_corpus(17, 0.5, string_len=4, seed=0)
 
     def test_deterministic(self):
-        assert gen_exp2_corpus(100, 0.2, seed=3) == gen_exp2_corpus(100, 0.2, seed=3)
-        assert gen_exp2_corpus(100, 0.2, seed=3) != gen_exp2_corpus(100, 0.2, seed=4)
+        def corpus(seed):
+            return gen_exp2_corpus(100, 0.2, string_len=16, seed=seed)
+
+        assert corpus(3) == corpus(3)
+        assert corpus(3) != corpus(4)
 
 
 class TestExp2Pairs:
@@ -228,8 +231,12 @@ class TestExp2Pairs:
         with pytest.raises(ValueError):
             gen_exp2_test_pairs(9, string_len=4, seed=0)
 
+    def test_string_len_below_1_is_refused(self):
+        with pytest.raises(ValueError, match="string_len must be >= 1, got 0"):
+            gen_exp2_test_pairs(1, string_len=0, seed=0)
+
     def test_deterministic(self):
-        assert gen_exp2_test_pairs(50, seed=1) == gen_exp2_test_pairs(50, seed=1)
+        assert gen_exp2_test_pairs(50, string_len=16, seed=1) == gen_exp2_test_pairs(50, string_len=16, seed=1)
 
 
 class TestFileRoundTrips:
@@ -257,13 +264,13 @@ class TestFileRoundTrips:
         assert b"\r" not in raw and raw.endswith(b".\n")
 
     def test_exp2_corpus(self, tmp_path):
-        c = gen_exp2_corpus(60, 0.25, seed=3)
+        c = gen_exp2_corpus(60, 0.25, string_len=16, seed=3)
         p = tmp_path / "train.txt"
         write_corpus(c, p)
         assert read_corpus(p, BINARY) == c
 
     def test_corpus_sha256_is_the_written_file_hash(self, tmp_path):
-        c = gen_exp2_corpus(60, 0.25, seed=3)
+        c = gen_exp2_corpus(60, 0.25, string_len=16, seed=3)
         p = tmp_path / "train.txt"
         write_corpus(c, p)
         assert corpora.corpus_sha256(c) == hashlib.sha256(p.read_bytes()).hexdigest()
@@ -370,6 +377,7 @@ class TestSeededFuzz:
     def test_corpus_text_round_trip_via_split(self):
         rng = np.random.default_rng(7)
         for _ in range(10):
-            c = gen_exp2_corpus(int(rng.integers(1, 60)), float(rng.uniform(0, 1)), seed=int(rng.integers(0, 2**32)))
+            n, prop, seed = int(rng.integers(1, 60)), float(rng.uniform(0, 1)), int(rng.integers(0, 2**32))
+            c = gen_exp2_corpus(n, prop, string_len=16, seed=seed)
             lines = c.to_text().splitlines()
             assert lines == [s.text for s in c.sentences]

@@ -58,6 +58,9 @@ class TestConfigValidation:
             ModelConfig(vocab_size=32, dropout=1.0)
         with pytest.raises(ValueError):
             ModelConfig(vocab_size=32, dropout=-0.1)
+        with pytest.raises(ValueError, match="dropout must be a finite number"):
+            ModelConfig(vocab_size=11, dropout=False)
+        assert type(ModelConfig(vocab_size=11, dropout=np.float32(0.25)).dropout) is float
 
     def test_vocab_floor(self):
         with pytest.raises(ValueError):
@@ -68,7 +71,7 @@ class TestConfigValidation:
                              ids=["zero", "float", "bool", "negative", "string"])
     def test_dimensions_are_positive_integers(self, bad):
         (name, value), = bad.items()
-        with pytest.raises(ValueError, match=f"{name} must be a positive integer"):
+        with pytest.raises(ValueError, match=f"{name} must be an integer >= 1"):
             ModelConfig(vocab_size=32, **bad)
 
     def test_defaults_match_reported_architecture(self):
@@ -80,6 +83,17 @@ class TestConfigValidation:
             TrainConfig(epochs=0, seed=1)
         with pytest.raises(ValueError):
             TrainConfig(epochs=4, seed=-1)
+
+    @pytest.mark.parametrize("bad", [dict(epochs=True), dict(seed=2.5), dict(epochs=2.0), dict(seed="3")],
+                             ids=["bool-epochs", "fractional-seed", "float-epochs", "string-seed"])
+    def test_train_config_values_are_integers(self, bad):
+        (name, value), = bad.items()
+        with pytest.raises(ValueError, match=f"{name} must be an integer >= "):
+            TrainConfig(**{"epochs": 1, "seed": 0, **bad})
+
+    def test_train_config_takes_a_64_bit_seed(self):
+        # sweep seeds are 64-bit hashes; a float() on the way would round them
+        assert TrainConfig(epochs=1, seed=2**64 - 1).seed == 2**64 - 1
 
 
 class TestInit:

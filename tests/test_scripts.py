@@ -65,6 +65,16 @@ def test_names_taken_from_quantal_exist(path):
     assert quantal_names_missing(path) == []
 
 
+@pytest.mark.parametrize("demo", ["01_tolerance_threshold.py", "02_build_corpora.py", "03_train_tokenizer.py"])
+def test_quick_demo_runs(demo, tmp_path):
+    # these three call the generators directly, so a signature change shows here
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run(
+        [sys.executable, str(DEMOS / demo)], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+
+
 def test_a_missing_name_is_found(tmp_path):
     demo = tmp_path / "demo.py"
     demo.write_text("from quantal.scoring import PLL, sentence_surprisal\n"

@@ -89,17 +89,21 @@ class TestConfig:
         cfg = tiny_config(sizes=[6.0], proportions=[0], epoch_settings=[1.0])
         assert cfg == tiny_config()
         assert (type(cfg.sizes[0]), type(cfg.proportions[0]), type(cfg.epoch_settings[0])) == (int, float, int)
-        with pytest.raises(ValueError, match="sizes must be integers"):
+        with pytest.raises(ValueError, match="sizes must be an integer >= 1"):
             tiny_config(sizes=(6.5,))
-        with pytest.raises(ValueError, match="epoch_settings must be integers"):
+        with pytest.raises(ValueError, match="epoch_settings must be an integer >= 0"):
             tiny_config(epoch_settings=(1.5,))
 
     @pytest.mark.parametrize("name", ["replicates", "base_seed", "n_test_pairs"])
     def test_integral_scalars_normalised(self, name):
         cfg = tiny_config(**{name: float(getattr(tiny_config(), name))})
         assert cfg == tiny_config() and type(getattr(cfg, name)) is int
-        with pytest.raises(ValueError, match=f"{name} must be integers"):
+        with pytest.raises(ValueError, match=f"{name} must be an integer >= "):
             tiny_config(**{name: 2.5})
+
+    def test_takes_a_64_bit_base_seed(self):
+        # stable_seed hashes to 64 bits; a float() on the way would round them
+        assert tiny_config(base_seed=2**64 - 1).base_seed == 2**64 - 1
 
     @pytest.mark.parametrize(
         "name, value",
@@ -116,7 +120,7 @@ class TestConfig:
         ids=str,
     )
     def test_booleans_strings_and_infinities_refused(self, name, value):
-        with pytest.raises(ValueError, match=f"{name} must be finite numbers"):
+        with pytest.raises(ValueError, match=f"{name} must be a finite number"):
             tiny_config(**{name: value})
 
     def test_int_and_float_proportion_are_one_cell(self):
@@ -531,3 +535,19 @@ class TestCommittedStores:
         n_cells = len(cfg.sizes) * len(cfg.proportions) * len(cfg.epoch_settings)
         assert (results, failures) == ([], [])
         assert len(skipped) == n_cells
+
+    @pytest.mark.parametrize(
+        "config", sorted(p.name for p in (ACCEPTANCE_DIR / "configs").glob("*.json"))
+    )
+    def test_stored_corpus_hash_is_the_regenerated_corpus(self, config):
+        # --reuse compares keys only, so this is what sees a change in the
+        # generated bytes.  Data seeds ignore the epoch setting and every
+        # committed config has one base seed, so every stored row at a
+        # cell's (n, prop) trained on the same corpus.
+        cfg = load_sweep_config(ACCEPTANCE_DIR / "configs" / config)
+        rows = load_results(ACCEPTANCE_DIR / f"{cfg.experiment}.csv")
+        for n_train in cfg.sizes:
+            for prop in cfg.proportions:
+                _, corpus, _ = sweep.cell_data(cfg.experiment, cfg.base_seed, n_train, prop, cfg.n_test_pairs)
+                stored = [row["corpus_hash"] for row in rows if (row["n_train"], row["exception_prop"]) == (n_train, prop)]
+                assert stored and set(stored) == {corpora.corpus_sha256(corpus)}

@@ -36,8 +36,8 @@ print(f"accuracy before training: {before.accuracy:.3f} "
       f"({before.n_preferred:.1f} of {before.n_pairs} pairs)")
 
 state = train(state, corpus, tok, TrainConfig(epochs=150, seed=2))
-print(f"final epoch mean loss:    {state.loss_history[-1]:.4f} "
-      f"(started at {state.loss_history[0]:.4f})")
+print(f"last batch loss:          {state.loss_history[-1]:.4f} "
+      f"(first batch: {state.loss_history[0]:.4f})")
 
 after = evaluate_pairs(state, tok, pairs)
 print(f"accuracy after training:  {after.accuracy:.3f}")

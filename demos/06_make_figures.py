@@ -17,7 +17,7 @@ needed (cached cells are free).
 from pathlib import Path
 
 from quantal.corpora import BINARY
-from quantal.svgplot import column_svg, heatmap_svg, write_svg
+from quantal.svgplot import column_svg, heatmap_svg
 from quantal.sweep import column_slice, default_config, load_results, run_sweep
 from quantal.tp import analyze_column
 
@@ -39,13 +39,13 @@ assert not failures, failures
 rows = load_results(store)
 
 heat = heatmap_svg(rows, epochs=4, title="accuracy, 4 epochs (white = 1.0)")
-write_svg(heat, OUT / "heatmap.svg")
+(OUT / "heatmap.svg").write_text(heat, encoding="utf-8")
 print(f"wrote {OUT / 'heatmap.svg'}")
 
 points = column_slice(rows, n_train=60, epochs=4)
 report = analyze_column(points, n_types=60)
 col = column_svg(points, report, title="accuracy vs exception proportion, n = 60")
-write_svg(col, OUT / "column.svg")
+(OUT / "column.svg").write_text(col, encoding="utf-8")
 print(f"wrote {OUT / 'column.svg'}")
 print()
 print(f"column classification: {report.classification}")

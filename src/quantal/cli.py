@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -29,7 +28,7 @@ from .sweep import (
     train_replicate,
     write_cell_inputs,
 )
-from .svgplot import column_svg, heatmap_svg, write_svg
+from .svgplot import column_svg, heatmap_svg
 from .tp import analyze_column, write_report
 from .util import stable_seed
 
@@ -46,23 +45,6 @@ def _emit_error(kind: str, exc: BaseException) -> None:
     print(json.dumps({"kind": kind, "error": str(exc)}), file=sys.stderr)
 
 
-def _parse_range(text: str | None) -> tuple[float, float] | None:
-    if text is None:
-        return None
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise UsageError(f"range must be 'low,high', got {text!r}")
-    try:
-        lo, hi = (float(p) for p in parts)
-    except ValueError:
-        raise UsageError(f"range bounds must be numbers, got {text!r}") from None
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise UsageError(f"range bounds must be finite, got {text!r}")
-    if not lo < hi:
-        raise UsageError(f"range must increase, got {text!r}")
-    return lo, hi
-
-
 def cmd_gen(args) -> int:
     if args.n < 1:
         raise UsageError(f"--n must be >= 1, got {args.n}")
@@ -70,6 +52,8 @@ def cmd_gen(args) -> int:
         raise UsageError(f"--prop must be in [0, 1], got {args.prop}")
     if args.pairs < 1:
         raise UsageError(f"--pairs must be >= 1, got {args.pairs}")
+    if args.seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {args.seed}")
     experiment = EXPERIMENT_BY_FLAG[args.exp]
     out_dir = Path(args.out_dir)
     vocab, corpus, pairs = cell_data(experiment, args.seed, args.n, args.prop, args.pairs)
@@ -150,11 +134,9 @@ def _column_inputs(table, n_train: int, epochs: int):
 
 
 def cmd_analyze(args) -> int:
-    if not 0.0 < args.alpha < 1.0:
-        raise UsageError(f"--alpha must be in (0, 1), got {args.alpha}")
     table = load_results(args.table)
     points, n_types = _column_inputs(table, args.n_train, args.epochs)
-    report = analyze_column(points, n_types, alpha=args.alpha)
+    report = analyze_column(points, n_types)
     write_report(report, args.out)
     print(f"wrote {args.out}")
     print(f"classification: {report.classification}")
@@ -162,20 +144,13 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    x_range, y_range = _parse_range(args.x_range), _parse_range(args.y_range)
     if args.kind == "column_regression" and args.n_train is None:
         raise UsageError("column_regression plots need --n-train")
     table = load_results(args.table)
     if not table:
         raise ValueError(f"results table is empty: {args.table}")
     if args.kind == "heatmap":
-        svg = heatmap_svg(
-            table,
-            epochs=args.epochs,
-            x_range=x_range,
-            y_range=y_range,
-            title=f"mean accuracy, {args.epochs} epochs",
-        )
+        svg = heatmap_svg(table, epochs=args.epochs, title=f"mean accuracy, {args.epochs} epochs")
     else:
         points, n_types = _column_inputs(table, args.n_train, args.epochs)
         svg = column_svg(
@@ -183,7 +158,7 @@ def cmd_plot(args) -> int:
             analyze_column(points, n_types),
             title=f"n={args.n_train}, {args.epochs} epochs",
         )
-    write_svg(svg, args.out)
+    Path(args.out).write_text(svg, encoding="utf-8")
     print(f"wrote {args.out}")
     return 0
 
@@ -234,7 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     an.add_argument("--table", required=True, help="results CSV path")
     an.add_argument("--n-train", type=int, required=True)
     an.add_argument("--epochs", type=int, required=True)
-    an.add_argument("--alpha", type=float, default=0.05)
     an.add_argument("--out", required=True, help="analysis report path")
     an.set_defaults(func=cmd_analyze)
 
@@ -243,8 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
     pl.add_argument("--table", required=True, help="results CSV path")
     pl.add_argument("--epochs", type=int, required=True)
     pl.add_argument("--n-train", type=int, help="column_regression: which column")
-    pl.add_argument("--x-range", help="low,high data range for the x axis")
-    pl.add_argument("--y-range", help="low,high data range for the y axis")
     pl.add_argument("--out", required=True, help="SVG output path")
     pl.set_defaults(func=cmd_plot)
     return parser

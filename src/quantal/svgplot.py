@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from xml.sax.saxutils import escape
 
 from .sweep import require_one_kind
-from .tp import AnalysisReport, threshold_curve
+from .tp import AnalysisReport, tp_threshold
 
 WIDTH, HEIGHT = 720, 480  # pixels, both figure kinds
 # integer-N curve sampling keeps the N=16 landmark exact on small spans
@@ -120,7 +119,8 @@ def tolerance_curve_path(frame: Frame) -> str:
         ns = [lo + i * step for i in range(CURVE_SAMPLES)]
     pieces = []
     pen_down = False
-    for n, y in threshold_curve(ns):
+    for n in ns:
+        y = tp_threshold(n).max_exception_proportion
         if not frame.contains_y(y):
             pen_down = False
             continue
@@ -130,16 +130,11 @@ def tolerance_curve_path(frame: Frame) -> str:
     return " ".join(pieces)
 
 
-def heatmap_svg(
-    rows,
-    epochs: int,
-    x_range: tuple[float, float] | None = None,
-    y_range: tuple[float, float] | None = None,
-    title: str | None = None,
-) -> str:
+def heatmap_svg(rows, epochs: int, title: str | None = None) -> str:
     """Shaded accuracy cells over (n_train, exception_prop) at one epoch
-    setting, with the tolerance curve 1/ln N overlaid.  Rows of different
-    experiments or surprisal modes are refused."""
+    setting, with the tolerance curve 1/ln N overlaid.  The frame pads the
+    data by one grid step on each side.  Rows of different experiments or
+    surprisal modes are refused."""
     rows = [row for row in rows if row["epochs"] == epochs]
     if not rows:
         raise ValueError(f"no rows at epochs={epochs}")
@@ -149,11 +144,7 @@ def heatmap_svg(
     ys = sorted({c[1] for c in cells})
     gap_x = _min_gap(xs)
     gap_y = _min_gap(ys)
-    if x_range is None:
-        x_range = (xs[0] - gap_x, xs[-1] + gap_x)
-    if y_range is None:
-        y_range = (ys[0] - gap_y, ys[-1] + gap_y)
-    frame = _frame(x_range[0], x_range[1], y_range[0], y_range[1])
+    frame = _frame(xs[0] - gap_x, xs[-1] + gap_x, ys[0] - gap_y, ys[-1] + gap_y)
     parts = _svg_header(frame, title)
     w = frame.width * 0.9 * gap_x / (frame.x1 - frame.x0)
     h = frame.height * 0.9 * gap_y / (frame.y1 - frame.y0)
@@ -231,7 +222,3 @@ def column_svg(points, report: AnalysisReport, title: str | None = None) -> str:
     parts.extend(_axis_labels(frame, sorted(set(xs)), []))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
-
-
-def write_svg(text: str, path: str | Path) -> None:
-    Path(path).write_text(text, encoding="utf-8")

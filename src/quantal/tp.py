@@ -37,6 +37,9 @@ INSUFFICIENT = "insufficient-data"
 
 REPORT_HEADER = "quantal analysis v1"
 
+# Level of the t-test on the step: p below it classifies a column as a jump
+ALPHA = 0.05
+
 # Group sums closer than this count as ties in beats_baseline_test
 TIE_TOLERANCE = 1e-9
 # Exact enumeration refuses larger problems rather than run for hours
@@ -86,16 +89,6 @@ def is_productive(n_types: int, exceptions: int) -> bool:
     if not 0 <= exceptions <= n_types:
         raise ValueError(f"need 0 <= exceptions <= n_types, got {exceptions}/{n_types}")
     return exceptions <= tp_threshold(n_types).theta
-
-
-def threshold_curve(n_values) -> list[tuple[float, float]]:
-    """(N, 1/ln N) pairs for overlaying the tolerance boundary on plots."""
-    out = []
-    for n in n_values:
-        if n < 2:
-            raise ValueError(f"all N must be >= 2, got {n}")
-        out.append((float(n), 1.0 / math.log(n)))
-    return out
 
 
 def fit_piecewise_step(points, break_x: float) -> RegressionReport:
@@ -233,7 +226,6 @@ class AnalysisReport:
     regression: RegressionReport | None
     gradience: Gradience | None
     classification: str
-    alpha: float
 
 
 def collapse_replicates(points) -> list[tuple[float, float]]:
@@ -244,12 +236,13 @@ def collapse_replicates(points) -> list[tuple[float, float]]:
     return [(x, float(np.mean(ys))) for x, ys in sorted(groups.items())]
 
 
-def analyze_column(points, n_types: int, alpha: float = 0.05) -> AnalysisReport:
+def analyze_column(points, n_types: int) -> AnalysisReport:
     """Full read of one accuracy-vs-exception-proportion column.
 
     The regression runs on the points as given (replicates included); the
     rank correlation runs on per-proportion means so x values are unique.
-    The break is placed at the tolerance proportion 1/ln N.
+    The break is placed at the tolerance proportion 1/ln N, and the step
+    counts as a jump when its p-value is below ALPHA.
     """
     threshold = tp_threshold(n_types)
     try:
@@ -263,11 +256,11 @@ def analyze_column(points, n_types: int, alpha: float = 0.05) -> AnalysisReport:
         gradience = None
     if regression is None:
         classification = INSUFFICIENT
-    elif regression.p_value < alpha:
+    elif regression.p_value < ALPHA:
         classification = JUMP_DETECTED
     else:
         classification = NO_JUMP
-    return AnalysisReport(threshold, regression, gradience, classification, alpha)
+    return AnalysisReport(threshold, regression, gradience, classification)
 
 
 def format_report(report: AnalysisReport) -> str:
@@ -278,7 +271,7 @@ def format_report(report: AnalysisReport) -> str:
         f"theta: {t.theta:.6f}",
         f"max_exception_proportion: {t.max_exception_proportion:.6f}",
         f"min_rule_proportion: {t.min_rule_proportion:.6f}",
-        f"alpha: {report.alpha:g}",
+        f"alpha: {ALPHA:g}",
     ]
     r = report.regression
     if r is not None:

@@ -6,7 +6,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from quantal.svgplot import Frame, column_svg, heatmap_svg, shade, write_svg
+from quantal.svgplot import Frame, column_svg, heatmap_svg, shade
 from quantal.tp import analyze_column
 
 
@@ -97,10 +97,11 @@ class TestHeatmap:
 
     def test_curve_point_at_16_back_transforms(self):
         # the span is small, so the curve samples every integer N and
-        # the N=16 point must invert to 1/ln 16
+        # the N=16 point, inside the data's frame, must invert to 1/ln 16
         rows = grid_rows(sizes=[10, 20, 30], props=[0.1, 0.3, 0.5])
-        svg = heatmap_svg(rows, epochs=10, y_range=(0.0, 0.8))
+        svg = heatmap_svg(rows, epochs=10)
         frame = parse_frame(svg)
+        assert (frame.y0, frame.y1) == pytest.approx((-0.1, 0.7))
         path = re.search(r'class="tp-curve" d="([^"]+)"', svg).group(1)
         coords = [
             tuple(map(float, pt[1:].split(",")))
@@ -113,9 +114,12 @@ class TestHeatmap:
         assert at_16[0] == pytest.approx(0.3607, abs=5e-4)
 
     def test_out_of_range_curve_is_dropped(self):
-        rows = grid_rows(sizes=[1000, 2000], props=[0.0, 0.1])
-        svg = heatmap_svg(rows, epochs=10, y_range=(0.0, 0.05))
-        # 1/ln N over [933, 2067] is ~0.13-0.15, all above the y range
+        rows = grid_rows(sizes=[1000, 2000], props=[0.0, 0.01])
+        svg = heatmap_svg(rows, epochs=10)
+        frame = parse_frame(svg)
+        assert (frame.y0, frame.y1) == pytest.approx((-0.01, 0.02))
+        # 1/ln N over N = 2..3000 runs from 1.44 down to 0.125, all above
+        # the frame's top
         assert 'class="tp-curve"' not in svg
 
 
@@ -161,11 +165,3 @@ class TestColumnPlot:
     def test_empty_points_error(self):
         with pytest.raises(ValueError, match="no points"):
             column_svg([], analyze_column(self.step_points(), 55))
-
-
-class TestWrite:
-    def test_writes_file(self, tmp_path):
-        rows = grid_rows(sizes=[100], props=[0.0])
-        path = tmp_path / "fig.svg"
-        write_svg(heatmap_svg(rows, epochs=10), path)
-        assert path.read_text().startswith("<svg")

@@ -25,7 +25,6 @@ from quantal.tp import (
     format_report,
     gradience_measure,
     is_productive,
-    threshold_curve,
     tp_threshold,
     write_report,
 )
@@ -110,21 +109,17 @@ class TestIsProductive:
 
 
 class TestThresholdCurve:
+    """The tolerance curve 1/ln N that figures draw: max_exception_proportion."""
+
     def test_e_squared(self):
-        (_, y), = threshold_curve([math.e**2])
-        assert y == pytest.approx(0.5, rel=1e-12)
+        assert tp_threshold(math.e**2).max_exception_proportion == pytest.approx(0.5, rel=1e-12)
 
     def test_n16(self):
-        (_, y), = threshold_curve([16])
-        assert y == pytest.approx(0.3607, abs=5e-5)
+        assert tp_threshold(16).max_exception_proportion == pytest.approx(0.3607, abs=5e-5)
 
     def test_monotone_decreasing(self):
-        ys = [y for _, y in threshold_curve(range(2, 300))]
+        ys = [tp_threshold(n).max_exception_proportion for n in range(2, 300)]
         assert all(a > b for a, b in zip(ys, ys[1:]))
-
-    def test_below_two_rejected(self):
-        with pytest.raises(ValueError):
-            threshold_curve([16, 1])
 
 
 class TestPiecewiseStep:

@@ -11,7 +11,7 @@ tokens, and prefers the pair member with the lower total.
 from quantal.bpe import train_tokenizer
 from quantal.corpora import gen_exp2_corpus, gen_exp2_test_pairs
 from quantal.model import ModelConfig, TrainConfig, init_model
-from quantal.scoring import PLL, UNMASKED, evaluate_pairs, surprisal_many
+from quantal.scoring import evaluate_pairs, surprisal_many
 from quantal.training import train
 
 # All-rule corpus: every training string starts with '1'.
@@ -43,15 +43,12 @@ after = evaluate_pairs(state, tok, pairs)
 print(f"accuracy after training:  {after.accuracy:.3f}")
 print()
 
-# One pair up close, under both scoring modes.  PLL re-runs the model
-# once per position with that position masked; the unmasked mode scores
-# all positions from a single pass over the intact sentence.
+# One pair up close.  Pseudo-log-likelihood (PLL) re-runs the model once
+# per position with that position masked.
 rule, foil = pairs.pairs[0]
-for mode in (PLL, UNMASKED):
-    sr = surprisal_many(state, tok, [rule.text], mode)[0]
-    sf = surprisal_many(state, tok, [foil.text], mode)[0]
-    pick = "rule" if sr < sf else "foil"
-    print(f"{mode:>8}: rule={sr:8.3f} nats  foil={sf:8.3f} nats  -> prefers {pick}")
+sr, sf = surprisal_many(state, tok, [rule.text, foil.text])
+pick = "rule" if sr < sf else "foil"
+print(f"     pll: rule={sr:8.3f} nats  foil={sf:8.3f} nats  -> prefers {pick}")
 print()
 print(f"rule member: {rule.text}")
 print(f"foil:        {foil.text}")

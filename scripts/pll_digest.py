@@ -1,17 +1,18 @@
-"""Print the scoring gate: PLL and unmasked pair scores as float hex.
+"""Print the scoring gate: PLL pair scores as float hex.
 
-Three fixed models score fixed minimal pairs in both scoring modes:
+Three fixed models score fixed minimal pairs by pseudo-log-likelihood
+(PLL):
 
 - binary: the n=300, p=0.1 binary cell of base seed 101, a model trained
   for 2 epochs, on 100 pairs;
 - word order: the n=1000, p=0.1 word-order cell of base seed 101, its
   untrained model and the same model after 1 epoch, on 20 pairs.
 
-Each line gives a case, a mode, a pair and the rule and foil surprisals
-as float hex.  Run it on two checkouts and diff the outputs: equal lines
-mean equal bits.  --save writes the scores to an .npz file; --against
-reads one written by another checkout and prints, for each case and
-mode, how many scores moved and their largest relative change.  --tiny
+Each line gives a case, the word pll, a pair and the rule and foil
+surprisals as float hex.  Run it on two checkouts and diff the outputs:
+equal lines mean equal bits.  --save writes the scores to an .npz file;
+--against reads one written by another checkout and prints, for each
+case, how many scores moved and their largest relative change.  --tiny
 runs a two-layer model with a 64-token vocabulary on a few pairs of
 small cells, a smoke test of the script that takes seconds.
 
@@ -76,19 +77,18 @@ def main(argv=None) -> int:
     other = np.load(args.against) if args.against else None
     moved = total = 0
     for case, tok, pairs, state in scored_models(args.tiny):
-        for mode in scoring.MODES:
-            scores = np.array(scoring.evaluate_pairs(state, tok, pairs, mode=mode).per_pair_scores)
-            for i, (rule, foil) in enumerate(scores):
-                print(f"{case} {mode} pair {i} {rule.hex()} {foil.hex()}")
-            key = f"{case}|{mode}"
-            saved[key] = scores
-            if other is not None:
-                ref = other[key]
-                diff = scores != ref
-                rel = np.max(np.abs(scores - ref) / np.abs(ref))
-                print(f"{case} {mode} moved {diff.sum()} of {diff.size} scores, max |rel| {rel:.3e}")
-                moved += diff.sum()
-                total += diff.size
+        scores = np.array(scoring.evaluate_pairs(state, tok, pairs).per_pair_scores)
+        for i, (rule, foil) in enumerate(scores):
+            print(f"{case} pll pair {i} {rule.hex()} {foil.hex()}")
+        key = f"{case}|pll"
+        saved[key] = scores
+        if other is not None:
+            ref = other[key]
+            diff = scores != ref
+            rel = np.max(np.abs(scores - ref) / np.abs(ref))
+            print(f"{case} pll moved {diff.sum()} of {diff.size} scores, max |rel| {rel:.3e}")
+            moved += diff.sum()
+            total += diff.size
     if other is not None:
         print(f"moved {moved} of {total} scores")
     if args.save:

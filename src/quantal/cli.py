@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import corpora
 from .checkpoint import load_checkpoint, save_checkpoint
-from .scoring import MODES, PLL, evaluate_pairs, write_eval_report
+from .scoring import evaluate_pairs, write_eval_report
 from .sweep import (
     cell_data,
     cell_tokenizer,
@@ -88,7 +88,7 @@ def cmd_train(args) -> int:
     save_checkpoint(state, args.out, tok, experiment, train_config=train_config)
     print(f"wrote {args.out}")
     if state.loss_history:
-        print(f"final loss {state.loss_history[-1]:.4f} over {state.step} steps")
+        print(f"last batch loss {state.loss_history[-1]:.4f} over {state.step} steps")
     else:
         print("untrained checkpoint (no optimizer steps)")
     return 0
@@ -97,10 +97,10 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     state, meta = load_checkpoint(args.checkpoint)
     pairs = corpora.read_pairs(args.pairs, meta["experiment"])
-    report = evaluate_pairs(state, meta["tokenizer"], pairs, mode=args.mode)
+    report = evaluate_pairs(state, meta["tokenizer"], pairs)
     write_eval_report(report, args.out)
     print(f"wrote {args.out}")
-    print(f"accuracy {report.accuracy:.4f} ({report.mode}, {report.n_pairs} pairs)")
+    print(f"accuracy {report.accuracy:.4f} ({report.n_pairs} pairs)")
     return 0
 
 
@@ -191,7 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
     ev = sub.add_parser("eval", help="score minimal pairs with a trained checkpoint")
     ev.add_argument("--checkpoint", required=True, help="checkpoint from train or sweep --artifacts")
     ev.add_argument("--pairs", required=True, help="pairs.tsv of the model's experiment")
-    ev.add_argument("--mode", choices=MODES, default=PLL)
     ev.add_argument("--out", required=True, help="evaluation report path")
     ev.set_defaults(func=cmd_eval)
 

@@ -35,7 +35,7 @@ from . import blas, bpe, corpora
 from .checkpoint import save_checkpoint, state_digest
 from .corpora import BINARY, EXPERIMENTS, WORD_ORDER
 from .model import ModelConfig, TrainConfig, init_model
-from .scoring import MODES, PLL, evaluate_pairs
+from .scoring import PLL, evaluate_pairs
 from .tp import above_chance_test
 from .training import train
 from .util import finite, stable_seed, whole
@@ -123,8 +123,8 @@ class SweepConfig:
                 raise ValueError(f"{name} must be nonempty")
         if any(not 0.0 <= p <= 1.0 for p in self.proportions):
             raise ValueError("proportions must lie in [0, 1]")
-        if self.surprisal_mode not in MODES:
-            raise ValueError(f"surprisal_mode must be one of {MODES}")
+        if self.surprisal_mode != PLL:
+            raise ValueError(f"surprisal_mode must be {PLL!r}, got {self.surprisal_mode!r}")
 
 
 def default_config(experiment: str, base_seed: int, **overrides) -> SweepConfig:
@@ -360,7 +360,7 @@ def run_cell(
         state, train_config = train_replicate(
             tok, corpus, job.init_seed, coords["epochs"], seeds["train_seed"]
         )
-        report = evaluate_pairs(state, tok, pairs, mode=cfg.surprisal_mode)
+        report = evaluate_pairs(state, tok, pairs)
         accuracies.append(report.accuracy)
         ckpt_hashes.append(state_digest(state))
         if cell_dir is not None:
@@ -446,7 +446,8 @@ def require_one_kind(rows: list[dict], where: str) -> None:
     """Refuse rows that mix experiments or surprisal modes.
 
     A column or a figure compares cells of one measurement; a store may
-    hold several.
+    hold several, and one written by an older version may hold rows
+    scored in its single-pass ``unmasked`` mode.
     """
     for key in ("experiment", "surprisal_mode"):
         kinds = sorted({row[key] for row in rows})

@@ -23,7 +23,9 @@ from quantal.sweep import (
     load_results,
     run_cell,
     save_sweep_config,
+    train_replicate,
 )
+from quantal.util import stable_seed
 
 ROOT = Path(__file__).resolve().parents[1]
 ACCEPTANCE_DIR = ROOT / "results" / "acceptance"
@@ -189,7 +191,7 @@ def artifacts(tmp_path_factory):
 
 
 class TestTrainEval:
-    def test_train_writes_checkpoint_and_tokenizer(self, artifacts, tmp_path):
+    def test_train_writes_checkpoint_and_tokenizer(self, artifacts, tmp_path, capsys):
         # one file: the checkpoint embeds the tokenizer and the experiment
         root, data, ckpt = artifacts
         out = tmp_path / "m.ckpt"
@@ -201,16 +203,23 @@ class TestTrainEval:
         corpus = corpora.read_corpus(data / "corpus.txt", corpora.BINARY)
         assert meta["tokenizer"] == cell_tokenizer(corpora.BINARY, corpus)
         assert meta["experiment"] == corpora.BINARY
+        # training appends one loss per batch, so the line names the last batch
+        state, _ = train_replicate(meta["tokenizer"], corpus, stable_seed(3, "init"), 1, stable_seed(3, "train"))
+        assert len(state.loss_history) == state.step
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            f"last batch loss {state.loss_history[-1]:.4f} over {state.step} steps"
+        )
 
     def test_eval_writes_report(self, artifacts, capsys):
         root, data, ckpt = artifacts
         out = root / "eval.json"
         assert run("eval", "--checkpoint", ckpt, "--pairs", data / "pairs.tsv", "--out", out) == 0
         report = json.loads(out.read_text())
-        assert report["format"] == "quantal-eval v1"
+        assert report["format"] == "quantal-eval v2"
+        assert set(report) == {"format", "n_pairs", "n_preferred", "accuracy", "per_pair_scores"}
         assert report["n_pairs"] == len(report["per_pair_scores"]) == 4
         assert 0.0 <= report["accuracy"] <= 1.0
-        assert "accuracy" in capsys.readouterr().out
+        assert capsys.readouterr().out.splitlines()[-1] == f"accuracy {report['accuracy']:.4f} (4 pairs)"
 
     def test_eval_scores_a_sweep_artifact_checkpoint(self, tmp_path):
         cfg = SweepConfig(experiment=corpora.BINARY, sizes=(8,), proportions=(0.0,),
@@ -339,7 +348,7 @@ class TestTrainEval:
 OPTIONS = {
     "gen": {"--exp", "--n", "--prop", "--seed", "--out-dir", "--pairs"},
     "train": {"--corpus", "--exp", "--epochs", "--seed", "--out", "--vocab"},
-    "eval": {"--checkpoint", "--pairs", "--mode", "--out"},
+    "eval": {"--checkpoint", "--pairs", "--out"},
     "sweep": {"--config", "--store", "--artifacts", "--reuse", "--workers"},
     "analyze": {"--table", "--n-train", "--epochs", "--out"},
     "plot": {"--kind", "--table", "--epochs", "--n-train", "--out"},

@@ -21,7 +21,7 @@ def test_save_then_against_counts_moved_scores(tmp_path, capsys):
     assert digest.main(["--tiny", "--save", str(saved)]) == 0
     first = capsys.readouterr().out.splitlines()
     n_pairs = sum(n * len(epochs) for _, _, n, epochs in digest.TINY_CASES)
-    assert len(first) == 2 * n_pairs  # one line per pair and mode
+    assert len(first) == n_pairs  # one line per pair
     rule, foil = first[0].split()[-2:]
     assert float.fromhex(rule) > 0 and float.fromhex(foil) > 0
 
@@ -37,4 +37,4 @@ def test_save_then_against_counts_moved_scores(tmp_path, capsys):
     second = capsys.readouterr().out.splitlines()
     assert [line for line in second if " pair " in line] == first
     assert f"{key.replace('|', ' ')} moved 1 of {moved[key].size} scores, max |rel| 1.000e-06" in second
-    assert second[-1] == f"moved 1 of {4 * n_pairs} scores"  # a rule and a foil score per line
+    assert second[-1] == f"moved 1 of {2 * n_pairs} scores"  # a rule and a foil score per line

@@ -9,16 +9,9 @@ import numpy.testing as npt
 import pytest
 
 from quantal import blas, bpe, corpora, scoring, training
-from quantal.model import ModelConfig, TrainConfig, forward_batch, init_model, log_softmax, output_head
-from quantal.scoring import (
-    PLL,
-    UNMASKED,
-    EvalReport,
-    evaluate_pairs,
-    surprisal_many,
-    write_eval_report,
-)
-from quantal.training import encode_texts, pad_batch, train
+from quantal.model import ModelConfig, TrainConfig, forward_batch, init_model, log_softmax
+from quantal.scoring import EvalReport, evaluate_pairs, surprisal_many, write_eval_report
+from quantal.training import encode_texts, train
 
 CFG = dict(
     n_layers=2,
@@ -57,13 +50,12 @@ class TestUniformModelOracle:
     # all-zero parameters give exactly uniform predictions, so every
     # scored position contributes ln(vocab) nats
 
-    @pytest.mark.parametrize("mode", [PLL, UNMASKED])
-    def test_surprisal_is_length_times_log_vocab(self, mode):
+    def test_surprisal_is_length_times_log_vocab(self):
         tok = binary_tok()
         state = zeroed_state(tok.vocab_size)
         for text in ["1", "10", "110101", "0001"]:
             n_tokens = len(bpe.encode(tok, text))
-            got = surprisal_many(state, tok, [text], mode)[0]
+            got = surprisal_many(state, tok, [text])[0]
             assert got == pytest.approx(n_tokens * math.log(tok.vocab_size), rel=1e-6)
 
     def test_pairs_all_tie_at_half_credit(self):
@@ -116,12 +108,11 @@ class TestInvariances:
         )
         self.texts = [s.text for s in self.corpus.sentences[:10]]
 
-    @pytest.mark.parametrize("mode", [PLL, UNMASKED])
-    def test_chunk_size_does_not_change_scores(self, mode, monkeypatch):
-        base = surprisal_many(self.state, self.tok, self.texts, mode=mode)
+    def test_chunk_size_does_not_change_scores(self, monkeypatch):
+        base = surprisal_many(self.state, self.tok, self.texts)
         for chunk in (1, 3, 7, 1000):
             monkeypatch.setattr(scoring, "CHUNK_ROWS", chunk)
-            alt = surprisal_many(self.state, self.tok, self.texts, mode=mode)
+            alt = surprisal_many(self.state, self.tok, self.texts)
             np.testing.assert_allclose(alt, base, rtol=0, atol=1e-4)
 
     def test_sentence_order_does_not_change_scores(self):
@@ -138,11 +129,6 @@ class TestInvariances:
         assert np.isfinite(a).all() and (a >= 0).all()
         for name, p in self.state.params.items():
             assert np.array_equal(p, before[name])
-
-    def test_modes_disagree_on_random_model(self):
-        pll = surprisal_many(self.state, self.tok, self.texts, mode=PLL)
-        un = surprisal_many(self.state, self.tok, self.texts, mode=UNMASKED)
-        assert not np.allclose(pll, un)
 
 
 class TestFixedCheckpoint:
@@ -181,36 +167,6 @@ class TestFixedCheckpoint:
         np.testing.assert_allclose(got, reference, rtol=1e-5)
 
 
-class TestUnmaskedTotals:
-    def test_slice_sums_equal_masked_row_sums(self, monkeypatch):
-        # Each sentence's single-pass total is the sum of its slice of its
-        # chunk's scores, one row of an (S, L) reshape; it must equal, bit
-        # for bit, the sum over a boolean mask of the rows of the real-row pass.
-        corpus = corpora.gen_exp2_corpus(24, 0.25, string_len=8, seed=9)
-        tok = bpe.train_tokenizer([corpus.to_text()], 16)
-        state = init_model(ModelConfig(**{**CFG, "vocab_size": tok.vocab_size}), seed=3)
-        texts = [s.text for s in corpus.sentences[:12]]
-        encoded = encode_texts(tok, texts, state.config.max_positions)
-        lengths = {ids.size for ids in encoded}
-        assert len(lengths) > 1  # more than one chunk
-
-        reference = np.zeros(len(texts))
-        for size in lengths:  # one chunk per length, sentences in index order
-            order = [j for j in range(len(texts)) if encoded[j].size == size]
-            ids, mask = pad_batch([encoded[j] for j in order], tok.pad_id)
-            assert mask.all()
-            hidden, _ = forward_batch(state, ids, mask, keep_cache=False)  # (N, H), in mask order
-            rows, _ = np.nonzero(mask)
-            logp = log_softmax(output_head(state, hidden), axis=-1)
-            taken = logp[np.arange(rows.size), ids.reshape(-1)]
-            for row, j in enumerate(order):
-                reference[j] -= taken[rows == row].sum()
-
-        monkeypatch.setattr(scoring, "CHUNK_ROWS", len(texts))
-        got = surprisal_many(state, tok, texts, mode=UNMASKED)
-        assert hex_scores(got) == hex_scores(reference)
-
-
 def hex_scores(scores):
     return [float(v).hex() for v in scores]
 
@@ -245,7 +201,7 @@ def blas_at_two_threads():
 
 
 class TestThreadedScoring:
-    CHUNK_ROWS = {PLL: 7, UNMASKED: 3}
+    CHUNK_ROWS = 7
 
     def setup_method(self):
         self.corpus = corpora.gen_exp2_corpus(24, 0.25, string_len=8, seed=9)
@@ -253,15 +209,14 @@ class TestThreadedScoring:
         self.state = init_model(ModelConfig(**{**CFG, "vocab_size": self.tok.vocab_size}), seed=3)
         self.texts = [s.text for s in self.corpus.sentences[:10]]
 
-    def score(self, monkeypatch, cpus, mode):
+    def score(self, monkeypatch, cpus):
         """Scores, the ident of each thread that ran a forward pass, and
         the sentences of each pass, in the order the passes began.
 
         Every forward pass must be the inference pass on an all-real
         mask, over whole sentences of one length, asking for the rows
-        scoring reads: in PLL mode one copy of each sentence per
-        position, masked there and passed as a (B,) at, and in
-        single-pass mode every row, with no at.
+        scoring reads: one copy of each sentence per position, masked
+        there and passed as a (B,) at.
         """
         threads, batches = [], []
 
@@ -269,47 +224,40 @@ class TestThreadedScoring:
             threads.append(threading.get_ident())
             assert not args and kwargs["keep_cache"] is False
             assert mask.shape == ids.shape and mask.all()
-            at = kwargs["at"]
-            if mode == PLL:
-                batches.append(pll_sentences(ids, at, self.tok.mask_id))
-            else:
-                assert at is None
-                batches.append([tuple(row) for row in ids.tolist()])
+            batches.append(pll_sentences(ids, kwargs["at"], self.tok.mask_id))
             return forward_batch(state, ids, mask, *args, **kwargs)
 
         monkeypatch.setattr(scoring, "_usable_cpus", lambda: cpus)
         monkeypatch.setattr(scoring, "forward_batch", recording_forward)
         # More chunks than threads, and sentences of one length split over
         # more than one chunk.
-        monkeypatch.setattr(scoring, "CHUNK_ROWS", self.CHUNK_ROWS[mode])
-        scores = surprisal_many(self.state, self.tok, self.texts, mode=mode)
+        monkeypatch.setattr(scoring, "CHUNK_ROWS", self.CHUNK_ROWS)
+        scores = surprisal_many(self.state, self.tok, self.texts)
         return hex_scores(scores), set(threads), batches
 
-    @pytest.mark.parametrize("mode", [PLL, UNMASKED])
-    def test_chunks_are_whole_sentences_longest_first(self, mode, monkeypatch):
-        _, _, batches = self.score(monkeypatch, 1, mode)
+    def test_chunks_are_whole_sentences_longest_first(self, monkeypatch):
+        _, _, batches = self.score(monkeypatch, 1)
         encoded = encode_texts(self.tok, self.texts, self.state.config.max_positions)
         scored = sorted(sentence for batch in batches for sentence in batch)
         assert scored == sorted(tuple(ids.tolist()) for ids in encoded)
         lengths = [len(batch[0]) for batch in batches]
         assert lengths == sorted(lengths, reverse=True)
         assert len(lengths) > len(set(lengths))  # one length in several chunks
-        rows = [len(batch) * (len(batch[0]) if mode == PLL else 1) for batch in batches]
-        assert max(rows) <= self.CHUNK_ROWS[mode]
+        rows = [len(batch) * len(batch[0]) for batch in batches]
+        assert max(rows) <= self.CHUNK_ROWS
 
-    @pytest.mark.parametrize("mode", [PLL, UNMASKED])
-    def test_threads_give_one_thread_scores(self, mode, monkeypatch, blas_at_two_threads):
-        serial, serial_threads, _ = self.score(monkeypatch, 1, mode)
-        threaded, threaded_threads, _ = self.score(monkeypatch, 3, mode)
+    def test_threads_give_one_thread_scores(self, monkeypatch, blas_at_two_threads):
+        serial, serial_threads, _ = self.score(monkeypatch, 1)
+        threaded, threaded_threads, _ = self.score(monkeypatch, 3)
         assert serial_threads == {threading.get_ident()}
         assert threading.get_ident() not in threaded_threads
         assert threaded == serial
         assert [lib.get_threads() for lib in blas.libraries()] == [2] * len(blas_at_two_threads)
 
     def test_no_openblas_scores_on_one_thread(self, monkeypatch):
-        serial, _, _ = self.score(monkeypatch, 1, PLL)
+        serial, _, _ = self.score(monkeypatch, 1)
         monkeypatch.setattr(blas, "libraries", lambda: [])
-        fallback, threads, _ = self.score(monkeypatch, 3, PLL)
+        fallback, threads, _ = self.score(monkeypatch, 3)
         assert threads == {threading.get_ident()}
         assert fallback == serial
 
@@ -332,8 +280,7 @@ class TestEvaluatePairs:
         tok = bpe.train_tokenizer([corpus.to_text()], 16)
         state = init_model(ModelConfig(**{**CFG, "vocab_size": tok.vocab_size}), seed=3)
         pairs = corpora.gen_exp2_test_pairs(25, string_len=8, seed=5)
-        rep = evaluate_pairs(state, tok, pairs, mode=UNMASKED)
-        assert rep.mode == UNMASKED
+        rep = evaluate_pairs(state, tok, pairs)
         assert rep.n_pairs == 25
         assert len(rep.per_pair_scores) == 25
         credit = sum(
@@ -349,12 +296,6 @@ class TestEvaluatePairs:
         with pytest.raises(ValueError, match="no pairs"):
             evaluate_pairs(state, tok, empty)
 
-    def test_bad_mode_rejected(self):
-        tok = binary_tok()
-        state = zeroed_state(tok.vocab_size)
-        with pytest.raises(ValueError, match="mode"):
-            surprisal_many(state, tok, ["1"], mode="typo")
-
     def test_too_long_sentence_rejected(self):
         tok = binary_tok()
         state = zeroed_state(tok.vocab_size)
@@ -369,13 +310,11 @@ class TestReportFile:
             n_preferred=1.5,
             accuracy=0.75,
             per_pair_scores=((1.0, 2.0), (3.5, 3.5)),
-            mode=PLL,
         )
         path = tmp_path / "eval.json"
         write_eval_report(rep, path)
         assert json.loads(path.read_text(encoding="utf-8")) == {
-            "format": "quantal-eval v1",
-            "mode": PLL,
+            "format": "quantal-eval v2",
             "n_pairs": 2,
             "n_preferred": 1.5,
             "accuracy": 0.75,

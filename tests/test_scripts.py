@@ -65,9 +65,11 @@ def test_names_taken_from_quantal_exist(path):
     assert quantal_names_missing(path) == []
 
 
-@pytest.mark.parametrize("demo", ["01_tolerance_threshold.py", "02_build_corpora.py", "03_train_tokenizer.py"])
+@pytest.mark.parametrize("demo", ["01_tolerance_threshold.py", "02_build_corpora.py", "03_train_tokenizer.py",
+                                  "04_train_and_score.py"])
 def test_quick_demo_runs(demo, tmp_path):
-    # these three call the generators directly, so a signature change shows here
+    # these call the generators, training and scoring directly, so a
+    # signature change shows here
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     done = subprocess.run(
         [sys.executable, str(DEMOS / demo)], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120

@@ -12,7 +12,7 @@ from quantal.bpe import tokenizer_sha256
 from quantal.checkpoint import MAGIC, load_checkpoint, state_digest
 from quantal.corpora import BINARY, WORD_ORDER
 from quantal.model import ModelConfig, init_model
-from quantal.scoring import PLL, UNMASKED
+from quantal.scoring import PLL
 from quantal.sweep import (
     COLUMN_NAMES,
     SweepCellResult,
@@ -79,8 +79,17 @@ class TestConfig:
             tiny_config(replicates=0)
         with pytest.raises(ValueError, match="epoch_settings"):
             tiny_config(epoch_settings=(-1,))
+
+    @pytest.mark.parametrize("mode", ["typo", "unmasked"])
+    def test_surprisal_mode_must_be_pll(self, mode, tmp_path):
+        with pytest.raises(ValueError, match=f"surprisal_mode must be 'pll', got '{mode}'"):
+            tiny_config(surprisal_mode=mode)
+        path = tmp_path / "sweep.json"
+        save_sweep_config(tiny_config(), path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        path.write_text(json.dumps({**payload, "surprisal_mode": mode}), encoding="utf-8")
         with pytest.raises(ValueError, match="surprisal_mode"):
-            tiny_config(surprisal_mode="typo")
+            load_sweep_config(path)
 
     def test_accepts_untrained_epoch_setting(self):
         assert tiny_config(epoch_settings=(0, 1)).epoch_settings == (0, 1)
@@ -138,7 +147,7 @@ class TestConfig:
         assert corpus_hash(tiny_config(proportions=(0,), **untrained)) == corpus_hash(tiny_config(**untrained))
 
     def test_json_round_trip(self, tmp_path):
-        cfg = tiny_config(surprisal_mode=UNMASKED, proportions=(0.0, 0.25))
+        cfg = tiny_config(proportions=(0.0, 0.25))
         path = tmp_path / "sweep.json"
         save_sweep_config(cfg, path)
         assert load_sweep_config(path) == cfg
@@ -432,10 +441,11 @@ class TestColumnSlice:
         with pytest.raises(ValueError, match="no rows"):
             column_slice(self.rows(), 999, 10)
 
-    @pytest.mark.parametrize("key, value", [("experiment", WORD_ORDER), ("surprisal_mode", UNMASKED)])
+    @pytest.mark.parametrize("key, value", [("experiment", WORD_ORDER), ("surprisal_mode", "unmasked")])
     def test_mixed_kinds_are_an_error(self, key, value):
-        # a binary and a word-order row (or a PLL and an unmasked row) at
-        # one size are two measurements, not one column
+        # a binary and a word-order row (or a PLL row and an unmasked row,
+        # which older versions wrote) at one size are two measurements, not
+        # one column
         rows = self.rows() + [{**self.rows()[0], "exception_prop": 0.3, key: value}]
         with pytest.raises(ValueError, match=f"mix {key}"):
             column_slice(rows, 500, 10)

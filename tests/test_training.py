@@ -181,13 +181,11 @@ class TestEndToEnd:
     def test_learns_rule_preference_on_tiny_corpus(self):
         # all-rule corpus: strings open with 1, foils with 0; enough
         # training should push preference to the rule side
-        from quantal.scoring import PLL, UNMASKED, evaluate_pairs
+        from quantal.scoring import evaluate_pairs
 
         corpus, tok, cfg = tiny_setup(n_sentences=60)
         pairs = corpora.gen_exp2_test_pairs(40, string_len=8, seed=6)
         state = init_model(cfg, seed=1)
         train(state, corpus, tok, TrainConfig(epochs=60, seed=2))
-        rep = evaluate_pairs(state, tok, pairs, mode=PLL)
+        rep = evaluate_pairs(state, tok, pairs)
         assert rep.accuracy >= 0.9
-        rep_u = evaluate_pairs(state, tok, pairs, mode=UNMASKED)
-        assert rep_u.accuracy >= 0.9

@@ -36,17 +36,16 @@ and ff2_w: their matmuls sum over the real rows only, and a BLAS that
 blocks that sum by row count may round it differently (about 1e-6 of the
 largest entry in float32).
 
-Scoring runs the inference pass.  The single-pass mode reads every real
-row.  PLL asks for one query position per batch row (at=) and reads only
-those rows, so the last layer is pruned: it computes keys and values for
-every real row, and the queries, attention, output projection, both
-LayerNorms and the FF block for the B query rows only.  Rows up to the
-last layer are bit-identical to the unpruned pass's.  The last layer's
-one-row attention matmuls round differently from the (L, L) ones (BLAS
-picks another kernel), so a pruned row moves by about 1e-7 relative in
-float32 and 1e-15 in float64.  Where every batch row has one real token,
-softmax over that one key is exactly 1 and the pruned rows are
-bit-identical.
+Scoring runs the inference pass.  PLL asks for one query position per
+batch row (at=) and reads only those rows, so the last layer is pruned:
+it computes keys and values for every real row, and the queries,
+attention, output projection, both LayerNorms and the FF block for the B
+query rows only.  Rows up to the last layer are bit-identical to the
+unpruned pass's.  The last layer's one-row attention matmuls round
+differently from the (L, L) ones (BLAS picks another kernel), so a
+pruned row moves by about 1e-7 relative in float32 and 1e-15 in float64.
+Where every batch row has one real token, softmax over that one key is
+exactly 1 and the pruned rows are bit-identical.
 """
 
 from __future__ import annotations

@@ -40,8 +40,6 @@ from .corpora import MinimalPairSet
 from .model import ModelState, forward_batch, log_softmax, output_head
 from .training import encode_texts
 
-PLL = "pll"
-
 EVAL_FORMAT = "quantal-eval v2"
 
 CHUNK_ROWS = 256  # batch rows per forward pass

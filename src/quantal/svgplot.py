@@ -133,8 +133,8 @@ def tolerance_curve_path(frame: Frame) -> str:
 def heatmap_svg(rows, epochs: int, title: str | None = None) -> str:
     """Shaded accuracy cells over (n_train, exception_prop) at one epoch
     setting, with the tolerance curve 1/ln N overlaid.  The frame pads the
-    data by one grid step on each side.  Rows of different experiments or
-    surprisal modes are refused."""
+    data by one grid step on each side.  Rows of different experiments are
+    refused."""
     rows = [row for row in rows if row["epochs"] == epochs]
     if not rows:
         raise ValueError(f"no rows at epochs={epochs}")

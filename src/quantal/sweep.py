@@ -35,7 +35,7 @@ from . import blas, bpe, corpora
 from .checkpoint import save_checkpoint, state_digest
 from .corpora import BINARY, EXPERIMENTS, WORD_ORDER
 from .model import ModelConfig, TrainConfig, init_model
-from .scoring import PLL, evaluate_pairs
+from .scoring import evaluate_pairs
 from .tp import above_chance_test
 from .training import train
 from .util import finite, stable_seed, whole
@@ -58,7 +58,7 @@ COLUMNS = (
     ("mean_accuracy", repr, float),
     ("n_types", str, int),
     ("above_chance_p", repr, float),
-    ("surprisal_mode", str, str),
+    ("n_test_pairs", str, int),
     ("corpus_hash", str, str),
     ("wall_seconds", "{:.3f}".format, float),
 )
@@ -66,12 +66,11 @@ COLUMN_NAMES = [name for name, _, _ in COLUMNS]
 # wall_seconds is the only column allowed to differ between identical runs
 TIMING_COLUMNS = ("wall_seconds",)
 # The columns that make two rows the same cell for --reuse.  The seeds hash
-# base_seed and the replicate count.  n_test_pairs has no column, so two
-# cells that differ only in it are still confused.
-KEY_COLUMNS = ("experiment", "n_train", "exception_prop", "epochs", "seeds", "surprisal_mode")
+# base_seed and the replicate count.
+KEY_COLUMNS = ("experiment", "n_train", "exception_prop", "epochs", "seeds", "n_test_pairs")
 
-CONFIG_FORMAT = "quantal-sweep v1"
-MANIFEST_FORMAT = "quantal-manifest v1"
+CONFIG_FORMAT = "quantal-sweep v2"
+MANIFEST_FORMAT = "quantal-manifest v2"
 
 EXP1_VOCAB_WORDS = 10_000
 WORD_LEN_RANGE = (3, 13)
@@ -99,7 +98,6 @@ class SweepConfig:
     replicates: int
     base_seed: int
     n_test_pairs: int = 1000
-    surprisal_mode: str = PLL
 
     def __post_init__(self):
         # Seeds hash repr(prop) and str(n), so 0 and 0.0 (or 6 and 6.0) would
@@ -123,8 +121,6 @@ class SweepConfig:
                 raise ValueError(f"{name} must be nonempty")
         if any(not 0.0 <= p <= 1.0 for p in self.proportions):
             raise ValueError("proportions must lie in [0, 1]")
-        if self.surprisal_mode != PLL:
-            raise ValueError(f"surprisal_mode must be {PLL!r}, got {self.surprisal_mode!r}")
 
 
 def default_config(experiment: str, base_seed: int, **overrides) -> SweepConfig:
@@ -165,7 +161,7 @@ class SweepCellResult:
     mean_accuracy: float
     n_types: int
     above_chance_p: float
-    surprisal_mode: str
+    n_test_pairs: int
     corpus_hash: str
     tokenizer_hash: str
     checkpoint_hashes: tuple[str, ...]
@@ -303,7 +299,7 @@ def _cell_coords(cfg: SweepConfig, jobs: list[CellJob]) -> dict:
         "exception_prop": job.exception_prop,
         "epochs": job.epochs,
         "seeds": tuple(j.init_seed for j in jobs),
-        "surprisal_mode": cfg.surprisal_mode,
+        "n_test_pairs": cfg.n_test_pairs,
     }
 
 
@@ -443,16 +439,14 @@ def load_results(store: str | Path) -> list[dict]:
 
 
 def require_one_kind(rows: list[dict], where: str) -> None:
-    """Refuse rows that mix experiments or surprisal modes.
+    """Refuse rows that mix experiments.
 
     A column or a figure compares cells of one measurement; a store may
-    hold several, and one written by an older version may hold rows
-    scored in its single-pass ``unmasked`` mode.
+    hold several.
     """
-    for key in ("experiment", "surprisal_mode"):
-        kinds = sorted({row[key] for row in rows})
-        if len(kinds) > 1:
-            raise ValueError(f"rows at {where} mix {key} values {kinds}")
+    kinds = sorted({row["experiment"] for row in rows})
+    if len(kinds) > 1:
+        raise ValueError(f"rows at {where} mix experiment values {kinds}")
 
 
 def column_slice(table: list[dict], n_train: int, epochs: int) -> list[tuple[float, float]]:
@@ -460,7 +454,7 @@ def column_slice(table: list[dict], n_train: int, epochs: int) -> list[tuple[flo
 
     Sorted by proportion; repeated proportions (re-runs) are all kept,
     which downstream analysis treats as replicate measurements.  Rows of
-    different experiments or surprisal modes are refused.
+    different experiments are refused.
     """
     rows = [row for row in table if row["n_train"] == n_train and row["epochs"] == epochs]
     if not rows:
@@ -503,10 +497,13 @@ def run_sweep(
 
     Cells are independent: one failure is recorded and the rest proceed.
     With reuse=True, cells whose KEY_COLUMNS already appear in the store
-    are skipped, which makes interrupted sweeps resumable.  Returns
+    are skipped, which makes interrupted sweeps resumable.  The store is
+    read before any cell runs, so one of another schema is refused up
+    front rather than after every cell has trained.  Returns
     (results, skipped, failures); failures hold (cell label, error text).
     """
-    done = {_cell_key(row) for row in load_results(store)} if reuse else set()
+    stored = load_results(store)
+    done = {_cell_key(row) for row in stored} if reuse else set()
     results, skipped, failures = [], [], []
     # Each worker runs one BLAS thread: workers that each bring a pool of one
     # thread per core oversubscribe the cores.

@@ -63,7 +63,7 @@ def synthetic_store(path, accs_by_prop, n_train=55, epochs=10):
             mean_accuracy=acc,
             n_types=n_train,
             above_chance_p=0.5,
-            surprisal_mode="pll",
+            n_test_pairs=1000,
             corpus_hash="0" * 64,
             tokenizer_hash="0" * 64,
             checkpoint_hashes=("0" * 64,),

@@ -79,7 +79,7 @@ def test_quick_demo_runs(demo, tmp_path):
 
 def test_a_missing_name_is_found(tmp_path):
     demo = tmp_path / "demo.py"
-    demo.write_text("from quantal.scoring import PLL, sentence_surprisal\n"
+    demo.write_text("from quantal.scoring import CHUNK_ROWS, sentence_surprisal\n"
                     "from quantal import sweep\n"
                     "sweep.run_sweep, sweep.CSV_HEADER\n")
     assert quantal_names_missing(demo) == ["quantal.scoring.sentence_surprisal", "quantal.sweep.CSV_HEADER"]

@@ -12,7 +12,6 @@ from quantal.bpe import tokenizer_sha256
 from quantal.checkpoint import MAGIC, load_checkpoint, state_digest
 from quantal.corpora import BINARY, WORD_ORDER
 from quantal.model import ModelConfig, init_model
-from quantal.scoring import PLL
 from quantal.sweep import (
     COLUMN_NAMES,
     SweepCellResult,
@@ -30,7 +29,13 @@ from quantal.sweep import (
 )
 from quantal.util import sha256_bytes, stable_seed
 
-ACCEPTANCE_DIR = Path(__file__).resolve().parents[1] / "results" / "acceptance"
+ROOT = Path(__file__).resolve().parents[1]
+ACCEPTANCE_DIR = ROOT / "results" / "acceptance"
+# The store header written before n_test_pairs took surprisal_mode's column
+V1_HEADER = (
+    "experiment,n_train,exception_prop,epochs,replicates,seeds,accuracies,mean_accuracy,"
+    "n_types,above_chance_p,surprisal_mode,corpus_hash,wall_seconds\n"
+)
 
 
 def tiny_config(**overrides):
@@ -66,7 +71,6 @@ class TestConfig:
         assert exp2.proportions == (0.0, 0.1, 0.2, 0.3, 0.4, 0.5)
         assert exp2.replicates == 3
         assert exp2.n_test_pairs == 1000
-        assert exp2.surprisal_mode == PLL
 
     def test_validation(self):
         with pytest.raises(ValueError, match="experiment"):
@@ -79,17 +83,6 @@ class TestConfig:
             tiny_config(replicates=0)
         with pytest.raises(ValueError, match="epoch_settings"):
             tiny_config(epoch_settings=(-1,))
-
-    @pytest.mark.parametrize("mode", ["typo", "unmasked"])
-    def test_surprisal_mode_must_be_pll(self, mode, tmp_path):
-        with pytest.raises(ValueError, match=f"surprisal_mode must be 'pll', got '{mode}'"):
-            tiny_config(surprisal_mode=mode)
-        path = tmp_path / "sweep.json"
-        save_sweep_config(tiny_config(), path)
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        path.write_text(json.dumps({**payload, "surprisal_mode": mode}), encoding="utf-8")
-        with pytest.raises(ValueError, match="surprisal_mode"):
-            load_sweep_config(path)
 
     def test_accepts_untrained_epoch_setting(self):
         assert tiny_config(epoch_settings=(0, 1)).epoch_settings == (0, 1)
@@ -156,6 +149,16 @@ class TestConfig:
         path = tmp_path / "sweep.json"
         path.write_text('{"format": "nope"}')
         with pytest.raises(ValueError, match="quantal-sweep"):
+            load_sweep_config(path)
+
+    def test_rejects_a_v1_config(self, tmp_path):
+        # v1 had a surprisal_mode key; its one value was "pll"
+        path = tmp_path / "sweep.json"
+        save_sweep_config(tiny_config(), path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload.update(format="quantal-sweep v1", surprisal_mode="pll")
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ValueError, match="not a 'quantal-sweep v2' file"):
             load_sweep_config(path)
 
     @pytest.mark.parametrize("change", ["unknown", "missing", "array"])
@@ -255,7 +258,7 @@ class TestRunCell:
         assert 0.0 <= result.mean_accuracy <= 1.0
         assert 0.0 <= result.above_chance_p <= 1.0
         assert result.n_types == 6
-        assert result.surprisal_mode == PLL
+        assert result.n_test_pairs == 6
 
     def test_corpus_hash_matches_regenerated_corpus(self, tiny_cell_result):
         cfg, jobs, result = tiny_cell_result
@@ -300,7 +303,7 @@ class TestRunCell:
         written = {"corpus.txt", "pairs.tsv", "replicate0.ckpt", "manifest.json"}
         assert {path.name for path in cell_dir.iterdir()} == written
         manifest = json.loads((cell_dir / "manifest.json").read_text())
-        assert manifest["format"] == "quantal-manifest v1"
+        assert manifest["format"] == "quantal-manifest v2"
         assert manifest["config"]["base_seed"] == 77
         assert manifest["cell"]["corpus_hash"] == result.corpus_hash
         assert set(manifest["derived_seeds"]) == {
@@ -383,6 +386,17 @@ class TestStore:
         with pytest.raises(ValueError, match="schema"):
             load_results(store)
 
+    def test_refuses_the_v1_header(self, tmp_path, tiny_cell_result):
+        # a store written before n_test_pairs had a column, whatever its rows
+        _, _, result = tiny_cell_result
+        store = tmp_path / "results.csv"
+        store.write_text(V1_HEADER)
+        with pytest.raises(ValueError, match="schema"):
+            load_results(store)
+        with pytest.raises(ValueError, match="schema"):
+            append_result(store, result)
+        assert store.read_text() == V1_HEADER
+
     @pytest.mark.parametrize("name", ["binary.csv", "word_order.csv"])
     def test_committed_store_rewrites_byte_for_byte(self, tmp_path, name):
         committed = ACCEPTANCE_DIR / name
@@ -413,7 +427,6 @@ class TestColumnSlice:
                 "exception_prop": prop,
                 "epochs": ep,
                 "mean_accuracy": acc,
-                "surprisal_mode": PLL,
             }
 
         return [
@@ -431,7 +444,7 @@ class TestColumnSlice:
     def test_keeps_repeated_proportions(self):
         rows = self.rows() + [
             {"experiment": BINARY, "n_train": 500, "exception_prop": 0.1,
-             "epochs": 10, "mean_accuracy": 0.86, "surprisal_mode": PLL}
+             "epochs": 10, "mean_accuracy": 0.86}
         ]
         points = column_slice(rows, 500, 10)
         assert points.count((0.1, 0.88)) == 1
@@ -441,13 +454,11 @@ class TestColumnSlice:
         with pytest.raises(ValueError, match="no rows"):
             column_slice(self.rows(), 999, 10)
 
-    @pytest.mark.parametrize("key, value", [("experiment", WORD_ORDER), ("surprisal_mode", "unmasked")])
-    def test_mixed_kinds_are_an_error(self, key, value):
-        # a binary and a word-order row (or a PLL row and an unmasked row,
-        # which older versions wrote) at one size are two measurements, not
-        # one column
-        rows = self.rows() + [{**self.rows()[0], "exception_prop": 0.3, key: value}]
-        with pytest.raises(ValueError, match=f"mix {key}"):
+    def test_mixed_kinds_are_an_error(self):
+        # a binary and a word-order row at one size are two measurements,
+        # not one column
+        rows = self.rows() + [{**self.rows()[0], "exception_prop": 0.3, "experiment": WORD_ORDER}]
+        with pytest.raises(ValueError, match="mix experiment"):
             column_slice(rows, 500, 10)
         # at another size the row is not selected
         assert column_slice(rows, 300, 10) == [(0.1, 0.9)]
@@ -466,9 +477,10 @@ class TestRunSweep:
         assert again[0] == [] and len(again[1]) == 2 and again[2] == []
         assert len(load_results(store)) == 2
 
-    @pytest.mark.parametrize("changed", [dict(base_seed=2), dict(replicates=2)])
+    @pytest.mark.parametrize("changed", [dict(base_seed=2), dict(replicates=2), dict(n_test_pairs=4)])
     def test_reuse_tells_cells_apart(self, tmp_path, changed):
-        # same coordinates, different seeds: the second sweep must run
+        # same coordinates, different seeds or test pairs: the second sweep
+        # must run
         store = tmp_path / "results.csv"
         run_sweep(tiny_config(sizes=(5,), replicates=1, base_seed=1), store)
         results, skipped, failures = run_sweep(
@@ -478,6 +490,17 @@ class TestRunSweep:
         )
         assert (len(results), skipped, failures) == (1, [], [])
         assert len(load_results(store)) == 2
+
+    @pytest.mark.parametrize("reuse", [False, True])
+    def test_foreign_store_is_refused_before_any_cell_runs(self, tmp_path, monkeypatch, reuse):
+        def no_training(*args, **kwargs):
+            raise AssertionError("a cell ran against a store it cannot append to")
+
+        monkeypatch.setattr(sweep, "run_cell", no_training)
+        store = tmp_path / "results.csv"
+        store.write_text(V1_HEADER)
+        with pytest.raises(ValueError, match="schema"):
+            run_sweep(tiny_config(), store, reuse=reuse)
 
     def test_cell_failure_is_isolated(self, tmp_path):
         # 70000 binary strings cannot be unique at length 16, so that
@@ -530,6 +553,17 @@ class TestRunSweep:
 
 
 class TestCommittedStores:
+    def test_every_committed_file_loads(self):
+        # a change of format must rewrite each of them; no other test reads
+        # the demo store
+        stores = sorted([*ACCEPTANCE_DIR.glob("*.csv"), ROOT / "demos" / "output" / "demo_sweep.csv"])
+        configs = sorted((ACCEPTANCE_DIR / "configs").glob("*.json"))
+        assert (len(stores), len(configs)) == (3, 6)
+        for path in stores:
+            assert load_results(path), path
+        for path in configs:
+            load_sweep_config(path)
+
     @pytest.mark.parametrize(
         "config", sorted(p.name for p in (ACCEPTANCE_DIR / "configs").glob("*.json"))
     )

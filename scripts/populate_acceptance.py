@@ -28,8 +28,10 @@ def store_for(experiment: str) -> Path:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument("--workers", type=int, default=1, help="parallel replicates (default 1)")
     args = parser.parse_args(argv)
+    if args.workers < 1:
+        parser.error(f"--workers must be >= 1, got {args.workers}")
 
     config_paths = sorted((ACCEPTANCE_DIR / "configs").glob("*.json"))
     if not config_paths:

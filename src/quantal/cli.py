@@ -200,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--artifacts", help="directory for per-cell artifact files")
     sw.add_argument("--reuse", action="store_true", help="skip cells already in store")
     sw.add_argument(
-        "--workers", type=int, default=1, help="parallel cells, each worker on one BLAS thread"
+        "--workers", type=int, default=1, help="parallel replicates, each worker on one BLAS thread"
     )
     sw.set_defaults(func=cmd_sweep)
 

@@ -9,6 +9,14 @@ The cell's data, tokenizer, input files and replicate models come from
 cell_data, cell_tokenizer, write_cell_inputs and train_replicate, which
 `quantal gen` and `quantal train` call too.
 
+The unit of parallel work is one replicate.  Serially, run_cell builds a
+cell's inputs once and runs its replicates in turn.  With a process
+pool, each replicate is one task: the worker rebuilds the cell's inputs
+(they are a pure function of the config and the cell) and runs the same
+replicate step, and the parent builds the cell's row once all of its
+replicates have returned.  Rows are appended in grid order either way,
+so a pooled store equals a serial one apart from wall_seconds.
+
 An epoch setting of 0 makes an untrained baseline cell: the same corpus,
 tokenizer, test pairs and scoring path as its trained neighbours, with
 the optimizer never run.  Its replicate seeds come from the cell's
@@ -63,7 +71,10 @@ COLUMNS = (
     ("wall_seconds", "{:.3f}".format, float),
 )
 COLUMN_NAMES = [name for name, _, _ in COLUMNS]
-# wall_seconds is the only column allowed to differ between identical runs
+# wall_seconds is the time from when the cell's first input building began
+# to when its last replicate finished, on the system-wide monotonic clock,
+# whether the replicates ran in turn or in parallel pool workers.  It is the
+# only column allowed to differ between identical runs.
 TIMING_COLUMNS = ("wall_seconds",)
 # The columns that make two rows the same cell for --reuse.  The seeds hash
 # base_seed and the replicate count.
@@ -314,11 +325,73 @@ def _label(coords: dict) -> str:
     )
 
 
-def _cell_stem(coords: dict) -> str:
-    return (
-        f"{coords['experiment']}_n{coords['n_train']}_p{coords['exception_prop']}"
-        f"_e{coords['epochs']}"
+def _cell_stem(job: CellJob) -> str:
+    return f"{job.experiment}_n{job.n_train}_p{job.exception_prop}_e{job.epochs}"
+
+
+def _cell_inputs(cfg: SweepConfig, job: CellJob, artifacts_dir, write_files: bool):
+    """(corpus, pairs, tokenizer, artifact directory or None) of job's cell.
+
+    With write_files and an artifacts_dir, the cell's input files (those
+    `quantal gen` writes) go to its directory.
+    """
+    vocab, corpus, pairs = cell_data(
+        cfg.experiment, cfg.base_seed, job.n_train, job.exception_prop, cfg.n_test_pairs
     )
+    tok = cell_tokenizer(cfg.experiment, corpus, vocab)
+    cell_dir = None if artifacts_dir is None else Path(artifacts_dir) / _cell_stem(job)
+    if cell_dir is not None and write_files:
+        write_cell_inputs(cell_dir, vocab, corpus, pairs)
+    return corpus, pairs, tok, cell_dir
+
+
+def _input_facts(corpus, tok: bpe.TokenizerModel) -> dict:
+    """The row's columns that the cell's inputs alone decide."""
+    return {
+        "n_types": corpus.n_types,
+        "corpus_hash": corpora.corpus_sha256(corpus),
+        "tokenizer_hash": bpe.tokenizer_sha256(tok),
+    }
+
+
+def _run_replicate(cfg: SweepConfig, job: CellJob, corpus, pairs, tok, cell_dir) -> tuple[float, str]:
+    """(accuracy, checkpoint hash) of one replicate, trained unless 0 epochs.
+
+    With cell_dir set, its checkpoint (which embeds the tokenizer) is
+    written there as replicate{r}.ckpt.  The model is freed on return.
+    """
+    state, train_config = train_replicate(
+        tok, corpus, job.init_seed, job.epochs, derived_seeds(cfg, job)["train_seed"]
+    )
+    report = evaluate_pairs(state, tok, pairs)
+    if cell_dir is not None:
+        cell_dir.mkdir(parents=True, exist_ok=True)  # another task may not have written the inputs yet
+        save_checkpoint(
+            state, cell_dir / f"replicate{job.replicate_index}.ckpt", tok, cfg.experiment,
+            train_config=train_config,
+        )
+    return report.accuracy, state_digest(state)
+
+
+def _cell_result(cfg: SweepConfig, jobs, facts: dict, replicates, wall_seconds: float, artifacts_dir):
+    """A cell's row from its replicates' (accuracy, checkpoint hash) in
+    replicate order; with artifacts_dir set, its manifest is written too."""
+    accuracies = tuple(accuracy for accuracy, _ in replicates)
+    mean_accuracy = float(np.mean(accuracies))
+    result = SweepCellResult(
+        **_cell_coords(cfg, jobs),
+        **facts,
+        accuracies=accuracies,
+        mean_accuracy=mean_accuracy,
+        above_chance_p=above_chance_test(mean_accuracy * cfg.n_test_pairs, cfg.n_test_pairs),
+        checkpoint_hashes=tuple(digest for _, digest in replicates),
+        wall_seconds=wall_seconds,
+    )
+    if artifacts_dir is not None:
+        write_manifest(
+            Path(artifacts_dir) / _cell_stem(jobs[0]) / "manifest.json", cfg, result, derived_seeds(cfg, jobs[0])
+        )
+    return result
 
 
 def run_cell(
@@ -330,58 +403,19 @@ def run_cell(
     models.  With artifacts_dir set, the cell's input files (those
     `quantal gen` writes), a checkpoint per replicate as it finishes (each
     embeds the tokenizer), and finally the manifest are written there;
-    hashes are recorded either way.  Only one replicate's model is held
-    in memory at a time.
+    hashes are recorded either way.  The inputs are built once, and only
+    one replicate's model is held in memory at a time.
     """
     if not jobs:
         raise ValueError("run_cell needs at least one job")
     if len({j.cell_index for j in jobs}) != 1:
         raise ValueError("jobs must all belong to one cell")
-    t0 = time.perf_counter()
+    started = time.monotonic()
     jobs = sorted(jobs, key=lambda j: j.replicate_index)
-    coords = _cell_coords(cfg, jobs)
-    seeds = derived_seeds(cfg, jobs[0])
-    vocab, corpus, pairs = cell_data(
-        cfg.experiment, cfg.base_seed, coords["n_train"], coords["exception_prop"], cfg.n_test_pairs
-    )
-    tok = cell_tokenizer(cfg.experiment, corpus, vocab)
-    cell_dir = None
-    if artifacts_dir is not None:
-        cell_dir = Path(artifacts_dir) / _cell_stem(coords)
-        write_cell_inputs(cell_dir, vocab, corpus, pairs)
-
-    accuracies = []
-    ckpt_hashes = []
-    for r, job in enumerate(jobs):
-        state, train_config = train_replicate(
-            tok, corpus, job.init_seed, coords["epochs"], seeds["train_seed"]
-        )
-        report = evaluate_pairs(state, tok, pairs)
-        accuracies.append(report.accuracy)
-        ckpt_hashes.append(state_digest(state))
-        if cell_dir is not None:
-            save_checkpoint(
-                state, cell_dir / f"replicate{r}.ckpt", tok, cfg.experiment, train_config=train_config
-            )
-        del state  # frees this replicate's weights and Adam moments before the next init
-
-    mean_accuracy = float(np.mean(accuracies))
-    result = SweepCellResult(
-        **coords,
-        accuracies=tuple(accuracies),
-        mean_accuracy=mean_accuracy,
-        n_types=corpus.n_types,
-        above_chance_p=above_chance_test(
-            mean_accuracy * cfg.n_test_pairs, cfg.n_test_pairs
-        ),
-        corpus_hash=corpora.corpus_sha256(corpus),
-        tokenizer_hash=bpe.tokenizer_sha256(tok),
-        checkpoint_hashes=tuple(ckpt_hashes),
-        wall_seconds=time.perf_counter() - t0,
-    )
-    if cell_dir is not None:
-        write_manifest(cell_dir / "manifest.json", cfg, result, seeds)
-    return result
+    corpus, pairs, tok, cell_dir = _cell_inputs(cfg, jobs[0], artifacts_dir, write_files=True)
+    replicates = [_run_replicate(cfg, job, corpus, pairs, tok, cell_dir) for job in jobs]
+    wall_seconds = time.monotonic() - started
+    return _cell_result(cfg, jobs, _input_facts(corpus, tok), replicates, wall_seconds, artifacts_dir)
 
 
 def write_manifest(path: str | Path, cfg: SweepConfig, result: SweepCellResult, seeds) -> None:
@@ -478,11 +512,25 @@ def load_sweep_config(path: str | Path) -> SweepConfig:
         raise ValueError(f"bad sweep config {path}: {exc}") from None
 
 
-def _cell_task(cfg: SweepConfig, jobs: list[CellJob], artifacts_dir):
-    # The pool entry is this module-level function, which looks run_cell up
-    # only when it is called: perfbench's tracer (perfbench/spans.py)
-    # replaces run_cell with a closure, and a closure cannot be pickled.
-    return run_cell(cfg, jobs, artifacts_dir=artifacts_dir)
+def _replicate_task(cfg: SweepConfig, job: CellJob, artifacts_dir, write_inputs: bool):
+    """The pool's task: build job's cell inputs, then run its replicate.
+
+    Returns (started, finished, input facts, (accuracy, checkpoint hash)).
+    """
+    # A module-level function, which looks the replicate's steps up only
+    # when it is called: perfbench's tracer (perfbench/spans.py) replaces
+    # train, evaluate_pairs and state_digest with closures, which cannot be
+    # pickled but which forked workers inherit.
+    started = time.monotonic()
+    corpus, pairs, tok, cell_dir = _cell_inputs(cfg, job, artifacts_dir, write_inputs)
+    replicate = _run_replicate(cfg, job, corpus, pairs, tok, cell_dir)
+    return started, time.monotonic(), _input_facts(corpus, tok), replicate
+
+
+def _gather_cell(cfg: SweepConfig, jobs: list[CellJob], futures, artifacts_dir) -> SweepCellResult:
+    """The row of a cell whose replicates ran as pool tasks, once all have returned."""
+    started, finished, facts, replicates = zip(*(future.result() for future in futures))
+    return _cell_result(cfg, jobs, facts[0], replicates, max(finished) - min(started), artifacts_dir)
 
 
 def run_sweep(
@@ -493,9 +541,12 @@ def run_sweep(
     reuse: bool = False,
     log=None,
 ):
-    """Run every cell of the grid, appending rows as cells finish.
+    """Run every cell of the grid, appending each cell's row in grid order.
 
-    Cells are independent: one failure is recorded and the rest proceed.
+    With workers > 1, each replicate is a task of a process pool of at
+    most that many workers, and a cell's row is written once all of its
+    replicates have returned.  Cells are independent: one failure (of any
+    of its replicates) is recorded for the cell and the rest proceed.
     With reuse=True, cells whose KEY_COLUMNS already appear in the store
     are skipped, which makes interrupted sweeps resumable.  The store is
     read before any cell runs, so one of another schema is refused up
@@ -505,24 +556,34 @@ def run_sweep(
     stored = load_results(store)
     done = {_cell_key(row) for row in stored} if reuse else set()
     results, skipped, failures = [], [], []
-    # Each worker runs one BLAS thread: workers that each bring a pool of one
-    # thread per core oversubscribe the cores.
+    cells = []
+    for _, group in itertools.groupby(expand_grid(cfg), key=lambda j: j.cell_index):
+        jobs = list(group)
+        coords = _cell_coords(cfg, jobs)
+        if _cell_key(coords) in done:
+            skipped.append(_label(coords))
+            if log:
+                log(f"skip {_label(coords)} (already in store)")
+        else:
+            cells.append((coords, jobs))
+    # A task is one replicate.  The pool forks all its workers at once, so it
+    # gets no more than there are tasks.  Each worker runs one BLAS thread:
+    # workers that each bring a pool of one thread per core oversubscribe
+    # the cores.
+    workers = min(workers, sum(len(jobs) for _, jobs in cells))
     pool = ProcessPoolExecutor(max_workers=workers, initializer=blas.pin_one_thread) if workers > 1 else None
     with pool or contextlib.nullcontext():
-        # A pool starts every cell at once; serially, each runs when the loop below reaches it.
-        tasks = []
-        for _, group in itertools.groupby(expand_grid(cfg), key=lambda j: j.cell_index):
-            jobs = list(group)
-            coords = _cell_coords(cfg, jobs)
-            if _cell_key(coords) in done:
-                skipped.append(_label(coords))
-                if log:
-                    log(f"skip {_label(coords)} (already in store)")
-            elif pool is None:
-                tasks.append((coords, functools.partial(_cell_task, cfg, jobs, artifacts_dir)))
+        # A pool is handed every replicate at once, and a cell's first task
+        # writes its input files; serially, each cell runs when the loop below
+        # reaches it.  Either way rows land in grid order.
+        outcomes = []
+        for _, jobs in cells:
+            if pool is None:
+                outcomes.append(functools.partial(run_cell, cfg, jobs, artifacts_dir))
             else:
-                tasks.append((coords, pool.submit(_cell_task, cfg, jobs, artifacts_dir).result))
-        for coords, outcome in tasks:
+                futures = [pool.submit(_replicate_task, cfg, job, artifacts_dir, job is jobs[0]) for job in jobs]
+                outcomes.append(functools.partial(_gather_cell, cfg, jobs, futures, artifacts_dir))
+        for (coords, _), outcome in zip(cells, outcomes):
             try:
                 result = outcome()
                 append_result(store, result)

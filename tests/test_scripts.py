@@ -3,6 +3,7 @@ and every demo and script asks quantal only for names it has."""
 
 import ast
 import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -25,6 +26,22 @@ def test_help_runs_without_pythonpath(script, tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert "usage:" in done.stdout
+
+
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_populate_refuses_nonpositive_workers(workers, monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location("populate_acceptance", SCRIPTS / "populate_acceptance.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a sweep ran")
+
+    monkeypatch.setattr(script, "run_sweep", no_sweep)
+    with pytest.raises(SystemExit) as exited:
+        script.main(["--workers", workers])
+    assert exited.value.code == 2
+    assert f"--workers must be >= 1, got {workers}" in capsys.readouterr().err
 
 
 def imported(module_name, name):

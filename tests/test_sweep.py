@@ -1,7 +1,7 @@
 """Sweep orchestration: grid seeds, cell pipeline, CSV store."""
 
 import json
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -528,6 +528,84 @@ class TestRunSweep:
 
         assert keyed(serial_store) == keyed(pooled_store)
 
+    def test_pooled_replicates_match_serial(self, tmp_path):
+        # one cell, so its replicates are the pool's only tasks and may
+        # finish in any order
+        cfg = tiny_config(replicates=3)
+        for name, workers in (("serial", 1), ("pooled", 2)):
+            run_sweep(cfg, tmp_path / f"{name}.csv", artifacts_dir=tmp_path / name, workers=workers)
+
+        def without_wall_seconds(row):
+            return {k: v for k, v in row.items() if k != "wall_seconds"}
+
+        serial, pooled = (load_results(tmp_path / f"{name}.csv") for name in ("serial", "pooled"))
+        assert len(serial) == 1
+        assert [without_wall_seconds(r) for r in serial] == [without_wall_seconds(r) for r in pooled]
+        (serial_dir,) = (tmp_path / "serial").iterdir()
+        pooled_dir = tmp_path / "pooled" / serial_dir.name
+        for r in range(3):
+            ckpt = f"replicate{r}.ckpt"
+            assert (serial_dir / ckpt).read_bytes() == (pooled_dir / ckpt).read_bytes()
+        manifests = [json.loads((d / "manifest.json").read_text()) for d in (serial_dir, pooled_dir)]
+        for manifest in manifests:
+            manifest["cell"] = without_wall_seconds(manifest["cell"])
+        assert manifests[0] == manifests[1]
+        assert sorted(p.name for p in serial_dir.iterdir()) == sorted(p.name for p in pooled_dir.iterdir())
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_failing_replicate_fails_only_its_cell(self, tmp_path, monkeypatch, workers):
+        cfg = tiny_config(proportions=(0.0, 0.5, 1.0))
+        run_replicate = sweep._run_replicate
+
+        def fail_one(cfg, job, *args):
+            if (job.cell_index, job.replicate_index) == (1, 1):
+                raise RuntimeError("replicate failed")
+            return run_replicate(cfg, job, *args)
+
+        # Workers are forked, so they see this replacement too.
+        monkeypatch.setattr(sweep, "_run_replicate", fail_one)
+        store = tmp_path / "results.csv"
+        results, skipped, failures = run_sweep(cfg, store, workers=workers)
+        assert failures == [("binary n=6 prop=0.5 epochs=1", repr(RuntimeError("replicate failed")))]
+        assert [row["exception_prop"] for row in load_results(store)] == [0.0, 1.0]
+        assert (len(results), skipped) == (2, [])
+
+        monkeypatch.undo()
+        results, skipped, failures = run_sweep(cfg, store, reuse=True)
+        assert [r.exception_prop for r in results] == [0.5] and failures == []
+        assert len(skipped) == 2
+        assert [row["exception_prop"] for row in load_results(store)] == [0.0, 1.0, 0.5]
+
+    def test_pool_never_has_more_workers_than_tasks(self, tmp_path, monkeypatch):
+        sizes = []
+
+        class InlinePool:
+            """Records its size and runs each task at submit, starting no process."""
+
+            def __init__(self, max_workers, initializer):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(sweep, "ProcessPoolExecutor", InlinePool)
+        store = tmp_path / "results.csv"
+        cfg = tiny_config(replicates=3)
+        results, _, _ = run_sweep(cfg, store, workers=64)
+        assert sizes == [3] and len(results) == 1
+        run_sweep(tiny_config(replicates=3, proportions=(0.0, 0.5)), store, workers=2, reuse=True)
+        assert sizes == [3, 2]
+        # --reuse skips every cell: no pool at all
+        _, skipped, _ = run_sweep(cfg, store, workers=64, reuse=True)
+        assert sizes == [3, 2] and len(skipped) == 1
 
     def test_pool_workers_run_one_blas_thread(self, tmp_path, monkeypatch):
         libs = blas.libraries()
@@ -537,8 +615,8 @@ class TestRunSweep:
         def report_threads(*args, **kwargs):
             raise RuntimeError([lib.get_threads() for lib in blas.libraries()])
 
-        # Workers are forked, so they see this replacement of run_cell.
-        monkeypatch.setattr(sweep, "run_cell", report_threads)
+        # Workers are forked, so they see this replacement of the replicate step.
+        monkeypatch.setattr(sweep, "_run_replicate", report_threads)
         cfg = tiny_config(sizes=(5,), proportions=(0.0, 0.5), replicates=1)
         old = [lib.get_threads() for lib in libs]
         try:

@@ -78,6 +78,8 @@ def cmd_gen(args) -> int:
 def cmd_train(args) -> int:
     if args.epochs < 0:
         raise UsageError(f"--epochs must be >= 0 (0 = untrained), got {args.epochs}")
+    if args.seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {args.seed}")
     experiment = EXPERIMENT_BY_FLAG[args.exp]
     corpus = corpora.read_corpus(args.corpus, experiment)
     vocab = corpora.read_vocabulary(args.vocab) if args.vocab else None

@@ -9,13 +9,15 @@ The cell's data, tokenizer, input files and replicate models come from
 cell_data, cell_tokenizer, write_cell_inputs and train_replicate, which
 `quantal gen` and `quantal train` call too.
 
-The unit of parallel work is one replicate.  Serially, run_cell builds a
-cell's inputs once and runs its replicates in turn.  With a process
-pool, each replicate is one task: the worker rebuilds the cell's inputs
-(they are a pure function of the config and the cell) and runs the same
-replicate step, and the parent builds the cell's row once all of its
-replicates have returned.  Rows are appended in grid order either way,
-so a pooled store equals a serial one apart from wall_seconds.
+Every replicate runs through one task, _replicate_task: serially,
+run_cell calls it for each replicate in turn; with a process pool, each
+replicate is one pool task.  Either way one row builder, _cell_result,
+turns a cell's replicate returns into its row, and rows are appended in
+grid order, so a pooled store equals a serial one apart from
+wall_seconds.  A cell's inputs (data and tokenizer) are a pure function
+of the config and the cell's size and proportion, so each process caches
+the last ones it built: the replicates and epoch settings of a (size,
+proportion) that one process runs in a row share one build.
 
 An epoch setting of 0 makes an untrained baseline cell: the same corpus,
 tokenizer, test pairs and scoring path as its trained neighbours, with
@@ -26,7 +28,6 @@ shares weights with the starting point of a trained replicate.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import fcntl
 import functools
@@ -71,10 +72,11 @@ COLUMNS = (
     ("wall_seconds", "{:.3f}".format, float),
 )
 COLUMN_NAMES = [name for name, _, _ in COLUMNS]
-# wall_seconds is the time from when the cell's first input building began
-# to when its last replicate finished, on the system-wide monotonic clock,
-# whether the replicates ran in turn or in parallel pool workers.  It is the
-# only column allowed to differ between identical runs.
+# wall_seconds is the time from the start of the cell's first replicate task
+# to the end of its last, on the system-wide monotonic clock, whether the
+# replicates ran in turn or in parallel pool workers.  It includes building
+# the cell's inputs only where that task's process had not built them
+# already.  It is the only column allowed to differ between identical runs.
 TIMING_COLUMNS = ("wall_seconds",)
 # The columns that make two rows the same cell for --reuse.  The seeds hash
 # base_seed and the replicate count.
@@ -329,63 +331,69 @@ def _cell_stem(job: CellJob) -> str:
     return f"{job.experiment}_n{job.n_train}_p{job.exception_prop}_e{job.epochs}"
 
 
-def _cell_inputs(cfg: SweepConfig, job: CellJob, artifacts_dir, write_files: bool):
-    """(corpus, pairs, tokenizer, artifact directory or None) of job's cell.
+@functools.lru_cache(maxsize=1, typed=True)
+def _cell_inputs(experiment: str, base_seed: int, n_train: int, prop: float, n_test_pairs: int):
+    """(vocabulary or None, corpus, test pairs, tokenizer) of one cell.
 
-    With write_files and an artifacts_dir, the cell's input files (those
-    `quantal gen` writes) go to its directory.
+    Cached on cell_data's own arguments, which decide all four: a process
+    builds them once for all the replicates and epoch settings of a (size,
+    proportion) it runs in a row.  typed=True keeps 0 and 0.0 apart, which
+    the data seeds (hashing repr(prop)) do too.
     """
-    vocab, corpus, pairs = cell_data(
+    vocab, corpus, pairs = cell_data(experiment, base_seed, n_train, prop, n_test_pairs)
+    return vocab, corpus, pairs, cell_tokenizer(experiment, corpus, vocab)
+
+
+def _replicate_task(cfg: SweepConfig, job: CellJob, artifacts_dir):
+    """One replicate of job's cell, trained unless 0 epochs, then scored.
+
+    With artifacts_dir set, replicate 0 writes the cell's input files (those
+    `quantal gen` writes), and each replicate its checkpoint (which embeds
+    the tokenizer) as replicate{r}.ckpt; the model is freed on return.
+    Returns (started, finished, input facts, accuracy, checkpoint hash).
+    """
+    # A module-level function, which looks the replicate's steps up only
+    # when it is called: perfbench's tracer (perfbench/spans.py) replaces
+    # train, evaluate_pairs and state_digest with closures, which cannot be
+    # pickled but which forked workers inherit.
+    started = time.monotonic()
+    vocab, corpus, pairs, tok = _cell_inputs(
         cfg.experiment, cfg.base_seed, job.n_train, job.exception_prop, cfg.n_test_pairs
     )
-    tok = cell_tokenizer(cfg.experiment, corpus, vocab)
     cell_dir = None if artifacts_dir is None else Path(artifacts_dir) / _cell_stem(job)
-    if cell_dir is not None and write_files:
+    if cell_dir is not None and job.replicate_index == 0:
         write_cell_inputs(cell_dir, vocab, corpus, pairs)
-    return corpus, pairs, tok, cell_dir
-
-
-def _input_facts(corpus, tok: bpe.TokenizerModel) -> dict:
-    """The row's columns that the cell's inputs alone decide."""
-    return {
-        "n_types": corpus.n_types,
-        "corpus_hash": corpora.corpus_sha256(corpus),
-        "tokenizer_hash": bpe.tokenizer_sha256(tok),
-    }
-
-
-def _run_replicate(cfg: SweepConfig, job: CellJob, corpus, pairs, tok, cell_dir) -> tuple[float, str]:
-    """(accuracy, checkpoint hash) of one replicate, trained unless 0 epochs.
-
-    With cell_dir set, its checkpoint (which embeds the tokenizer) is
-    written there as replicate{r}.ckpt.  The model is freed on return.
-    """
     state, train_config = train_replicate(
         tok, corpus, job.init_seed, job.epochs, derived_seeds(cfg, job)["train_seed"]
     )
     report = evaluate_pairs(state, tok, pairs)
     if cell_dir is not None:
-        cell_dir.mkdir(parents=True, exist_ok=True)  # another task may not have written the inputs yet
+        cell_dir.mkdir(parents=True, exist_ok=True)  # replicate 0 may not have written the inputs yet
         save_checkpoint(
             state, cell_dir / f"replicate{job.replicate_index}.ckpt", tok, cfg.experiment,
             train_config=train_config,
         )
-    return report.accuracy, state_digest(state)
+    facts = {
+        "n_types": corpus.n_types,
+        "corpus_hash": corpora.corpus_sha256(corpus),
+        "tokenizer_hash": bpe.tokenizer_sha256(tok),
+    }
+    return started, time.monotonic(), facts, report.accuracy, state_digest(state)
 
 
-def _cell_result(cfg: SweepConfig, jobs, facts: dict, replicates, wall_seconds: float, artifacts_dir):
-    """A cell's row from its replicates' (accuracy, checkpoint hash) in
-    replicate order; with artifacts_dir set, its manifest is written too."""
-    accuracies = tuple(accuracy for accuracy, _ in replicates)
+def _cell_result(cfg: SweepConfig, jobs, replicates, artifacts_dir) -> SweepCellResult:
+    """A cell's row from its replicate tasks' returns in replicate order;
+    with artifacts_dir set, its manifest is written too."""
+    started, finished, facts, accuracies, digests = zip(*replicates)
     mean_accuracy = float(np.mean(accuracies))
     result = SweepCellResult(
         **_cell_coords(cfg, jobs),
-        **facts,
+        **facts[0],
         accuracies=accuracies,
         mean_accuracy=mean_accuracy,
         above_chance_p=above_chance_test(mean_accuracy * cfg.n_test_pairs, cfg.n_test_pairs),
-        checkpoint_hashes=tuple(digest for _, digest in replicates),
-        wall_seconds=wall_seconds,
+        checkpoint_hashes=digests,
+        wall_seconds=max(finished) - min(started),
     )
     if artifacts_dir is not None:
         write_manifest(
@@ -397,25 +405,21 @@ def _cell_result(cfg: SweepConfig, jobs, facts: dict, replicates, wall_seconds: 
 def run_cell(
     cfg: SweepConfig, jobs: list[CellJob], artifacts_dir: str | Path | None = None
 ) -> SweepCellResult:
-    """Generate, tokenize, train each replicate, evaluate, and aggregate.
+    """Run a cell's replicate tasks in turn and aggregate them into its row.
 
-    A 0-epoch cell skips training and scores the freshly initialized
-    models.  With artifacts_dir set, the cell's input files (those
-    `quantal gen` writes), a checkpoint per replicate as it finishes (each
-    embeds the tokenizer), and finally the manifest are written there;
-    hashes are recorded either way.  The inputs are built once, and only
-    one replicate's model is held in memory at a time.
+    The serial path of run_sweep; a process pool runs the same task per
+    replicate.  A 0-epoch cell skips training and scores the freshly
+    initialized models.  With artifacts_dir set, the cell's input files,
+    a checkpoint per replicate and finally the manifest are written there;
+    hashes are recorded either way.  Only one replicate's model is held in
+    memory at a time.
     """
     if not jobs:
         raise ValueError("run_cell needs at least one job")
     if len({j.cell_index for j in jobs}) != 1:
         raise ValueError("jobs must all belong to one cell")
-    started = time.monotonic()
     jobs = sorted(jobs, key=lambda j: j.replicate_index)
-    corpus, pairs, tok, cell_dir = _cell_inputs(cfg, jobs[0], artifacts_dir, write_files=True)
-    replicates = [_run_replicate(cfg, job, corpus, pairs, tok, cell_dir) for job in jobs]
-    wall_seconds = time.monotonic() - started
-    return _cell_result(cfg, jobs, _input_facts(corpus, tok), replicates, wall_seconds, artifacts_dir)
+    return _cell_result(cfg, jobs, [_replicate_task(cfg, job, artifacts_dir) for job in jobs], artifacts_dir)
 
 
 def write_manifest(path: str | Path, cfg: SweepConfig, result: SweepCellResult, seeds) -> None:
@@ -512,27 +516,6 @@ def load_sweep_config(path: str | Path) -> SweepConfig:
         raise ValueError(f"bad sweep config {path}: {exc}") from None
 
 
-def _replicate_task(cfg: SweepConfig, job: CellJob, artifacts_dir, write_inputs: bool):
-    """The pool's task: build job's cell inputs, then run its replicate.
-
-    Returns (started, finished, input facts, (accuracy, checkpoint hash)).
-    """
-    # A module-level function, which looks the replicate's steps up only
-    # when it is called: perfbench's tracer (perfbench/spans.py) replaces
-    # train, evaluate_pairs and state_digest with closures, which cannot be
-    # pickled but which forked workers inherit.
-    started = time.monotonic()
-    corpus, pairs, tok, cell_dir = _cell_inputs(cfg, job, artifacts_dir, write_inputs)
-    replicate = _run_replicate(cfg, job, corpus, pairs, tok, cell_dir)
-    return started, time.monotonic(), _input_facts(corpus, tok), replicate
-
-
-def _gather_cell(cfg: SweepConfig, jobs: list[CellJob], futures, artifacts_dir) -> SweepCellResult:
-    """The row of a cell whose replicates ran as pool tasks, once all have returned."""
-    started, finished, facts, replicates = zip(*(future.result() for future in futures))
-    return _cell_result(cfg, jobs, facts[0], replicates, max(finished) - min(started), artifacts_dir)
-
-
 def run_sweep(
     cfg: SweepConfig,
     store: str | Path,
@@ -572,20 +555,19 @@ def run_sweep(
     # the cores.
     workers = min(workers, sum(len(jobs) for _, jobs in cells))
     pool = ProcessPoolExecutor(max_workers=workers, initializer=blas.pin_one_thread) if workers > 1 else None
-    with pool or contextlib.nullcontext():
-        # A pool is handed every replicate at once, and a cell's first task
-        # writes its input files; serially, each cell runs when the loop below
-        # reaches it.  Either way rows land in grid order.
-        outcomes = []
-        for _, jobs in cells:
-            if pool is None:
-                outcomes.append(functools.partial(run_cell, cfg, jobs, artifacts_dir))
-            else:
-                futures = [pool.submit(_replicate_task, cfg, job, artifacts_dir, job is jobs[0]) for job in jobs]
-                outcomes.append(functools.partial(_gather_cell, cfg, jobs, futures, artifacts_dir))
-        for (coords, _), outcome in zip(cells, outcomes):
+    try:
+        # A pool is handed every replicate at once; serially, each cell runs
+        # when the loop below reaches it.  Either way rows land in grid order.
+        submitted = [
+            None if pool is None else [pool.submit(_replicate_task, cfg, job, artifacts_dir) for job in jobs]
+            for _, jobs in cells
+        ]
+        for (coords, jobs), futures in zip(cells, submitted):
             try:
-                result = outcome()
+                if futures is None:
+                    result = run_cell(cfg, jobs, artifacts_dir)
+                else:
+                    result = _cell_result(cfg, jobs, [future.result() for future in futures], artifacts_dir)
                 append_result(store, result)
             except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
                 failures.append((_label(coords), repr(exc)))
@@ -598,4 +580,10 @@ def run_sweep(
                     f"done {_label(coords)}: mean accuracy {result.mean_accuracy:.3f} "
                     f"(p={result.above_chance_p:.3g}, {result.wall_seconds:.0f}s)"
                 )
+    finally:
+        if pool is not None:
+            # Every future is done unless an exception (an interrupt, say) left
+            # the loop early: then the replicates still queued are dropped
+            # rather than run.  Rows already written stay, and --reuse resumes.
+            pool.shutdown(cancel_futures=True)
     return results, skipped, failures

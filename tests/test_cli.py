@@ -308,6 +308,17 @@ class TestTrainEval:
         assert "epochs" in err["error"]
         assert not (tmp_path / "x.ckpt").exists()
 
+    def test_negative_seed_is_usage_error(self, artifacts, tmp_path, capsys):
+        # as for gen: a seed is never negative
+        root, data, ckpt = artifacts
+        rc = run("train", "--corpus", data / "corpus.txt", "--exp", 2,
+                 "--epochs", 1, "--seed", -5, "--out", tmp_path / "x.ckpt")
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["kind"] == "usage"
+        assert "--seed" in err["error"]
+        assert not (tmp_path / "x.ckpt").exists()
+
     @pytest.mark.parametrize("flags", [[], ["--epochs", 0, "--init-only"]],
                              ids=["missing-epochs", "init-only"])
     def test_epochs_is_the_only_training_switch(self, artifacts, tmp_path, flags):

@@ -1,6 +1,7 @@
 """Sweep orchestration: grid seeds, cell pipeline, CSV store."""
 
 import json
+import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from pathlib import Path
 
@@ -464,6 +465,43 @@ class TestColumnSlice:
         assert column_slice(rows, 300, 10) == [(0.1, 0.9)]
 
 
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Replaces the sweep's process pool with one that runs each task at
+    submit, starting no process; returns the size of each pool made."""
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers, initializer):
+            sizes.append(max_workers)
+
+        def shutdown(self, cancel_futures=False):
+            pass
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", InlinePool)
+    return sizes
+
+
+@pytest.fixture
+def tokenizer_builds(monkeypatch):
+    """Empties the cache of cell inputs and counts the tokenizers built."""
+    sweep._cell_inputs.cache_clear()
+    builds = []
+    build = sweep.cell_tokenizer
+
+    def counted(*args):
+        builds.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(sweep, "cell_tokenizer", counted)
+    return builds
+
+
 class TestRunSweep:
     def test_completes_all_cells_and_reuses(self, tmp_path):
         cfg = tiny_config(sizes=(5,), proportions=(0.0, 0.5), replicates=1)
@@ -529,41 +567,46 @@ class TestRunSweep:
         assert keyed(serial_store) == keyed(pooled_store)
 
     def test_pooled_replicates_match_serial(self, tmp_path):
-        # one cell, so its replicates are the pool's only tasks and may
-        # finish in any order
-        cfg = tiny_config(replicates=3)
+        # two cells of one (n, prop), so a worker that draws replicates of
+        # both reuses the inputs it built for the first; replicates are the
+        # pool's only tasks and may finish in any order
+        cfg = tiny_config(replicates=3, epoch_settings=(0, 1))
         for name, workers in (("serial", 1), ("pooled", 2)):
+            sweep._cell_inputs.cache_clear()  # else forked workers inherit the serial build
             run_sweep(cfg, tmp_path / f"{name}.csv", artifacts_dir=tmp_path / name, workers=workers)
 
         def without_wall_seconds(row):
             return {k: v for k, v in row.items() if k != "wall_seconds"}
 
         serial, pooled = (load_results(tmp_path / f"{name}.csv") for name in ("serial", "pooled"))
-        assert len(serial) == 1
+        assert len(serial) == 2
         assert [without_wall_seconds(r) for r in serial] == [without_wall_seconds(r) for r in pooled]
-        (serial_dir,) = (tmp_path / "serial").iterdir()
-        pooled_dir = tmp_path / "pooled" / serial_dir.name
-        for r in range(3):
-            ckpt = f"replicate{r}.ckpt"
-            assert (serial_dir / ckpt).read_bytes() == (pooled_dir / ckpt).read_bytes()
-        manifests = [json.loads((d / "manifest.json").read_text()) for d in (serial_dir, pooled_dir)]
-        for manifest in manifests:
-            manifest["cell"] = without_wall_seconds(manifest["cell"])
-        assert manifests[0] == manifests[1]
-        assert sorted(p.name for p in serial_dir.iterdir()) == sorted(p.name for p in pooled_dir.iterdir())
+        serial_dirs = sorted((tmp_path / "serial").iterdir())
+        assert len(serial_dirs) == 2
+        for serial_dir in serial_dirs:
+            pooled_dir = tmp_path / "pooled" / serial_dir.name
+            for r in range(3):
+                ckpt = f"replicate{r}.ckpt"
+                assert (serial_dir / ckpt).read_bytes() == (pooled_dir / ckpt).read_bytes()
+            manifests = [json.loads((d / "manifest.json").read_text()) for d in (serial_dir, pooled_dir)]
+            for manifest in manifests:
+                manifest["cell"] = without_wall_seconds(manifest["cell"])
+            assert manifests[0] == manifests[1]
+            assert sorted(p.name for p in serial_dir.iterdir()) == sorted(p.name for p in pooled_dir.iterdir())
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_a_failing_replicate_fails_only_its_cell(self, tmp_path, monkeypatch, workers):
         cfg = tiny_config(proportions=(0.0, 0.5, 1.0))
-        run_replicate = sweep._run_replicate
+        (failing,) = [j for j in expand_grid(cfg) if (j.cell_index, j.replicate_index) == (1, 1)]
+        train_replicate = sweep.train_replicate
 
-        def fail_one(cfg, job, *args):
-            if (job.cell_index, job.replicate_index) == (1, 1):
+        def fail_one(tok, corpus, init_seed, *args):
+            if init_seed == failing.init_seed:
                 raise RuntimeError("replicate failed")
-            return run_replicate(cfg, job, *args)
+            return train_replicate(tok, corpus, init_seed, *args)
 
         # Workers are forked, so they see this replacement too.
-        monkeypatch.setattr(sweep, "_run_replicate", fail_one)
+        monkeypatch.setattr(sweep, "train_replicate", fail_one)
         store = tmp_path / "results.csv"
         results, skipped, failures = run_sweep(cfg, store, workers=workers)
         assert failures == [("binary n=6 prop=0.5 epochs=1", repr(RuntimeError("replicate failed")))]
@@ -576,27 +619,8 @@ class TestRunSweep:
         assert len(skipped) == 2
         assert [row["exception_prop"] for row in load_results(store)] == [0.0, 1.0, 0.5]
 
-    def test_pool_never_has_more_workers_than_tasks(self, tmp_path, monkeypatch):
-        sizes = []
-
-        class InlinePool:
-            """Records its size and runs each task at submit, starting no process."""
-
-            def __init__(self, max_workers, initializer):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                future = Future()
-                future.set_result(fn(*args))
-                return future
-
-        monkeypatch.setattr(sweep, "ProcessPoolExecutor", InlinePool)
+    def test_pool_never_has_more_workers_than_tasks(self, tmp_path, inline_pool):
+        sizes = inline_pool
         store = tmp_path / "results.csv"
         cfg = tiny_config(replicates=3)
         results, _, _ = run_sweep(cfg, store, workers=64)
@@ -607,6 +631,41 @@ class TestRunSweep:
         _, skipped, _ = run_sweep(cfg, store, workers=64, reuse=True)
         assert sizes == [3, 2] and len(skipped) == 1
 
+    def test_serial_sweep_builds_a_size_and_proportion_once(self, tmp_path, tokenizer_builds):
+        # data seeds ignore the epoch setting, so the 0- and 1-epoch cells
+        # share one build, as do the replicates within each
+        cfg = tiny_config(epoch_settings=(0, 1), replicates=2)
+        results, _, failures = run_sweep(cfg, tmp_path / "results.csv")
+        assert (len(results), failures) == (2, [])
+        assert len(tokenizer_builds) == 1
+
+    def test_pool_task_reuses_its_process_build(self, tmp_path, inline_pool, tokenizer_builds):
+        results, _, failures = run_sweep(tiny_config(replicates=3), tmp_path / "results.csv", workers=3)
+        assert inline_pool == [3] and (len(results), failures) == (1, [])
+        assert len(tokenizer_builds) == 1
+
+    def test_an_interrupted_pool_stops_queuing_replicates(self, tmp_path, monkeypatch):
+        # Each replicate takes at least 0.2 s, so when the first row lands
+        # most of the 10 are still queued.  Those already in the pool's call
+        # queue (workers + 1) may still run.
+        train_replicate = sweep.train_replicate
+
+        def slow(*args):
+            time.sleep(0.2)
+            return train_replicate(*args)
+
+        def interrupt(line):
+            if line.startswith("done"):
+                raise KeyboardInterrupt
+
+        monkeypatch.setattr(sweep, "train_replicate", slow)  # forked workers inherit it
+        cfg = tiny_config(sizes=tuple(range(5, 15)), replicates=1)
+        store, artifacts = tmp_path / "results.csv", tmp_path / "artifacts"
+        with pytest.raises(KeyboardInterrupt):
+            run_sweep(cfg, store, artifacts_dir=artifacts, workers=2, log=interrupt)
+        assert len(load_results(store)) == 1
+        assert len(list(artifacts.glob("*/replicate0.ckpt"))) < 10
+
     def test_pool_workers_run_one_blas_thread(self, tmp_path, monkeypatch):
         libs = blas.libraries()
         if not libs:
@@ -616,7 +675,7 @@ class TestRunSweep:
             raise RuntimeError([lib.get_threads() for lib in blas.libraries()])
 
         # Workers are forked, so they see this replacement of the replicate step.
-        monkeypatch.setattr(sweep, "_run_replicate", report_threads)
+        monkeypatch.setattr(sweep, "train_replicate", report_threads)
         cfg = tiny_config(sizes=(5,), proportions=(0.0, 0.5), replicates=1)
         old = [lib.get_threads() for lib in libs]
         try:

@@ -9,7 +9,7 @@ attention has no padded slot.  Each copy reads one masked row: scoring
 passes that row's position in each batch row as ``at=``, and the model
 prunes its last layer to those rows, computing everything but the keys
 and values for them alone; this moves a score by about 1e-7 relative in
-float32 (``scripts/pll_digest.py`` measures it).  Scoring never touches
+float32 (``scripts/digest.py`` measures it).  Scoring never touches
 the model parameters.  A chunk holds at most CHUNK_ROWS copies, unless
 one sentence alone has more.
 

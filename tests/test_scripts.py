@@ -17,7 +17,7 @@ SCRIPTS = ROOT / "scripts"
 DEMOS = ROOT / "demos"
 
 
-@pytest.mark.parametrize("script", ["populate_acceptance.py", "pll_digest.py", "grad_digest.py"])
+@pytest.mark.parametrize("script", ["populate_acceptance.py", "digest.py"])
 def test_help_runs_without_pythonpath(script, tmp_path):
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     done = subprocess.run(

@@ -5,8 +5,8 @@ Sweep an exception-proportion column and test it for a jump
 A sweep cell is (experiment, training set size, exception proportion,
 epochs): generate data, fit a tokenizer, train from scratch, score held
 out minimal pairs, and append one CSV row.  Everything is derived from
-the config's base seed, so re-running a cell reproduces it bit for bit
-and ``reuse=True`` skips finished cells.
+the config's base seed, so a cell's row is a pure function of the
+config, and a sweep skips every cell its store already holds.
 
 This scans one column (n = 60, six proportions) with a scaled-down
 model budget still large enough to learn, then asks whether accuracy
@@ -35,8 +35,8 @@ print(f"proportions: {cfg.proportions}")
 print(f"store:       {store}")
 print()
 
-# Cached cells are skipped, so the second run of this script is instant.
-results, skipped, failures = run_sweep(cfg, store, reuse=True, log=print)
+# Stored cells are skipped, so the second run of this script is instant.
+results, skipped, failures = run_sweep(cfg, store, log=print)
 assert not failures, failures
 print(f"\n{len(results)} cells computed, {len(skipped)} reused from the store")
 print()

@@ -11,7 +11,7 @@ Two SVG views of sweep results, written without any plotting library:
   tolerance proportion.
 
 Uses the store written by ``05_run_sweep.py``, computing it first if
-needed (cached cells are free).
+needed (stored cells are skipped).
 """
 
 from pathlib import Path
@@ -34,7 +34,7 @@ cfg = default_config(
     replicates=1,
     n_test_pairs=200,
 )
-_, _, failures = run_sweep(cfg, store, reuse=True, log=print)
+_, _, failures = run_sweep(cfg, store, log=print)
 assert not failures, failures
 rows = load_results(store)
 

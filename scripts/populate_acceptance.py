@@ -1,10 +1,10 @@
 """Populate the committed acceptance result stores.
 
 Runs every sweep config under results/acceptance/configs/ against the
-store for its experiment, skipping cells already present, so the script
-is safe to re-run and resumes after interruption.  The acceptance tests
-read these stores; on a machine without them, the tests regenerate the
-cells themselves (slow).
+store for its experiment.  A sweep skips the cells its store holds, so
+the script is safe to re-run and resumes after interruption.  The
+acceptance tests read these stores and never build them: a missing cell
+fails its test.
 
 Usage: python3 scripts/populate_acceptance.py [--workers N]
 """
@@ -46,7 +46,6 @@ def main(argv=None) -> int:
             cfg,
             store_for(cfg.experiment),
             workers=args.workers,
-            reuse=True,
             log=lambda msg: print(f"  {msg}", flush=True),
         )
         all_failures.extend(failures)

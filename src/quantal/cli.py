@@ -115,7 +115,6 @@ def cmd_sweep(args) -> int:
         args.store,
         artifacts_dir=args.artifacts,
         workers=args.workers,
-        reuse=args.reuse,
         log=lambda line: print(line, flush=True),
     )
     print(
@@ -198,9 +197,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sw = sub.add_parser("sweep", help="run a grid of cells from a sweep config")
     sw.add_argument("--config", required=True, help="sweep configuration JSON")
-    sw.add_argument("--store", required=True, help="results CSV path")
+    sw.add_argument("--store", required=True, help="results CSV path; cells it holds are skipped")
     sw.add_argument("--artifacts", help="directory for per-cell artifact files")
-    sw.add_argument("--reuse", action="store_true", help="skip cells already in store")
     sw.add_argument(
         "--workers", type=int, default=1, help="parallel replicates, each worker on one BLAS thread"
     )

@@ -78,8 +78,8 @@ COLUMN_NAMES = [name for name, _, _ in COLUMNS]
 # the cell's inputs only where that task's process had not built them
 # already.  It is the only column allowed to differ between identical runs.
 TIMING_COLUMNS = ("wall_seconds",)
-# The columns that make two rows the same cell for --reuse.  The seeds hash
-# base_seed and the replicate count.
+# The columns that make two rows the same cell: a sweep skips a cell whose
+# key its store holds.  The seeds hash base_seed and the replicate count.
 KEY_COLUMNS = ("experiment", "n_train", "exception_prop", "epochs", "seeds", "n_test_pairs")
 
 CONFIG_FORMAT = "quantal-sweep v2"
@@ -113,15 +113,15 @@ class SweepConfig:
     n_test_pairs: int = 1000
 
     def __post_init__(self):
-        # Seeds hash repr(prop) and str(n), so 0 and 0.0 (or 6 and 6.0) would
-        # derive different data for what --reuse reads back as one cell: an
-        # integral float is stored as its int, and 1.5 is refused rather than
-        # hashed as "1.5".  int(v) == v compares the value itself, so a 64-bit
-        # base_seed never passes through float().
+        # Seeds hash repr(prop) and str(n), so 0, 0.0 and -0.0 (or 6 and 6.0)
+        # would derive different data for what the store reads back as one
+        # cell: a proportion becomes a float (+ 0.0 turns -0.0 into 0.0), an
+        # integral value an int, and 1.5 is refused.  int(v) == v compares the
+        # value itself, so a 64-bit base_seed never passes through float().
         def integral(name, v, minimum):
             return whole(name, int(v) if int(finite(name, v)) == v else v, minimum)
 
-        object.__setattr__(self, "proportions", tuple(float(finite("proportions", p)) for p in self.proportions))
+        object.__setattr__(self, "proportions", tuple(float(finite("proportions", p)) + 0.0 for p in self.proportions))
         # epoch setting 0 is an untrained baseline
         for name, minimum in (("sizes", 1), ("epoch_settings", 0)):
             object.__setattr__(self, name, tuple(integral(name, v, minimum) for v in getattr(self, name)))
@@ -130,8 +130,11 @@ class SweepConfig:
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         for name in ("sizes", "proportions", "epoch_settings"):
-            if not getattr(self, name):
+            values = getattr(self, name)
+            if not values:
                 raise ValueError(f"{name} must be nonempty")
+            if len(set(values)) != len(values):  # one cell twice; a store holds each once
+                raise ValueError(f"{name} repeats a value: {values}")
         if any(not 0.0 <= p <= 1.0 for p in self.proportions):
             raise ValueError("proportions must lie in [0, 1]")
 
@@ -490,9 +493,9 @@ def require_one_kind(rows: list[dict], where: str) -> None:
 def column_slice(table: list[dict], n_train: int, epochs: int) -> list[tuple[float, float]]:
     """(exception_prop, mean_accuracy) points at fixed size and epochs.
 
-    Sorted by proportion; repeated proportions (re-runs) are all kept,
-    which downstream analysis treats as replicate measurements.  Rows of
-    different experiments are refused.
+    Sorted by proportion.  A store holds each cell once, so a repeated
+    proportion is a cell of other seeds or test pairs; all are kept, as
+    separate measurements.  Rows of different experiments are refused.
     """
     rows = [row for row in table if row["n_train"] == n_train and row["epochs"] == epochs]
     if not rows:
@@ -521,7 +524,6 @@ def run_sweep(
     store: str | Path,
     artifacts_dir: str | Path | None = None,
     workers: int = 1,
-    reuse: bool = False,
     log=None,
 ):
     """Run every cell of the grid, appending each cell's row in grid order.
@@ -530,14 +532,14 @@ def run_sweep(
     most that many workers, and a cell's row is written once all of its
     replicates have returned.  Cells are independent: one failure (of any
     of its replicates) is recorded for the cell and the rest proceed.
-    With reuse=True, cells whose KEY_COLUMNS already appear in the store
-    are skipped, which makes interrupted sweeps resumable.  The store is
-    read before any cell runs, so one of another schema is refused up
-    front rather than after every cell has trained.  Returns
-    (results, skipped, failures); failures hold (cell label, error text).
+    Cells whose KEY_COLUMNS the store already holds are skipped, so a
+    store holds each cell once and a rerun resumes an interrupted or
+    partly failed sweep.  The store is read before any cell runs, so one
+    of another schema is refused up front rather than after every cell
+    has trained.  Returns (results, skipped, failures); failures hold
+    (cell label, error text).
     """
-    stored = load_results(store)
-    done = {_cell_key(row) for row in stored} if reuse else set()
+    done = {_cell_key(row) for row in load_results(store)}
     results, skipped, failures = [], [], []
     cells = []
     for _, group in itertools.groupby(expand_grid(cfg), key=lambda j: j.cell_index):
@@ -584,6 +586,6 @@ def run_sweep(
         if pool is not None:
             # Every future is done unless an exception (an interrupt, say) left
             # the loop early: then the replicates still queued are dropped
-            # rather than run.  Rows already written stay, and --reuse resumes.
+            # rather than run.  Rows already written stay, and a rerun resumes.
             pool.shutdown(cancel_futures=True)
     return results, skipped, failures

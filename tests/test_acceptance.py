@@ -3,9 +3,10 @@
 Each test prints one summary line, ``ACCEPTANCE <n>: PASS|FAIL - ...``,
 before asserting, so ``pytest -s tests/test_acceptance.py`` reads as a
 checklist.  Gates 2-5 consume the result stores committed under
-``results/acceptance/``; the session fixture replays the stored sweep
-configs with caching on, which costs nothing when the stores are complete
-and rebuilds them (about four hours of CPU) when they are not.
+``results/acceptance/``.  The tests read those stores and never build
+them: a missing cell fails its gate with a message, and
+``scripts/populate_acceptance.py`` builds it (all of them take about four
+hours of CPU).
 
 "Learned" (gates 2 and 3) means that a cell's trained replicates beat
 untrained 0-epoch replicates of the same cell (same corpus, tokenizer,
@@ -59,17 +60,11 @@ def report(criterion: int, ok: bool, detail: str) -> bool:
 
 @pytest.fixture(scope="session")
 def stores():
-    """Result tables for every committed sweep config, regenerating gaps."""
+    """The committed result table of each experiment a sweep config names."""
     configs = sorted((STORE_DIR / "configs").glob("*.json"))
     assert configs, f"no sweep configs under {STORE_DIR / 'configs'}"
-    tables: dict[str, list[dict]] = {}
-    for path in configs:
-        cfg = load_sweep_config(path)
-        store = STORE_DIR / f"{cfg.experiment}.csv"
-        _, _, failures = run_sweep(cfg, store, reuse=True)
-        assert not failures, f"sweep cells failed for {path.name}: {failures}"
-        tables[cfg.experiment] = load_results(store)
-    return tables
+    experiments = {load_sweep_config(path).experiment for path in configs}
+    return {experiment: load_results(STORE_DIR / f"{experiment}.csv") for experiment in experiments}
 
 
 def cell(table: list[dict], n_train: int, prop: float, epochs: int) -> dict:
@@ -80,8 +75,11 @@ def cell(table: list[dict], n_train: int, prop: float, epochs: int) -> dict:
         and r["exception_prop"] == prop
         and r["epochs"] == epochs
     ]
-    assert rows, f"store is missing the (n={n_train}, prop={prop}, {epochs} ep) cell"
-    return rows[-1]  # newest wins if a cell was ever re-run
+    assert len(rows) == 1, (
+        f"the store holds {len(rows)} rows for the (n={n_train}, prop={prop}, {epochs} ep) "
+        "cell, not 1; scripts/populate_acceptance.py adds a missing one"
+    )
+    return rows[0]
 
 
 def beats_untrained(trained: dict, untrained: dict) -> float:
@@ -165,12 +163,7 @@ def test_criterion_4_more_epochs_help(stores):
 
 
 def test_criterion_5_gradient_decline_without_step(stores):
-    by_prop: dict[float, dict] = {}
-    for row in stores[BINARY]:
-        if row["n_train"] == 500 and row["epochs"] == 10:
-            by_prop[row["exception_prop"]] = row
-    want = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5]
-    assert sorted(by_prop) == want, f"column incomplete: have {sorted(by_prop)}"
+    by_prop = {prop: cell(stores[BINARY], 500, prop, 10) for prop in (0.0, 0.1, 0.2, 0.3, 0.4, 0.5)}
     # regression sees every replicate; the rank correlation inside
     # analyze_column collapses to per-proportion means itself
     points = [

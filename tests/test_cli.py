@@ -360,7 +360,7 @@ OPTIONS = {
     "gen": {"--exp", "--n", "--prop", "--seed", "--out-dir", "--pairs"},
     "train": {"--corpus", "--exp", "--epochs", "--seed", "--out", "--vocab"},
     "eval": {"--checkpoint", "--pairs", "--out"},
-    "sweep": {"--config", "--store", "--artifacts", "--reuse", "--workers"},
+    "sweep": {"--config", "--store", "--artifacts", "--workers"},
     "analyze": {"--table", "--n-train", "--epochs", "--out"},
     "plot": {"--kind", "--table", "--epochs", "--n-train", "--out"},
 }
@@ -387,22 +387,22 @@ def test_every_option_is_named_in_readme():
     assert not missing, f"options README never names: {missing}"
 
 
-def readme_commands():
-    """Argument lists of every `quantal ...` line in README's sh blocks,
-    with backslash continuations joined."""
+def readme_commands(program):
+    """Argument lists of every `program ...` line in README's sh blocks,
+    with backslash continuations joined and comments dropped."""
     blocks = re.findall(r"^```sh\n(.*?)^```", (ROOT / "README.md").read_text(), flags=re.S | re.M)
     commands = []
     for block in blocks:
         for line in block.replace("\\\n", " ").splitlines():
             argv = shlex.split(line, comments=True)
-            if argv[:1] == ["quantal"]:
+            if argv[:1] == [program]:
                 commands.append(argv[1:])
     return commands
 
 
 def test_readme_commands_parse():
     # a renamed or deleted flag fails here, not in a reader's shell
-    commands = readme_commands()
+    commands = readme_commands("quantal")
     assert {argv[0] for argv in commands} == set(OPTIONS)
     parser = build_parser()
     for argv in commands:
@@ -410,6 +410,13 @@ def test_readme_commands_parse():
             parser.parse_args(argv)
         except SystemExit:
             pytest.fail(f"README command does not parse: quantal {shlex.join(argv)}")
+
+
+def test_readme_scripts_exist():
+    scripts = [argv[0] for argv in readme_commands("python3") if argv[0] != "-m"]
+    assert "scripts/populate_acceptance.py" in scripts
+    missing = [path for path in scripts if not (ROOT / path).is_file()]
+    assert not missing, f"README runs scripts that do not exist: {missing}"
 
 
 class TestSweepCommand:
@@ -434,14 +441,25 @@ class TestSweepCommand:
         assert len(load_results(store)) == 1
         assert "1 cells run" in capsys.readouterr().out
 
-    def test_reuse_skips_completed_cells(self, tmp_path, capsys):
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_a_second_run_skips_stored_cells(self, tmp_path, capsys, workers):
+        # no flag asks for it: a store holds each cell once
         cfg = tmp_path / "sweep.json"
         store = tmp_path / "results.csv"
+        self.write_config(cfg, proportions=(0.0, 0.5))
+        for _ in range(2):
+            assert run("sweep", "--config", cfg, "--store", store, "--workers", workers) == 0
+        out = capsys.readouterr().out
+        assert "sweep finished: 2 cells run, 0 reused, 0 failed" in out
+        assert "sweep finished: 0 cells run, 2 reused, 0 failed" in out
+        assert sorted(row["exception_prop"] for row in load_results(store)) == [0.0, 0.5]
+
+    def test_reuse_flag_is_gone(self, tmp_path, capsys):
+        cfg = tmp_path / "sweep.json"
         self.write_config(cfg)
-        assert run("sweep", "--config", cfg, "--store", store) == 0
-        assert run("sweep", "--config", cfg, "--store", store, "--reuse") == 0
-        assert "1 reused" in capsys.readouterr().out
-        assert len(load_results(store)) == 1
+        assert run("sweep", "--config", cfg, "--store", tmp_path / "r.csv", "--reuse") == 2
+        assert "unrecognized arguments: --reuse" in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
 
     def test_log_lines_are_flushed(self, tmp_path, monkeypatch):
         # with stdout redirected to a file, progress must not wait for exit

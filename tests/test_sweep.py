@@ -127,18 +127,28 @@ class TestConfig:
             tiny_config(**{name: value})
 
     def test_int_and_float_proportion_are_one_cell(self):
-        # --reuse reads a stored 0 back as 0.0, so both spellings must derive
-        # the same seeds and the same corpus
-        as_int, as_float = tiny_config(proportions=(0,)), tiny_config(proportions=(0.0,))
-        for a, b in zip(expand_grid(as_int), expand_grid(as_float)):
-            assert derived_seeds(as_int, a) == derived_seeds(as_float, b)
-            assert a.init_seed == b.init_seed
-
+        # a stored 0 reads back as 0.0, and a -0.0 key equals a 0.0 one, so
+        # every spelling must derive the same seeds and the same corpus
         def corpus_hash(cfg):
             return run_cell(cfg, expand_grid(cfg)).corpus_hash
 
+        as_float = tiny_config(proportions=(0.0,))
         untrained = dict(epoch_settings=(0,), replicates=1)
-        assert corpus_hash(tiny_config(proportions=(0,), **untrained)) == corpus_hash(tiny_config(**untrained))
+        want = corpus_hash(tiny_config(**untrained))
+        for zero in (0, -0.0):
+            spelled = tiny_config(proportions=(zero,))
+            for a, b in zip(expand_grid(spelled), expand_grid(as_float)):
+                assert derived_seeds(spelled, a) == derived_seeds(as_float, b)
+                assert a.init_seed == b.init_seed
+            assert corpus_hash(tiny_config(proportions=(zero,), **untrained)) == want
+
+    @pytest.mark.parametrize(
+        "name, values", [("sizes", (5, 5.0)), ("proportions", (0, 0.0)), ("epoch_settings", (0, 0))]
+    )
+    def test_repeated_values_refused(self, name, values):
+        # one cell twice in one sweep would write two rows with one key
+        with pytest.raises(ValueError, match=f"{name} repeats a value"):
+            tiny_config(**{name: values})
 
     def test_json_round_trip(self, tmp_path):
         cfg = tiny_config(proportions=(0.0, 0.25))
@@ -511,7 +521,7 @@ class TestRunSweep:
         assert skipped == [] and failures == []
         assert len(load_results(store)) == 2
 
-        again = run_sweep(cfg, store, reuse=True)
+        again = run_sweep(cfg, store)
         assert again[0] == [] and len(again[1]) == 2 and again[2] == []
         assert len(load_results(store)) == 2
 
@@ -522,15 +532,12 @@ class TestRunSweep:
         store = tmp_path / "results.csv"
         run_sweep(tiny_config(sizes=(5,), replicates=1, base_seed=1), store)
         results, skipped, failures = run_sweep(
-            tiny_config(**{"sizes": (5,), "replicates": 1, "base_seed": 1, **changed}),
-            store,
-            reuse=True,
+            tiny_config(**{"sizes": (5,), "replicates": 1, "base_seed": 1, **changed}), store
         )
         assert (len(results), skipped, failures) == (1, [], [])
         assert len(load_results(store)) == 2
 
-    @pytest.mark.parametrize("reuse", [False, True])
-    def test_foreign_store_is_refused_before_any_cell_runs(self, tmp_path, monkeypatch, reuse):
+    def test_foreign_store_is_refused_before_any_cell_runs(self, tmp_path, monkeypatch):
         def no_training(*args, **kwargs):
             raise AssertionError("a cell ran against a store it cannot append to")
 
@@ -538,7 +545,7 @@ class TestRunSweep:
         store = tmp_path / "results.csv"
         store.write_text(V1_HEADER)
         with pytest.raises(ValueError, match="schema"):
-            run_sweep(tiny_config(), store, reuse=reuse)
+            run_sweep(tiny_config(), store)
 
     def test_cell_failure_is_isolated(self, tmp_path):
         # 70000 binary strings cannot be unique at length 16, so that
@@ -614,7 +621,7 @@ class TestRunSweep:
         assert (len(results), skipped) == (2, [])
 
         monkeypatch.undo()
-        results, skipped, failures = run_sweep(cfg, store, reuse=True)
+        results, skipped, failures = run_sweep(cfg, store)
         assert [r.exception_prop for r in results] == [0.5] and failures == []
         assert len(skipped) == 2
         assert [row["exception_prop"] for row in load_results(store)] == [0.0, 1.0, 0.5]
@@ -625,10 +632,10 @@ class TestRunSweep:
         cfg = tiny_config(replicates=3)
         results, _, _ = run_sweep(cfg, store, workers=64)
         assert sizes == [3] and len(results) == 1
-        run_sweep(tiny_config(replicates=3, proportions=(0.0, 0.5)), store, workers=2, reuse=True)
+        run_sweep(tiny_config(replicates=3, proportions=(0.0, 0.5)), store, workers=2)
         assert sizes == [3, 2]
-        # --reuse skips every cell: no pool at all
-        _, skipped, _ = run_sweep(cfg, store, workers=64, reuse=True)
+        # the store holds every cell: no pool at all
+        _, skipped, _ = run_sweep(cfg, store, workers=64)
         assert sizes == [3, 2] and len(skipped) == 1
 
     def test_serial_sweep_builds_a_size_and_proportion_once(self, tmp_path, tokenizer_builds):
@@ -712,7 +719,7 @@ class TestCommittedStores:
         monkeypatch.setattr(sweep, "run_cell", no_training)
         cfg = load_sweep_config(ACCEPTANCE_DIR / "configs" / config)
         store = ACCEPTANCE_DIR / f"{cfg.experiment}.csv"
-        results, skipped, failures = run_sweep(cfg, store, reuse=True)
+        results, skipped, failures = run_sweep(cfg, store)
         n_cells = len(cfg.sizes) * len(cfg.proportions) * len(cfg.epoch_settings)
         assert (results, failures) == ([], [])
         assert len(skipped) == n_cells
@@ -721,10 +728,10 @@ class TestCommittedStores:
         "config", sorted(p.name for p in (ACCEPTANCE_DIR / "configs").glob("*.json"))
     )
     def test_stored_corpus_hash_is_the_regenerated_corpus(self, config):
-        # --reuse compares keys only, so this is what sees a change in the
-        # generated bytes.  Data seeds ignore the epoch setting and every
-        # committed config has one base seed, so every stored row at a
-        # cell's (n, prop) trained on the same corpus.
+        # A sweep skips a stored cell by its key alone, so this is what sees
+        # a change in the generated bytes.  Data seeds ignore the epoch
+        # setting and every committed config has one base seed, so every
+        # stored row at a cell's (n, prop) trained on the same corpus.
         cfg = load_sweep_config(ACCEPTANCE_DIR / "configs" / config)
         rows = load_results(ACCEPTANCE_DIR / f"{cfg.experiment}.csv")
         for n_train in cfg.sizes:

@@ -56,13 +56,14 @@ def cmd_gen(args) -> int:
         raise UsageError(f"--seed must be >= 0, got {args.seed}")
     experiment = EXPERIMENT_BY_FLAG[args.exp]
     out_dir = Path(args.out_dir)
-    vocab, corpus, pairs = cell_data(experiment, args.seed, args.n, args.prop, args.pairs)
+    prop = args.prop + 0.0  # -0.0 is the 0.0 cell, as in SweepConfig: seeds hash repr(prop)
+    vocab, corpus, pairs = cell_data(experiment, args.seed, args.n, prop, args.pairs)
     written = write_cell_inputs(out_dir, vocab, corpus, pairs)
     manifest = {
         "format": GEN_MANIFEST_FORMAT,
         "experiment": experiment,
         "n": args.n,
-        "prop": args.prop,
+        "prop": prop,
         "base_seed": args.seed,
         "n_pairs": args.pairs,
         "exception_count": corpus.exception_count,

@@ -79,7 +79,9 @@ COLUMN_NAMES = [name for name, _, _ in COLUMNS]
 # already.  It is the only column allowed to differ between identical runs.
 TIMING_COLUMNS = ("wall_seconds",)
 # The columns that make two rows the same cell: a sweep skips a cell whose
-# key its store holds.  The seeds hash base_seed and the replicate count.
+# key its store holds, an append never writes a held key again, and a store
+# that holds one twice is refused.  The seeds hash base_seed and the
+# replicate count.
 KEY_COLUMNS = ("experiment", "n_train", "exception_prop", "epochs", "seeds", "n_test_pairs")
 
 CONFIG_FORMAT = "quantal-sweep v2"
@@ -89,17 +91,6 @@ EXP1_VOCAB_WORDS = 10_000
 WORD_LEN_RANGE = (3, 13)
 STRING_LEN = 16
 TARGET_VOCAB = {WORD_ORDER: 4096, BINARY: 32}
-
-DEFAULT_EPOCHS = (4, 10)
-DEFAULT_SIZES = {
-    WORD_ORDER: (1000, 2000, 4000, 6000, 8000, 10000),
-    BINARY: (100, 200, 300, 400, 500),
-}
-DEFAULT_PROPORTIONS = {
-    WORD_ORDER: (0.0, 0.05, 0.10, 0.15, 0.20, 0.25, 0.30),
-    BINARY: (0.0, 0.1, 0.2, 0.3, 0.4, 0.5),
-}
-DEFAULT_REPLICATES = {WORD_ORDER: 1, BINARY: 3}
 
 
 @dataclass(frozen=True)
@@ -137,20 +128,6 @@ class SweepConfig:
                 raise ValueError(f"{name} repeats a value: {values}")
         if any(not 0.0 <= p <= 1.0 for p in self.proportions):
             raise ValueError("proportions must lie in [0, 1]")
-
-
-def default_config(experiment: str, base_seed: int, **overrides) -> SweepConfig:
-    """Full default grid for one experiment; keyword overrides welcome."""
-    fields = dict(
-        experiment=experiment,
-        sizes=DEFAULT_SIZES[experiment],
-        proportions=DEFAULT_PROPORTIONS[experiment],
-        epoch_settings=DEFAULT_EPOCHS,
-        replicates=DEFAULT_REPLICATES[experiment],
-        base_seed=base_seed,
-    )
-    fields.update(overrides)
-    return SweepConfig(**fields)
 
 
 @dataclass(frozen=True)
@@ -436,26 +413,52 @@ def write_manifest(path: str | Path, cfg: SweepConfig, result: SweepCellResult, 
     Path(path).write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
 
 
-def append_result(store: str | Path, result: SweepCellResult) -> None:
+def _parse_row(fields: list[str]) -> dict:
+    if len(fields) != len(COLUMNS):
+        raise ValueError(f"malformed row: {fields!r}")
+    return {name: parse(text) for (name, _, parse), text in zip(COLUMNS, fields)}
+
+
+def _parse_store(lines: list[list[str]], store) -> list[dict]:
+    """A store's CSV lines, header first, parsed back to rows.
+
+    Refuses another header, and a cell key held twice: analysis would
+    count one measurement as two.
+    """
+    if lines[0] != COLUMN_NAMES:
+        raise ValueError(f"store has a different schema: {store}")
+    rows, keys = [], set()
+    for row in map(_parse_row, lines[1:]):
+        if _cell_key(row) in keys:
+            raise ValueError(f"store holds the cell {_label(row)} seeds={row['seeds']} twice: {store}")
+        keys.add(_cell_key(row))
+        rows.append(row)
+    return rows
+
+
+def append_result(store: str | Path, result: SweepCellResult) -> bool:
     """Append one row under an exclusive lock, writing the header first.
 
     Concurrent appends from separate processes serialize on the lock, so
-    rows never interleave.
+    rows never interleave.  A row whose KEY_COLUMNS the store already
+    holds is not written (a sweep racing another on one store may finish
+    a cell the other has stored meanwhile).  Returns whether it was.
     """
     fields = [fmt(getattr(result, name)) for name, fmt, _ in COLUMNS]
     with open(store, "a+", encoding="utf-8", newline="") as f:
         fcntl.flock(f.fileno(), fcntl.LOCK_EX)
         try:
             f.seek(0)
-            header = next(csv.reader(f), None)
-            if header is not None and header != COLUMN_NAMES:
-                raise ValueError(f"store has a different schema: {store}")
+            lines = list(csv.reader(f))
+            if lines and _cell_key(_parse_row(fields)) in map(_cell_key, _parse_store(lines, store)):
+                return False
             f.seek(0, 2)
             writer = csv.writer(f, lineterminator="\n")
-            if f.tell() == 0:
+            if not lines:
                 writer.writerow(COLUMN_NAMES)
             writer.writerow(fields)
             f.flush()
+            return True
         finally:
             fcntl.flock(f.fileno(), fcntl.LOCK_UN)
 
@@ -467,16 +470,7 @@ def load_results(store: str | Path) -> list[dict]:
         return []
     with open(path, encoding="utf-8", newline="") as f:
         lines = list(csv.reader(f))
-    if not lines:
-        return []
-    if lines[0] != COLUMN_NAMES:
-        raise ValueError(f"store has a different schema: {store}")
-    rows = []
-    for fields in lines[1:]:
-        if len(fields) != len(COLUMNS):
-            raise ValueError(f"malformed row: {fields!r}")
-        rows.append({name: parse(text) for (name, _, parse), text in zip(COLUMNS, fields)})
-    return rows
+    return _parse_store(lines, store) if lines else []
 
 
 def require_one_kind(rows: list[dict], where: str) -> None:
@@ -534,7 +528,9 @@ def run_sweep(
     of its replicates) is recorded for the cell and the rest proceed.
     Cells whose KEY_COLUMNS the store already holds are skipped, so a
     store holds each cell once and a rerun resumes an interrupted or
-    partly failed sweep.  The store is read before any cell runs, so one
+    partly failed sweep.  If another sweep on the same store stores a
+    cell while this one runs it, the cell counts as skipped and its row
+    is not written twice.  The store is read before any cell runs, so one
     of another schema is refused up front rather than after every cell
     has trained.  Returns (results, skipped, failures); failures hold
     (cell label, error text).
@@ -570,11 +566,16 @@ def run_sweep(
                     result = run_cell(cfg, jobs, artifacts_dir)
                 else:
                     result = _cell_result(cfg, jobs, [future.result() for future in futures], artifacts_dir)
-                append_result(store, result)
+                written = append_result(store, result)
             except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
                 failures.append((_label(coords), repr(exc)))
                 if log:
                     log(f"FAILED {_label(coords)}: {exc!r}")
+                continue
+            if not written:
+                skipped.append(_label(coords))
+                if log:
+                    log(f"skip {_label(coords)} (another sweep stored it meanwhile)")
                 continue
             results.append(result)
             if log:

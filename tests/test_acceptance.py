@@ -341,6 +341,6 @@ def test_criterion_9_full_grid_out_of_scope():
         9,
         True,
         "full-density grid replication is out of scope at desk scale; "
-        "the reduced default grids in sweep.default_config stand in for it",
+        "the committed configs in results/acceptance/configs run a sample of its cells",
     )
     assert ok

@@ -135,16 +135,19 @@ class TestGen:
     def test_missing_flag_is_usage_error(self, capsys):
         assert run("gen", "--exp", 2) == 2
 
-    @pytest.mark.parametrize("exp, experiment, n_train", [
-        (2, corpora.BINARY, 50),
-        (1, corpora.WORD_ORDER, 1000),
+    @pytest.mark.parametrize("exp, experiment, n_train, prop", [
+        pytest.param(2, corpora.BINARY, 50, 0.0, id="2-binary-50"),
+        pytest.param(1, corpora.WORD_ORDER, 1000, 0.0, id="1-word_order-1000"),
+        pytest.param(2, corpora.BINARY, 50, -0.0, id="2-binary-50-negative_zero"),
     ])
-    def test_seed_is_base_seed_of_stored_cell(self, tmp_path, exp, experiment, n_train):
+    def test_seed_is_base_seed_of_stored_cell(self, tmp_path, exp, experiment, n_train, prop):
         # --seed 101 is the committed configs' base_seed, so gen writes the
-        # corpus of the stored (n, 0.0) cell
+        # corpus of the stored (n, 0.0) cell; -0.0 is that cell too, as in
+        # a sweep config
         out = tmp_path / "d"
-        assert run("gen", "--exp", exp, "--n", n_train, "--prop", 0.0,
+        assert run("gen", "--exp", exp, "--n", n_train, "--prop", prop,
                    "--seed", 101, "--out-dir", out, "--pairs", 10) == 0
+        assert repr(json.loads((out / "manifest.json").read_text())["prop"]) == "0.0"
         stored = {
             row["corpus_hash"]
             for row in load_results(ACCEPTANCE_DIR / f"{experiment}.csv")

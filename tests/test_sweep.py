@@ -3,6 +3,7 @@
 import json
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,6 @@ from quantal.sweep import (
     SweepConfig,
     append_result,
     column_slice,
-    default_config,
     derived_seeds,
     expand_grid,
     load_results,
@@ -32,6 +32,7 @@ from quantal.util import sha256_bytes, stable_seed
 
 ROOT = Path(__file__).resolve().parents[1]
 ACCEPTANCE_DIR = ROOT / "results" / "acceptance"
+DEMO_CONFIG, DEMO_STORE = ROOT / "demos" / "column_sweep.json", ROOT / "demos" / "output" / "demo_sweep.csv"
 # The store header written before n_test_pairs took surprisal_mode's column
 V1_HEADER = (
     "experiment,n_train,exception_prop,epochs,replicates,seeds,accuracies,mean_accuracy,"
@@ -61,18 +62,6 @@ def tiny_cell_result():
 
 
 class TestConfig:
-    def test_defaults_match_reduced_grids(self):
-        exp1 = default_config(WORD_ORDER, base_seed=1)
-        assert exp1.sizes == (1000, 2000, 4000, 6000, 8000, 10000)
-        assert exp1.proportions == (0.0, 0.05, 0.10, 0.15, 0.20, 0.25, 0.30)
-        assert exp1.epoch_settings == (4, 10)
-        assert exp1.replicates == 1
-        exp2 = default_config(BINARY, base_seed=1)
-        assert exp2.sizes == (100, 200, 300, 400, 500)
-        assert exp2.proportions == (0.0, 0.1, 0.2, 0.3, 0.4, 0.5)
-        assert exp2.replicates == 3
-        assert exp2.n_test_pairs == 1000
-
     def test_validation(self):
         with pytest.raises(ValueError, match="experiment"):
             tiny_config(experiment="other")
@@ -376,7 +365,7 @@ class TestStore:
         _, _, result = tiny_cell_result
         store = tmp_path / "results.csv"
         append_result(store, result)
-        append_result(store, result)
+        append_result(store, replace(result, n_train=7))
         lines = store.read_text().splitlines()
         assert lines[0] == ",".join(COLUMN_NAMES)
         assert len(lines) == 3
@@ -419,14 +408,24 @@ class TestStore:
         assert store.read_bytes() == committed.read_bytes()
 
     def test_concurrent_appends_do_not_interleave(self, tmp_path, tiny_cell_result):
+        # 40 cells, each appended twice: the lock also makes the key check
+        # and the write one step, so each cell lands once
         _, _, result = tiny_cell_result
         store = tmp_path / "results.csv"
+        cells = [replace(result, n_train=n) for n in range(1, 41)]
         with ThreadPoolExecutor(max_workers=8) as pool:
-            for f in [pool.submit(append_result, store, result) for _ in range(80)]:
-                f.result()
+            written = [f.result() for f in [pool.submit(append_result, store, c) for c in cells + cells]]
         rows = load_results(store)
-        assert len(rows) == 80
+        assert (len(rows), written.count(True)) == (40, 40)
+        assert sorted(row["n_train"] for row in rows) == list(range(1, 41))
         assert store.read_text().splitlines()[0] == ",".join(COLUMN_NAMES)
+
+    def test_refuses_a_store_holding_one_cell_twice(self, tmp_path):
+        header, first, second = DEMO_STORE.read_text().splitlines()[:3]
+        store = tmp_path / "results.csv"
+        store.write_text("\n".join([header, first, second, first]) + "\n")
+        with pytest.raises(ValueError, match=r"holds the cell binary n=60 prop=0\.0 epochs=4 seeds=\(3603426016202696700,\) twice"):
+            load_results(store)
 
 
 class TestColumnSlice:
@@ -536,6 +535,24 @@ class TestRunSweep:
         )
         assert (len(results), skipped, failures) == (1, [], [])
         assert len(load_results(store)) == 2
+
+    def test_a_cell_another_sweep_stored_meanwhile_is_not_written_twice(self, tmp_path, monkeypatch):
+        # the store gains the cell's row after run_sweep has read it, as
+        # when two sweeps of one config run together on one store
+        store = tmp_path / "results.csv"
+        run_cell = sweep.run_cell
+
+        def racing(*args):
+            result = run_cell(*args)
+            append_result(store, result)
+            return result
+
+        monkeypatch.setattr(sweep, "run_cell", racing)
+        lines = []
+        results, skipped, failures = run_sweep(tiny_config(), store, log=lines.append)
+        assert (results, skipped, failures) == ([], ["binary n=6 prop=0.0 epochs=1"], [])
+        assert lines == ["skip binary n=6 prop=0.0 epochs=1 (another sweep stored it meanwhile)"]
+        assert len(load_results(store)) == 1
 
     def test_foreign_store_is_refused_before_any_cell_runs(self, tmp_path, monkeypatch):
         def no_training(*args, **kwargs):
@@ -696,44 +713,47 @@ class TestRunSweep:
         assert [why for _, why in failures] == [repr(RuntimeError([1] * len(libs)))] * 2
 
 
+COMMITTED_CONFIGS = {p.name: p for p in [*(ACCEPTANCE_DIR / "configs").glob("*.json"), DEMO_CONFIG]}
+
+
+def committed_config(name):
+    """A committed config, by file name, and the store it fills."""
+    path = COMMITTED_CONFIGS[name]
+    cfg = load_sweep_config(path)
+    return cfg, DEMO_STORE if path == DEMO_CONFIG else ACCEPTANCE_DIR / f"{cfg.experiment}.csv"
+
+
 class TestCommittedStores:
     def test_every_committed_file_loads(self):
-        # a change of format must rewrite each of them; no other test reads
-        # the demo store
-        stores = sorted([*ACCEPTANCE_DIR.glob("*.csv"), ROOT / "demos" / "output" / "demo_sweep.csv"])
-        configs = sorted((ACCEPTANCE_DIR / "configs").glob("*.json"))
-        assert (len(stores), len(configs)) == (3, 6)
+        # a change of format must rewrite each of them
+        stores = sorted([*ACCEPTANCE_DIR.glob("*.csv"), DEMO_STORE])
+        assert (len(stores), len(COMMITTED_CONFIGS)) == (3, 7)
         for path in stores:
             assert load_results(path), path
-        for path in configs:
+        for path in COMMITTED_CONFIGS.values():
             load_sweep_config(path)
 
-    @pytest.mark.parametrize(
-        "config", sorted(p.name for p in (ACCEPTANCE_DIR / "configs").glob("*.json"))
-    )
+    @pytest.mark.parametrize("config", sorted(COMMITTED_CONFIGS))
     def test_every_configured_cell_is_stored(self, config, monkeypatch):
         # replaying a committed config against its store must train nothing
         def no_training(*args, **kwargs):
             raise AssertionError("cell missing from the committed store")
 
         monkeypatch.setattr(sweep, "run_cell", no_training)
-        cfg = load_sweep_config(ACCEPTANCE_DIR / "configs" / config)
-        store = ACCEPTANCE_DIR / f"{cfg.experiment}.csv"
+        cfg, store = committed_config(config)
         results, skipped, failures = run_sweep(cfg, store)
         n_cells = len(cfg.sizes) * len(cfg.proportions) * len(cfg.epoch_settings)
         assert (results, failures) == ([], [])
         assert len(skipped) == n_cells
 
-    @pytest.mark.parametrize(
-        "config", sorted(p.name for p in (ACCEPTANCE_DIR / "configs").glob("*.json"))
-    )
+    @pytest.mark.parametrize("config", sorted(COMMITTED_CONFIGS))
     def test_stored_corpus_hash_is_the_regenerated_corpus(self, config):
         # A sweep skips a stored cell by its key alone, so this is what sees
         # a change in the generated bytes.  Data seeds ignore the epoch
-        # setting and every committed config has one base seed, so every
-        # stored row at a cell's (n, prop) trained on the same corpus.
-        cfg = load_sweep_config(ACCEPTANCE_DIR / "configs" / config)
-        rows = load_results(ACCEPTANCE_DIR / f"{cfg.experiment}.csv")
+        # setting and the committed configs of one store share a base seed,
+        # so every stored row at a cell's (n, prop) trained on the same corpus.
+        cfg, store = committed_config(config)
+        rows = load_results(store)
         for n_train in cfg.sizes:
             for prop in cfg.proportions:
                 _, corpus, _ = sweep.cell_data(cfg.experiment, cfg.base_seed, n_train, prop, cfg.n_test_pairs)

@@ -129,16 +129,10 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _column_inputs(table, n_train: int, epochs: int):
-    points = column_slice(table, n_train, epochs)
-    rows = [r for r in table if r["n_train"] == n_train and r["epochs"] == epochs]
-    return points, rows[0]["n_types"]
-
-
 def cmd_analyze(args) -> int:
-    table = load_results(args.table)
-    points, n_types = _column_inputs(table, args.n_train, args.epochs)
-    report = analyze_column(points, n_types)
+    # A cell's N, the distinct training sentences, is its size
+    points = column_slice(load_results(args.table), args.n_train, args.epochs)
+    report = analyze_column(points, args.n_train)
     write_report(report, args.out)
     print(f"wrote {args.out}")
     print(f"classification: {report.classification}")
@@ -154,10 +148,10 @@ def cmd_plot(args) -> int:
     if args.kind == "heatmap":
         svg = heatmap_svg(table, epochs=args.epochs, title=f"mean accuracy, {args.epochs} epochs")
     else:
-        points, n_types = _column_inputs(table, args.n_train, args.epochs)
+        points = column_slice(table, args.n_train, args.epochs)
         svg = column_svg(
             points,
-            analyze_column(points, n_types),
+            analyze_column(points, args.n_train),
             title=f"n={args.n_train}, {args.epochs} epochs",
         )
     Path(args.out).write_text(svg, encoding="utf-8")

@@ -46,18 +46,17 @@ EXCEPTION_PATTERN = "ACB"
 
 @dataclass(frozen=True)
 class Vocabulary:
-    """Ordered nonce words; the first ``split_index`` are the training half."""
+    """Ordered nonce words; the first half is the training half."""
 
     words: tuple[str, ...]
-    split_index: int
 
     @property
     def train_words(self) -> tuple[str, ...]:
-        return self.words[: self.split_index]
+        return self.words[: len(self.words) // 2]
 
     @property
     def test_words(self) -> tuple[str, ...]:
-        return self.words[self.split_index :]
+        return self.words[len(self.words) // 2 :]
 
     def to_text(self) -> str:
         return "".join(w + "\n" for w in self.words)
@@ -75,10 +74,13 @@ class Sentence:
 
 @dataclass(frozen=True)
 class Corpus:
+    """Training sentences; a generated corpus holds len(sentences) distinct types."""
+
     sentences: tuple[Sentence, ...]
-    experiment: str
-    n_types: int
-    exception_count: int
+
+    @property
+    def exception_count(self) -> int:
+        return sum(s.is_exception for s in self.sentences)
 
     def to_text(self) -> str:
         return "".join(s.text + "\n" for s in self.sentences)
@@ -122,7 +124,7 @@ def gen_vocabulary(size: int, min_len: int, max_len: int, seed: int) -> Vocabula
             if w not in seen:
                 seen.add(w)
                 words.append(w)
-    return Vocabulary(tuple(words), size // 2)
+    return Vocabulary(tuple(words))
 
 
 def make_shift_sentence(a: str, b: str, c: str, pattern: str) -> Sentence:
@@ -183,7 +185,7 @@ def _rule_corpus(
     for count, is_exception in ((n - n_exc, False), (n_exc, True)):
         sentences += _distinct(count, lambda: draw(rng, is_exception))
     order = rng.permutation(n)
-    return Corpus(tuple(sentences[i] for i in order), experiment, n_types=n, exception_count=n_exc)
+    return Corpus(tuple(sentences[i] for i in order))
 
 
 def gen_exp1_corpus(
@@ -264,7 +266,7 @@ def read_vocabulary(path: str | Path) -> Vocabulary:
     words = Path(path).read_text(encoding="utf-8").splitlines()
     if len(words) % 2 != 0:
         raise ValueError(f"vocabulary file {path} has odd word count {len(words)}")
-    return Vocabulary(tuple(words), len(words) // 2)
+    return Vocabulary(tuple(words))
 
 
 def write_corpus(corpus: Corpus, path: str | Path) -> None:
@@ -308,7 +310,7 @@ def parse_sentence(line: str, experiment: str) -> Sentence:
 
 
 def read_corpus(path: str | Path, experiment: str) -> Corpus:
-    """Re-parse a corpus file, recomputing pattern flags and type counts."""
+    """Re-parse a corpus file, recomputing each sentence's exception flag."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     sentences = []
     for line_no, line in enumerate(lines, start=1):
@@ -316,9 +318,7 @@ def read_corpus(path: str | Path, experiment: str) -> Corpus:
             sentences.append(parse_sentence(line, experiment))
         except ValueError as exc:
             raise ValueError(f"{path} line {line_no}: {exc}") from None
-    n_types = len({s.tokens for s in sentences})
-    n_exc = sum(s.is_exception for s in sentences)
-    return Corpus(tuple(sentences), experiment, n_types=n_types, exception_count=n_exc)
+    return Corpus(tuple(sentences))
 
 
 def write_pairs(pairset: MinimalPairSet, path: str | Path) -> None:

@@ -65,7 +65,6 @@ COLUMNS = (
     ("seeds", *_listed(str, int)),
     ("accuracies", *_listed(repr, float)),
     ("mean_accuracy", repr, float),
-    ("n_types", str, int),
     ("above_chance_p", repr, float),
     ("n_test_pairs", str, int),
     ("corpus_hash", str, str),
@@ -104,20 +103,16 @@ class SweepConfig:
     n_test_pairs: int = 1000
 
     def __post_init__(self):
-        # Seeds hash repr(prop) and str(n), so 0, 0.0 and -0.0 (or 6 and 6.0)
-        # would derive different data for what the store reads back as one
-        # cell: a proportion becomes a float (+ 0.0 turns -0.0 into 0.0), an
-        # integral value an int, and 1.5 is refused.  int(v) == v compares the
-        # value itself, so a 64-bit base_seed never passes through float().
-        def integral(name, v, minimum):
-            return whole(name, int(v) if int(finite(name, v)) == v else v, minimum)
-
+        # Seeds hash repr(prop), so 0, 0.0 and -0.0 would derive different
+        # data for what the store reads back as one cell: a proportion becomes
+        # a float, and + 0.0 turns -0.0 into 0.0.  Integer fields take ints
+        # only, so 6.0 is refused as 1.5 is.
         object.__setattr__(self, "proportions", tuple(float(finite("proportions", p)) + 0.0 for p in self.proportions))
         # epoch setting 0 is an untrained baseline
         for name, minimum in (("sizes", 1), ("epoch_settings", 0)):
-            object.__setattr__(self, name, tuple(integral(name, v, minimum) for v in getattr(self, name)))
+            object.__setattr__(self, name, tuple(whole(name, finite(name, v), minimum) for v in getattr(self, name)))
         for name, minimum in (("replicates", 1), ("base_seed", 0), ("n_test_pairs", 1)):
-            object.__setattr__(self, name, integral(name, getattr(self, name), minimum))
+            object.__setattr__(self, name, whole(name, finite(name, getattr(self, name)), minimum))
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         for name in ("sizes", "proportions", "epoch_settings"):
@@ -152,7 +147,6 @@ class SweepCellResult:
     seeds: tuple[int, ...]
     accuracies: tuple[float, ...]
     mean_accuracy: float
-    n_types: int
     above_chance_p: float
     n_test_pairs: int
     corpus_hash: str
@@ -354,7 +348,6 @@ def _replicate_task(cfg: SweepConfig, job: CellJob, artifacts_dir):
             train_config=train_config,
         )
     facts = {
-        "n_types": corpus.n_types,
         "corpus_hash": corpora.corpus_sha256(corpus),
         "tokenizer_hash": bpe.tokenizer_sha256(tok),
     }
@@ -581,7 +574,7 @@ def run_sweep(
             if log:
                 log(
                     f"done {_label(coords)}: mean accuracy {result.mean_accuracy:.3f} "
-                    f"(p={result.above_chance_p:.3g}, {result.wall_seconds:.0f}s)"
+                    f"({result.wall_seconds:.0f}s)"
                 )
     finally:
         if pool is not None:

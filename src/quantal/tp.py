@@ -8,14 +8,14 @@ a Spearman rank correlation (is the decline monotone and gradual?).
 Whether a cell has learned at all is read against untrained models of the
 same cell with an exact permutation test over model replicates.
 
-Only the analysis functions load scipy.stats, inside the call:
-fit_piecewise_step for the t tail, gradience_measure for spearmanr.  A
-sweep computes one statistic per row, above_chance_test, and takes it
-from scipy.special alone: the binomial tail P(X >= k) at p = 1/2 is the
-regularized incomplete beta I_{1/2}(k, n - k + 1), which is the value
+Each function that needs scipy imports it inside the call, so importing
+quantal loads no scipy: fit_piecewise_step (the t tail) and
+gradience_measure (spearmanr) load scipy.stats, and above_chance_test,
+the one statistic a sweep computes per row, loads only scipy.special.
+The binomial tail P(X >= k) at p = 1/2 is the regularized incomplete
+beta I_{1/2}(k, n - k + 1), which is the value
 stats.binomtest(k, n, 0.5, alternative="greater") returns, bit for bit
-(tests pin the two together).  So importing quantal, and running a
-sweep, never pays for importing scipy.stats.
+(tests pin the two together).
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-from scipy import special
 
 from .util import round_half_up
 
@@ -169,6 +168,8 @@ def above_chance_test(n_correct_credit: float, n_pairs: int) -> float:
     k = round_half_up(n_correct_credit)
     if k == 0:
         return 1.0
+    from scipy import special
+
     return float(special.betainc(k, n_pairs - k + 1, 0.5))
 
 

@@ -171,7 +171,7 @@ def test_criterion_5_gradient_decline_without_step(stores):
         for prop, row in sorted(by_prop.items())
         for acc in row["accuracies"]
     ]
-    n_types = by_prop[0.0]["n_types"]
+    n_types = 500  # a cell's N, its distinct training sentences, is its size
     rep = analyze_column(points, n_types=n_types)
     assert rep.regression is not None and rep.gradience is not None
     ok = rep.gradience.rho <= -0.7 and rep.regression.p_value > 0.05

@@ -61,7 +61,6 @@ def synthetic_store(path, accs_by_prop, n_train=55, epochs=10):
             seeds=(1,),
             accuracies=(acc,),
             mean_accuracy=acc,
-            n_types=n_train,
             above_chance_p=0.5,
             n_test_pairs=1000,
             corpus_hash="0" * 64,
@@ -79,7 +78,7 @@ class TestGen:
         assert run("gen", "--exp", 1, "--n", 16, "--prop", 0.3125,
                    "--seed", 7, "--out-dir", out, "--pairs", 5) == 0
         corpus = corpora.read_corpus(out / "corpus.txt", corpora.WORD_ORDER)
-        assert corpus.n_types == 16
+        assert len({s.tokens for s in corpus.sentences}) == 16
         assert corpus.exception_count == 5
         assert (out / "vocabulary.txt").exists()
         assert (out / "pairs.tsv").exists()

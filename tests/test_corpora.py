@@ -116,8 +116,7 @@ class TestExp1Corpus:
             want = round_half_up(prop * n)
             assert c.exception_count == want
             assert sum(s.is_exception for s in c.sentences) == want
-            assert c.n_types == n
-            assert c.experiment == WORD_ORDER
+            assert len({s.tokens for s in c.sentences}) == n  # n distinct types
 
     def test_sentences_unique(self):
         v = gen_vocabulary(20, 3, 7, seed=2)
@@ -158,7 +157,7 @@ class TestExp1Corpus:
         with pytest.raises(ValueError):
             gen_exp1_corpus(v, 10, 1.5, seed=0)
         with pytest.raises(ValueError):
-            gen_exp1_corpus(Vocabulary(("a", "b", "c", "d"), 2), 1, 0.0, seed=0)
+            gen_exp1_corpus(Vocabulary(("a", "b", "c", "d")), 1, 0.0, seed=0)
 
 
 class TestExp1Pairs:
@@ -187,7 +186,7 @@ class TestExp2Corpus:
             assert len(c.sentences) == n
             want = round_half_up(prop * n)
             assert c.exception_count == want
-            assert c.experiment == BINARY
+            assert len({s.tokens for s in c.sentences}) == n  # n distinct types
             for s in c.sentences:
                 assert len(s.tokens) == 1 and len(s.tokens[0]) == 16
                 assert set(s.tokens[0]) <= {"0", "1"}

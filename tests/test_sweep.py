@@ -1,6 +1,7 @@
 """Sweep orchestration: grid seeds, cell pipeline, CSV store."""
 
 import json
+import re
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import replace
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from quantal import blas, corpora, sweep
-from quantal.bpe import tokenizer_sha256
+from quantal.bpe import encode, tokenizer_sha256
 from quantal.checkpoint import MAGIC, load_checkpoint, state_digest
 from quantal.corpora import BINARY, WORD_ORDER
 from quantal.model import ModelConfig, init_model
@@ -37,6 +38,11 @@ DEMO_CONFIG, DEMO_STORE = ROOT / "demos" / "column_sweep.json", ROOT / "demos" /
 V1_HEADER = (
     "experiment,n_train,exception_prop,epochs,replicates,seeds,accuracies,mean_accuracy,"
     "n_types,above_chance_p,surprisal_mode,corpus_hash,wall_seconds\n"
+)
+# The header written before the n_types column was dropped (a cell's N is its n_train)
+N_TYPES_HEADER = (
+    "experiment,n_train,exception_prop,epochs,replicates,seeds,accuracies,mean_accuracy,"
+    "n_types,above_chance_p,n_test_pairs,corpus_hash,wall_seconds\n"
 )
 
 
@@ -78,20 +84,23 @@ class TestConfig:
         assert tiny_config(epoch_settings=(0, 1)).epoch_settings == (0, 1)
 
     def test_integral_values_normalised(self):
-        cfg = tiny_config(sizes=[6.0], proportions=[0], epoch_settings=[1.0])
+        # a proportion of 0 becomes 0.0; an integer field takes ints only, so 6.0 is refused
+        cfg = tiny_config(sizes=[6], proportions=[0], epoch_settings=[1])
         assert cfg == tiny_config()
         assert (type(cfg.sizes[0]), type(cfg.proportions[0]), type(cfg.epoch_settings[0])) == (int, float, int)
-        with pytest.raises(ValueError, match="sizes must be an integer >= 1"):
-            tiny_config(sizes=(6.5,))
-        with pytest.raises(ValueError, match="epoch_settings must be an integer >= 0"):
-            tiny_config(epoch_settings=(1.5,))
+        for value in (6.0, 6.5):
+            with pytest.raises(ValueError, match="sizes must be an integer >= 1"):
+                tiny_config(sizes=(value,))
+        for value in (1.0, 1.5):
+            with pytest.raises(ValueError, match="epoch_settings must be an integer >= 0"):
+                tiny_config(epoch_settings=(value,))
 
     @pytest.mark.parametrize("name", ["replicates", "base_seed", "n_test_pairs"])
-    def test_integral_scalars_normalised(self, name):
-        cfg = tiny_config(**{name: float(getattr(tiny_config(), name))})
-        assert cfg == tiny_config() and type(getattr(cfg, name)) is int
-        with pytest.raises(ValueError, match=f"{name} must be an integer >= "):
-            tiny_config(**{name: 2.5})
+    def test_integral_scalars_refuse_floats(self, name):
+        assert type(getattr(tiny_config(), name)) is int
+        for value in (float(getattr(tiny_config(), name)), 2.5):
+            with pytest.raises(ValueError, match=f"{name} must be an integer >= "):
+                tiny_config(**{name: value})
 
     def test_takes_a_64_bit_base_seed(self):
         # stable_seed hashes to 64 bits; a float() on the way would round them
@@ -132,7 +141,7 @@ class TestConfig:
             assert corpus_hash(tiny_config(proportions=(zero,), **untrained)) == want
 
     @pytest.mark.parametrize(
-        "name, values", [("sizes", (5, 5.0)), ("proportions", (0, 0.0)), ("epoch_settings", (0, 0))]
+        "name, values", [("sizes", (5, 5)), ("proportions", (0, 0.0)), ("epoch_settings", (0, 0))]
     )
     def test_repeated_values_refused(self, name, values):
         # one cell twice in one sweep would write two rows with one key
@@ -257,7 +266,6 @@ class TestRunCell:
         assert result.mean_accuracy == pytest.approx(np.mean(result.accuracies))
         assert 0.0 <= result.mean_accuracy <= 1.0
         assert 0.0 <= result.above_chance_p <= 1.0
-        assert result.n_types == 6
         assert result.n_test_pairs == 6
 
     def test_corpus_hash_matches_regenerated_corpus(self, tiny_cell_result):
@@ -346,7 +354,6 @@ class TestRunCell:
         jobs = expand_grid(cfg)
         result = run_cell(cfg, jobs)
         assert result.experiment == WORD_ORDER
-        assert result.n_types == 4
         assert len(result.accuracies) == 1
 
 
@@ -387,15 +394,17 @@ class TestStore:
             load_results(store)
 
     def test_refuses_the_v1_header(self, tmp_path, tiny_cell_result):
-        # a store written before n_test_pairs had a column, whatever its rows
+        # a store written before n_test_pairs had a column, or before n_types
+        # lost its own, whatever its rows
         _, _, result = tiny_cell_result
         store = tmp_path / "results.csv"
-        store.write_text(V1_HEADER)
-        with pytest.raises(ValueError, match="schema"):
-            load_results(store)
-        with pytest.raises(ValueError, match="schema"):
-            append_result(store, result)
-        assert store.read_text() == V1_HEADER
+        for header in (V1_HEADER, N_TYPES_HEADER):
+            store.write_text(header)
+            with pytest.raises(ValueError, match="schema"):
+                load_results(store)
+            with pytest.raises(ValueError, match="schema"):
+                append_result(store, result)
+            assert store.read_text() == header
 
     @pytest.mark.parametrize("name", ["binary.csv", "word_order.csv"])
     def test_committed_store_rewrites_byte_for_byte(self, tmp_path, name):
@@ -515,10 +524,17 @@ class TestRunSweep:
     def test_completes_all_cells_and_reuses(self, tmp_path):
         cfg = tiny_config(sizes=(5,), proportions=(0.0, 0.5), replicates=1)
         store = tmp_path / "results.csv"
-        results, skipped, failures = run_sweep(cfg, store)
+        lines = []
+        results, skipped, failures = run_sweep(cfg, store, log=lines.append)
         assert len(results) == 2
         assert skipped == [] and failures == []
-        assert len(load_results(store)) == 2
+        rows = load_results(store)
+        assert len(rows) == 2
+        # the progress line gives the mean accuracy and the seconds, and no
+        # above_chance_p, which measures the tokenizer rather than learning
+        for line, row in zip(lines, rows, strict=True):
+            done = f"done binary n=5 prop={row['exception_prop']} epochs=1: mean accuracy {row['mean_accuracy']:.3f}"
+            assert re.fullmatch(re.escape(done) + r" \(\d+s\)", line), line
 
         again = run_sweep(cfg, store)
         assert again[0] == [] and len(again[1]) == 2 and again[2] == []
@@ -759,3 +775,21 @@ class TestCommittedStores:
                 _, corpus, _ = sweep.cell_data(cfg.experiment, cfg.base_seed, n_train, prop, cfg.n_test_pairs)
                 stored = [row["corpus_hash"] for row in rows if (row["n_train"], row["exception_prop"]) == (n_train, prop)]
                 assert stored and set(stored) == {corpora.corpus_sha256(corpus)}
+
+    def test_readme_states_the_encoded_lengths_of_the_committed_cells(self):
+        # README's token counts of rule and foil members, rebuilt from the
+        # committed binary cells at n=50 and n=300 (p = 0.0)
+        def mean_lengths(config):
+            cfg, _ = committed_config(config)
+            _, corpus, pairs = sweep.cell_data(
+                cfg.experiment, cfg.base_seed, cfg.sizes[0], cfg.proportions[0], cfg.n_test_pairs
+            )
+            tok = sweep.cell_tokenizer(cfg.experiment, corpus)
+            return [np.mean([len(encode(tok, s.text)) for s in members]) for members in zip(*pairs.pairs)]
+
+        (r50, f50), (r300, f300) = mean_lengths("binary_onset_small.json"), mean_lengths("binary_onset_300.json")
+        readme = " ".join((ROOT / "README.md").read_text(encoding="utf-8").split())
+        assert (
+            f"({r50:.2f} vs {f50:.2f} tokens on average at n=50, {r300:.2f} vs {f300:.2f} at n=300, "
+            f"vocab {sweep.TARGET_VOCAB[BINARY]})"
+        ) in readme

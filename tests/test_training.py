@@ -147,12 +147,7 @@ class TestTrainLoop:
 class TestTrainErrors:
     def test_empty_corpus(self):
         corpus, tok, cfg = tiny_setup()
-        empty = corpora.Corpus(
-            sentences=(),
-            experiment=corpus.experiment,
-            n_types=0,
-            exception_count=0,
-        )
+        empty = corpora.Corpus(sentences=())
         with pytest.raises(ValueError, match="empty"):
             train(init_model(cfg, seed=1), empty, tok, TrainConfig(epochs=1, seed=7))
 

@@ -9,10 +9,10 @@ the config's base seed, so a cell's row is a pure function of the
 config, and a sweep skips every cell its store already holds.
 
 This runs the committed config ``column_sweep.json``: one column
-(n = 60, six proportions) with a scaled-down model budget still large
-enough to learn.  It asks whether accuracy falls off a cliff at the
-tolerance threshold or just declines, then writes two SVG views of the
-store, without any plotting library:
+(n = 60, six proportions) of the default 8-layer model, scaled down to
+200 test pairs, 4 epochs and 1 replicate per cell.  It asks whether
+accuracy falls off a cliff at the tolerance threshold or just declines,
+then writes two SVG views of the store, without any plotting library:
 
 * a heatmap of accuracy over (training set size, exception proportion),
   shaded black (chance) to white (perfect), with the tolerance curve

@@ -55,7 +55,9 @@ def _listed(fmt, parse):
     return (lambda items: ";".join(map(fmt, items)), lambda text: tuple(map(parse, text.split(";"))))
 
 
-# The store format, defined once: (column, format, parse) in file order.
+# The store format, defined once: (column, format, parse) in file order.  A
+# row is a dict of these columns, in this order, from the cell that builds
+# it through append_result to what load_results reads back.
 COLUMNS = (
     ("experiment", str, str),
     ("n_train", str, int),
@@ -84,7 +86,7 @@ TIMING_COLUMNS = ("wall_seconds",)
 KEY_COLUMNS = ("experiment", "n_train", "exception_prop", "epochs", "seeds", "n_test_pairs")
 
 CONFIG_FORMAT = "quantal-sweep v2"
-MANIFEST_FORMAT = "quantal-manifest v2"
+MANIFEST_FORMAT = "quantal-manifest v3"
 
 EXP1_VOCAB_WORDS = 10_000
 WORD_LEN_RANGE = (3, 13)
@@ -136,33 +138,6 @@ class CellJob:
     cell_index: int
     replicate_index: int
     init_seed: int
-
-
-@dataclass(frozen=True)
-class SweepCellResult:
-    experiment: str
-    n_train: int
-    exception_prop: float
-    epochs: int
-    seeds: tuple[int, ...]
-    accuracies: tuple[float, ...]
-    mean_accuracy: float
-    above_chance_p: float
-    n_test_pairs: int
-    corpus_hash: str
-    tokenizer_hash: str
-    checkpoint_hashes: tuple[str, ...]
-    wall_seconds: float
-
-    def __post_init__(self):
-        if not len(self.seeds) == len(self.accuracies) == len(self.checkpoint_hashes):
-            raise ValueError("per-replicate fields must have equal length")
-        if abs(self.mean_accuracy - float(np.mean(self.accuracies))) > 1e-12:
-            raise ValueError("mean_accuracy is not the mean of accuracies")
-
-    @property
-    def replicates(self) -> int:
-        return len(self.seeds)
 
 
 def expand_grid(cfg: SweepConfig) -> list[CellJob]:
@@ -324,7 +299,9 @@ def _replicate_task(cfg: SweepConfig, job: CellJob, artifacts_dir):
     With artifacts_dir set, replicate 0 writes the cell's input files (those
     `quantal gen` writes), and each replicate its checkpoint (which embeds
     the tokenizer) as replicate{r}.ckpt; the model is freed on return.
-    Returns (started, finished, input facts, accuracy, checkpoint hash).
+    Returns (started, finished, corpus hash, accuracy, tokenizer hash,
+    checkpoint hash); the last two, which only the manifest records, are
+    None without artifacts_dir.
     """
     # A module-level function, which looks the replicate's steps up only
     # when it is called: perfbench's tracer (perfbench/spans.py) replaces
@@ -341,51 +318,52 @@ def _replicate_task(cfg: SweepConfig, job: CellJob, artifacts_dir):
         tok, corpus, job.init_seed, job.epochs, derived_seeds(cfg, job)["train_seed"]
     )
     report = evaluate_pairs(state, tok, pairs)
+    tokenizer_hash = checkpoint_hash = None
     if cell_dir is not None:
         cell_dir.mkdir(parents=True, exist_ok=True)  # replicate 0 may not have written the inputs yet
         save_checkpoint(
             state, cell_dir / f"replicate{job.replicate_index}.ckpt", tok, cfg.experiment,
             train_config=train_config,
         )
-    facts = {
-        "corpus_hash": corpora.corpus_sha256(corpus),
-        "tokenizer_hash": bpe.tokenizer_sha256(tok),
-    }
-    return started, time.monotonic(), facts, report.accuracy, state_digest(state)
+        tokenizer_hash, checkpoint_hash = bpe.tokenizer_sha256(tok), state_digest(state)
+    corpus_hash = corpora.corpus_sha256(corpus)
+    return started, time.monotonic(), corpus_hash, report.accuracy, tokenizer_hash, checkpoint_hash
 
 
-def _cell_result(cfg: SweepConfig, jobs, replicates, artifacts_dir) -> SweepCellResult:
+def _cell_result(cfg: SweepConfig, jobs, replicates, artifacts_dir) -> dict:
     """A cell's row from its replicate tasks' returns in replicate order;
-    with artifacts_dir set, its manifest is written too."""
-    started, finished, facts, accuracies, digests = zip(*replicates)
+    with artifacts_dir set, its manifest is written too.
+
+    The row is the dict load_results reads back: wall_seconds is rounded
+    to the millisecond the store keeps, so the two are equal.
+    """
+    started, finished, corpus_hashes, accuracies, tokenizer_hashes, digests = zip(*replicates)
     mean_accuracy = float(np.mean(accuracies))
-    result = SweepCellResult(
+    row = {
         **_cell_coords(cfg, jobs),
-        **facts[0],
-        accuracies=accuracies,
-        mean_accuracy=mean_accuracy,
-        above_chance_p=above_chance_test(mean_accuracy * cfg.n_test_pairs, cfg.n_test_pairs),
-        checkpoint_hashes=digests,
-        wall_seconds=max(finished) - min(started),
-    )
+        "replicates": len(jobs),
+        "accuracies": accuracies,
+        "mean_accuracy": mean_accuracy,
+        "above_chance_p": above_chance_test(mean_accuracy * cfg.n_test_pairs, cfg.n_test_pairs),
+        "corpus_hash": corpus_hashes[0],
+        "wall_seconds": round(max(finished) - min(started), 3),
+    }
+    row = {name: row[name] for name in COLUMN_NAMES}
     if artifacts_dir is not None:
-        write_manifest(
-            Path(artifacts_dir) / _cell_stem(jobs[0]) / "manifest.json", cfg, result, derived_seeds(cfg, jobs[0])
-        )
-    return result
+        cell = {**row, "tokenizer_hash": tokenizer_hashes[0], "checkpoint_hashes": digests}
+        path = Path(artifacts_dir) / _cell_stem(jobs[0]) / "manifest.json"
+        write_manifest(path, cfg, cell, derived_seeds(cfg, jobs[0]))
+    return row
 
 
-def run_cell(
-    cfg: SweepConfig, jobs: list[CellJob], artifacts_dir: str | Path | None = None
-) -> SweepCellResult:
+def run_cell(cfg: SweepConfig, jobs: list[CellJob], artifacts_dir: str | Path | None = None) -> dict:
     """Run a cell's replicate tasks in turn and aggregate them into its row.
 
     The serial path of run_sweep; a process pool runs the same task per
     replicate.  A 0-epoch cell skips training and scores the freshly
     initialized models.  With artifacts_dir set, the cell's input files,
-    a checkpoint per replicate and finally the manifest are written there;
-    hashes are recorded either way.  Only one replicate's model is held in
-    memory at a time.
+    a checkpoint per replicate and finally the manifest are written there.
+    Only one replicate's model is held in memory at a time.
     """
     if not jobs:
         raise ValueError("run_cell needs at least one job")
@@ -395,12 +373,14 @@ def run_cell(
     return _cell_result(cfg, jobs, [_replicate_task(cfg, job, artifacts_dir) for job in jobs], artifacts_dir)
 
 
-def write_manifest(path: str | Path, cfg: SweepConfig, result: SweepCellResult, seeds) -> None:
-    """Config snapshot plus every seed and hash needed for exact replay."""
+def write_manifest(path: str | Path, cfg: SweepConfig, cell: dict, seeds) -> None:
+    """Config snapshot plus every seed and hash needed for exact replay:
+    the cell is its store row plus the tokenizer's hash and each
+    replicate's checkpoint hash."""
     payload = {
         "format": MANIFEST_FORMAT,
         "config": asdict(cfg),
-        "cell": asdict(result),
+        "cell": cell,
         "derived_seeds": dict(seeds),
     }
     Path(path).write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
@@ -415,21 +395,29 @@ def _parse_row(fields: list[str]) -> dict:
 def _parse_store(lines: list[list[str]], store) -> list[dict]:
     """A store's CSV lines, header first, parsed back to rows.
 
-    Refuses another header, and a cell key held twice: analysis would
-    count one measurement as two.
+    Refuses another header; a row whose replicates, seeds and accuracies
+    disagree in count, or whose mean_accuracy is not the mean of its
+    accuracies; and a cell key held twice: analysis would count one
+    measurement as two.
     """
     if lines[0] != COLUMN_NAMES:
         raise ValueError(f"store has a different schema: {store}")
     rows, keys = [], set()
     for row in map(_parse_row, lines[1:]):
+        cell = f"{_label(row)} seeds={row['seeds']}"
+        counts = (row["replicates"], len(row["seeds"]), len(row["accuracies"]))
+        if len(set(counts)) != 1:
+            raise ValueError(f"store row {cell} counts {counts} replicates, seeds and accuracies: {store}")
+        if abs(row["mean_accuracy"] - float(np.mean(row["accuracies"]))) > 1e-12:
+            raise ValueError(f"store row {cell} has a mean_accuracy other than its accuracies' mean: {store}")
         if _cell_key(row) in keys:
-            raise ValueError(f"store holds the cell {_label(row)} seeds={row['seeds']} twice: {store}")
+            raise ValueError(f"store holds the cell {cell} twice: {store}")
         keys.add(_cell_key(row))
         rows.append(row)
     return rows
 
 
-def append_result(store: str | Path, result: SweepCellResult) -> bool:
+def append_result(store: str | Path, row: dict) -> bool:
     """Append one row under an exclusive lock, writing the header first.
 
     Concurrent appends from separate processes serialize on the lock, so
@@ -437,19 +425,18 @@ def append_result(store: str | Path, result: SweepCellResult) -> bool:
     holds is not written (a sweep racing another on one store may finish
     a cell the other has stored meanwhile).  Returns whether it was.
     """
-    fields = [fmt(getattr(result, name)) for name, fmt, _ in COLUMNS]
     with open(store, "a+", encoding="utf-8", newline="") as f:
         fcntl.flock(f.fileno(), fcntl.LOCK_EX)
         try:
             f.seek(0)
             lines = list(csv.reader(f))
-            if lines and _cell_key(_parse_row(fields)) in map(_cell_key, _parse_store(lines, store)):
+            if lines and _cell_key(row) in map(_cell_key, _parse_store(lines, store)):
                 return False
             f.seek(0, 2)
             writer = csv.writer(f, lineterminator="\n")
             if not lines:
                 writer.writerow(COLUMN_NAMES)
-            writer.writerow(fields)
+            writer.writerow([fmt(row[name]) for name, fmt, _ in COLUMNS])
             f.flush()
             return True
         finally:
@@ -523,13 +510,17 @@ def run_sweep(
     store holds each cell once and a rerun resumes an interrupted or
     partly failed sweep.  If another sweep on the same store stores a
     cell while this one runs it, the cell counts as skipped and its row
-    is not written twice.  The store is read before any cell runs, so one
-    of another schema is refused up front rather than after every cell
-    has trained.  Returns (results, skipped, failures); failures hold
-    (cell label, error text).
+    is not written twice.  The store is opened for append and read before
+    any cell runs, so one that cannot be written (its directory is
+    missing, say) or has another schema is refused up front rather than
+    after every cell has trained; a missing store is created empty.
+    Returns (rows, skipped, failures): the rows written, each equal to
+    the one load_results reads back, and failures as (cell label, error
+    text).
     """
+    open(store, "a", encoding="utf-8").close()
     done = {_cell_key(row) for row in load_results(store)}
-    results, skipped, failures = [], [], []
+    rows, skipped, failures = [], [], []
     cells = []
     for _, group in itertools.groupby(expand_grid(cfg), key=lambda j: j.cell_index):
         jobs = list(group)
@@ -556,10 +547,10 @@ def run_sweep(
         for (coords, jobs), futures in zip(cells, submitted):
             try:
                 if futures is None:
-                    result = run_cell(cfg, jobs, artifacts_dir)
+                    row = run_cell(cfg, jobs, artifacts_dir)
                 else:
-                    result = _cell_result(cfg, jobs, [future.result() for future in futures], artifacts_dir)
-                written = append_result(store, result)
+                    row = _cell_result(cfg, jobs, [future.result() for future in futures], artifacts_dir)
+                written = append_result(store, row)
             except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
                 failures.append((_label(coords), repr(exc)))
                 if log:
@@ -570,16 +561,13 @@ def run_sweep(
                 if log:
                     log(f"skip {_label(coords)} (another sweep stored it meanwhile)")
                 continue
-            results.append(result)
+            rows.append(row)
             if log:
-                log(
-                    f"done {_label(coords)}: mean accuracy {result.mean_accuracy:.3f} "
-                    f"({result.wall_seconds:.0f}s)"
-                )
+                log(f"done {_label(coords)}: mean accuracy {row['mean_accuracy']:.3f} ({row['wall_seconds']:.0f}s)")
     finally:
         if pool is not None:
             # Every future is done unless an exception (an interrupt, say) left
             # the loop early: then the replicates still queued are dropped
             # rather than run.  Rows already written stay, and a rerun resumes.
             pool.shutdown(cancel_futures=True)
-    return results, skipped, failures
+    return rows, skipped, failures

@@ -11,11 +11,10 @@ from pathlib import Path
 
 import pytest
 
-from quantal import bpe, corpora
+from quantal import bpe, corpora, sweep
 from quantal.checkpoint import MAGIC, load_checkpoint
 from quantal.cli import build_parser, main
 from quantal.sweep import (
-    SweepCellResult,
     SweepConfig,
     append_result,
     cell_tokenizer,
@@ -53,22 +52,21 @@ def rewrite_header(src, dst, change):
 
 def synthetic_store(path, accs_by_prop, n_train=55, epochs=10):
     for prop, acc in accs_by_prop.items():
-        result = SweepCellResult(
+        row = dict(
             experiment=corpora.BINARY,
             n_train=n_train,
             exception_prop=prop,
             epochs=epochs,
+            replicates=1,
             seeds=(1,),
             accuracies=(acc,),
             mean_accuracy=acc,
             above_chance_p=0.5,
             n_test_pairs=1000,
             corpus_hash="0" * 64,
-            tokenizer_hash="0" * 64,
-            checkpoint_hashes=("0" * 64,),
             wall_seconds=0.1,
         )
-        append_result(path, result)
+        append_result(path, row)
 
 
 class TestGen:
@@ -173,11 +171,12 @@ class TestGen:
         assert (cell_dir / "vocabulary.txt").exists() == (exp == 1)
         for name in shared:
             assert file_hash(out / name) == file_hash(cell_dir / name), name
-        assert file_hash(out / "corpus.txt") == cell.corpus_hash
+        assert file_hash(out / "corpus.txt") == cell["corpus_hash"]
         # both checkpoints embed the cell's tokenizer text, byte for byte
         text = embedded_tokenizer_text(tmp_path / "m.ckpt")
         assert text == embedded_tokenizer_text(cell_dir / "replicate0.ckpt")
-        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == cell.tokenizer_hash
+        tokenizer_hash = json.loads((cell_dir / "manifest.json").read_text())["cell"]["tokenizer_hash"]
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == tokenizer_hash
 
 
 @pytest.fixture(scope="module")
@@ -231,7 +230,7 @@ class TestTrainEval:
         out = tmp_path / "r.json"
         assert run("eval", "--checkpoint", cell_dir / "replicate0.ckpt",
                    "--pairs", cell_dir / "pairs.tsv", "--out", out) == 0
-        assert json.loads(out.read_text())["accuracy"] == cell.accuracies[0]
+        assert json.loads(out.read_text())["accuracy"] == cell["accuracies"][0]
 
     def test_eval_vocab_mismatch(self, artifacts, tmp_path, capsys):
         # the embedded tokenizer's vocabulary must be the model's
@@ -523,6 +522,21 @@ class TestSweepCommand:
         assert rc == 1
         assert json.loads(capsys.readouterr().err)["kind"] == "runtime"
         assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_an_unwritable_store_fails_before_any_cell_trains(self, tmp_path, capsys, monkeypatch, workers):
+        # the store's directory is missing: no row could be appended, so no
+        # replicate may train first
+        ran = []
+        monkeypatch.setattr(sweep, "_replicate_task", lambda *args: ran.append(args))
+        cfg = tmp_path / "sweep.json"
+        self.write_config(cfg, proportions=(0.0, 0.5))
+        store = tmp_path / "nodir" / "results.csv"
+        assert run("sweep", "--config", cfg, "--store", store, "--workers", workers) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        err = json.loads(line)
+        assert err["kind"] == "runtime" and str(store) in err["error"]
+        assert ran == [] and not store.parent.exists()
 
     @pytest.mark.parametrize("workers", [0, -2])
     def test_nonpositive_workers_is_usage_error(self, tmp_path, capsys, workers):

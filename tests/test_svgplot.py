@@ -6,7 +6,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from quantal.svgplot import Frame, column_svg, heatmap_svg, shade
+from quantal.svgplot import CURVE_SAMPLES, MAX_INTEGER_SAMPLING_SPAN, Frame, column_svg, heatmap_svg, shade
 from quantal.tp import analyze_column
 
 
@@ -109,6 +109,20 @@ class TestHeatmap:
         assert at_16, "curve must sample N=16"
         assert at_16[0] == pytest.approx(1.0 / math.log(16), abs=1e-6)
         assert at_16[0] == pytest.approx(0.3607, abs=5e-4)
+
+    def test_curve_on_a_wide_span_is_sampled(self):
+        # the frame runs from N = -18,000 to 39,000, too wide to sample every
+        # integer N, so the curve takes CURVE_SAMPLES evenly spaced ones, and
+        # each drawn point still inverts to 1/ln N
+        rows = grid_rows(sizes=[1000, 20000], props=[0.08, 0.16])
+        svg = heatmap_svg(rows, epochs=10)
+        frame = parse_frame(svg)
+        assert frame.x1 - 2 > MAX_INTEGER_SAMPLING_SPAN
+        path = re.search(r'class="tp-curve" d="([^"]+)"', svg).group(1)
+        backs = [invert(frame, *map(float, pt[1:].split(","))) for pt in path.split(" ")]
+        assert 0 < len(backs) <= CURVE_SAMPLES
+        for x, y in backs:
+            assert y == pytest.approx(1.0 / math.log(x), abs=1e-4)
 
     def test_out_of_range_curve_is_dropped(self):
         rows = grid_rows(sizes=[1000, 2000], props=[0.0, 0.01])

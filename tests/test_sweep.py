@@ -4,7 +4,6 @@ import json
 import re
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +16,6 @@ from quantal.corpora import BINARY, WORD_ORDER
 from quantal.model import ModelConfig, init_model
 from quantal.sweep import (
     COLUMN_NAMES,
-    SweepCellResult,
     SweepConfig,
     append_result,
     column_slice,
@@ -61,10 +59,21 @@ def tiny_config(**overrides):
 
 
 @pytest.fixture(scope="module")
-def tiny_cell_result():
+def tiny_cell_dir(tmp_path_factory):
+    """Where tiny_cell_result writes its artifacts."""
+    return tmp_path_factory.mktemp("tiny_cell")
+
+
+@pytest.fixture(scope="module")
+def tiny_cell_result(tiny_cell_dir):
     cfg = tiny_config()
     jobs = expand_grid(cfg)
-    return cfg, jobs, run_cell(cfg, jobs)
+    return cfg, jobs, run_cell(cfg, jobs, artifacts_dir=tiny_cell_dir)
+
+
+def manifest_cell(artifacts_dir, stem="binary_n6_p0.0_e1"):
+    """The cell a run's manifest records: its row plus the hashes the store does not keep."""
+    return json.loads((Path(artifacts_dir) / stem / "manifest.json").read_text())["cell"]
 
 
 class TestConfig:
@@ -128,7 +137,7 @@ class TestConfig:
         # a stored 0 reads back as 0.0, and a -0.0 key equals a 0.0 one, so
         # every spelling must derive the same seeds and the same corpus
         def corpus_hash(cfg):
-            return run_cell(cfg, expand_grid(cfg)).corpus_hash
+            return run_cell(cfg, expand_grid(cfg))["corpus_hash"]
 
         as_float = tiny_config(proportions=(0.0,))
         untrained = dict(epoch_settings=(0,), replicates=1)
@@ -257,16 +266,18 @@ class TestDerivedSeeds:
 
 class TestRunCell:
     def test_result_shape(self, tiny_cell_result):
+        # a row is a dict of the store's columns, in their order
         cfg, jobs, result = tiny_cell_result
-        assert result.experiment == BINARY
-        assert result.n_train == 6
-        assert result.epochs == 1
-        assert result.replicates == 2
-        assert len(result.accuracies) == 2
-        assert result.mean_accuracy == pytest.approx(np.mean(result.accuracies))
-        assert 0.0 <= result.mean_accuracy <= 1.0
-        assert 0.0 <= result.above_chance_p <= 1.0
-        assert result.n_test_pairs == 6
+        assert list(result) == COLUMN_NAMES
+        assert result["experiment"] == BINARY
+        assert result["n_train"] == 6
+        assert result["epochs"] == 1
+        assert result["replicates"] == 2
+        assert len(result["accuracies"]) == 2
+        assert result["mean_accuracy"] == pytest.approx(np.mean(result["accuracies"]))
+        assert 0.0 <= result["mean_accuracy"] <= 1.0
+        assert 0.0 <= result["above_chance_p"] <= 1.0
+        assert result["n_test_pairs"] == 6
 
     def test_corpus_hash_matches_regenerated_corpus(self, tiny_cell_result):
         cfg, jobs, result = tiny_cell_result
@@ -274,28 +285,28 @@ class TestRunCell:
         corpus = corpora.gen_exp2_corpus(
             6, 0.0, string_len=sweep.STRING_LEN, seed=seeds["corpus_seed"]
         )
-        assert result.corpus_hash == sha256_bytes(corpus.to_text().encode("utf-8"))
+        assert result["corpus_hash"] == sha256_bytes(corpus.to_text().encode("utf-8"))
 
-    def test_replicates_differ_only_in_init(self, tiny_cell_result):
+    def test_replicates_differ_only_in_init(self, tiny_cell_result, tiny_cell_dir):
         cfg, jobs, result = tiny_cell_result
-        assert result.seeds[0] != result.seeds[1]
-        assert result.checkpoint_hashes[0] != result.checkpoint_hashes[1]
+        assert result["seeds"][0] != result["seeds"][1]
+        hashes = manifest_cell(tiny_cell_dir)["checkpoint_hashes"]
+        assert hashes[0] != hashes[1]
 
     def test_deterministic_modulo_wall_time(self, tiny_cell_result):
+        # with no artifacts_dir too, which writes no files and hashes no model
         cfg, jobs, first = tiny_cell_result
         second = run_cell(cfg, jobs)
-        a = {name: getattr(first, name) for name in COLUMN_NAMES if name != "wall_seconds"}
-        b = {name: getattr(second, name) for name in COLUMN_NAMES if name != "wall_seconds"}
-        assert a == b
+        assert {**first, "wall_seconds": None} == {**second, "wall_seconds": None}
 
-    def test_seeds_follow_replicate_order(self, tiny_cell_result):
+    def test_seeds_follow_replicate_order(self, tiny_cell_result, tiny_cell_dir, tmp_path):
         # jobs given out of order still run, store and checkpoint in
         # replicate order
         cfg, jobs, result = tiny_cell_result
-        reordered = run_cell(cfg, list(reversed(jobs)))
+        reordered = run_cell(cfg, list(reversed(jobs)), artifacts_dir=tmp_path)
         assert [j.replicate_index for j in jobs] == [0, 1]
-        assert reordered.seeds == result.seeds == tuple(j.init_seed for j in jobs)
-        assert reordered.checkpoint_hashes == result.checkpoint_hashes
+        assert reordered["seeds"] == result["seeds"] == tuple(j.init_seed for j in jobs)
+        assert manifest_cell(tmp_path)["checkpoint_hashes"] == manifest_cell(tiny_cell_dir)["checkpoint_hashes"]
 
     def test_rejects_mixed_cells(self):
         cfg = tiny_config(sizes=(6, 7), replicates=1)
@@ -311,41 +322,56 @@ class TestRunCell:
         written = {"corpus.txt", "pairs.tsv", "replicate0.ckpt", "manifest.json"}
         assert {path.name for path in cell_dir.iterdir()} == written
         manifest = json.loads((cell_dir / "manifest.json").read_text())
-        assert manifest["format"] == "quantal-manifest v2"
+        assert manifest["format"] == "quantal-manifest v3"
         assert manifest["config"]["base_seed"] == 77
-        assert manifest["cell"]["corpus_hash"] == result.corpus_hash
         assert set(manifest["derived_seeds"]) == {
             "vocab_seed", "corpus_seed", "pairs_seed", "train_seed",
         }
+        # the manifest's cell is the row, then the two hashes the store does not keep
+        cell = manifest["cell"]
+        tokenizer_hash, (checkpoint_hash,) = cell.pop("tokenizer_hash"), cell.pop("checkpoint_hashes")
+        assert cell == json.loads(json.dumps(result))
+        assert list(cell) == COLUMN_NAMES
         # the checkpoint embeds the cell's tokenizer: its text hashes to the
         # manifest's tokenizer_hash
         raw = (cell_dir / "replicate0.ckpt").read_bytes()
         header = json.loads(raw[len(MAGIC):].split(b"\n", 1)[0])
-        assert sha256_bytes(header["tokenizer"].encode("utf-8")) == result.tokenizer_hash
-        assert manifest["cell"]["tokenizer_hash"] == result.tokenizer_hash
+        assert sha256_bytes(header["tokenizer"].encode("utf-8")) == tokenizer_hash
         state, meta = load_checkpoint(cell_dir / "replicate0.ckpt")
-        assert tokenizer_sha256(meta["tokenizer"]) == result.tokenizer_hash
+        assert tokenizer_sha256(meta["tokenizer"]) == tokenizer_hash
         assert meta["experiment"] == BINARY
-        assert state_digest(state) == result.checkpoint_hashes[0]
+        assert state_digest(state) == checkpoint_hash
+
+    def test_no_artifacts_no_model_hashes(self, monkeypatch):
+        # the hashes only the manifest records are not computed without one
+        def unwanted(*args):
+            raise AssertionError("hashed a model with no manifest to record it")
+
+        monkeypatch.setattr(sweep, "state_digest", unwanted)
+        monkeypatch.setattr(sweep.bpe, "tokenizer_sha256", unwanted)
+        cfg = tiny_config(replicates=1)
+        assert run_cell(cfg, expand_grid(cfg))["replicates"] == 1
 
     def test_untrained_cell_takes_no_optimizer_step(self, tmp_path):
         cfg = tiny_config(epoch_settings=(0,))
         jobs = expand_grid(cfg)
         result = run_cell(cfg, jobs, artifacts_dir=tmp_path)
-        assert result.epochs == 0
+        assert result["epochs"] == 0
         cell_dir = tmp_path / "binary_n6_p0.0_e0"
         vocab_size = load_checkpoint(cell_dir / "replicate0.ckpt")[1]["tokenizer"].vocab_size
+        hashes = manifest_cell(tmp_path, "binary_n6_p0.0_e0")["checkpoint_hashes"]
         for r, job in enumerate(jobs):
             fresh = init_model(ModelConfig(vocab_size=vocab_size), seed=job.init_seed)
-            assert result.checkpoint_hashes[r] == state_digest(fresh)
+            assert hashes[r] == state_digest(fresh)
 
-    def test_untrained_cell_shares_data_with_trained(self, tiny_cell_result):
+    def test_untrained_cell_shares_data_with_trained(self, tiny_cell_result, tiny_cell_dir, tmp_path):
         cfg, _, trained = tiny_cell_result
         untrained_cfg = tiny_config(epoch_settings=(0,))
-        untrained = run_cell(untrained_cfg, expand_grid(untrained_cfg))
-        assert untrained.corpus_hash == trained.corpus_hash
-        assert untrained.tokenizer_hash == trained.tokenizer_hash
-        assert not set(untrained.seeds) & set(trained.seeds)
+        untrained = run_cell(untrained_cfg, expand_grid(untrained_cfg), artifacts_dir=tmp_path)
+        assert untrained["corpus_hash"] == trained["corpus_hash"]
+        untrained_tokenizer = manifest_cell(tmp_path, "binary_n6_p0.0_e0")["tokenizer_hash"]
+        assert untrained_tokenizer == manifest_cell(tiny_cell_dir)["tokenizer_hash"]
+        assert not set(untrained["seeds"]) & set(trained["seeds"])
 
     def test_word_order_cell_runs(self):
         cfg = tiny_config(
@@ -353,26 +379,23 @@ class TestRunCell:
         )
         jobs = expand_grid(cfg)
         result = run_cell(cfg, jobs)
-        assert result.experiment == WORD_ORDER
-        assert len(result.accuracies) == 1
+        assert result["experiment"] == WORD_ORDER
+        assert len(result["accuracies"]) == 1
 
 
 class TestStore:
     def test_round_trip(self, tmp_path, tiny_cell_result):
+        # the row a cell returns is the row the store reads back, wall_seconds included
         _, _, result = tiny_cell_result
         store = tmp_path / "results.csv"
         append_result(store, result)
-        rows = load_results(store)
-        assert len(rows) == 1
-        expected = {name: getattr(result, name) for name in COLUMN_NAMES}
-        expected["wall_seconds"] = float(f"{result.wall_seconds:.3f}")
-        assert rows[0] == expected
+        assert load_results(store) == [result]
 
     def test_header_written_once(self, tmp_path, tiny_cell_result):
         _, _, result = tiny_cell_result
         store = tmp_path / "results.csv"
         append_result(store, result)
-        append_result(store, replace(result, n_train=7))
+        append_result(store, {**result, "n_train": 7})
         lines = store.read_text().splitlines()
         assert lines[0] == ",".join(COLUMN_NAMES)
         assert len(lines) == 3
@@ -411,9 +434,7 @@ class TestStore:
         committed = ACCEPTANCE_DIR / name
         store = tmp_path / name
         for row in load_results(committed):
-            fields = {k: v for k, v in row.items() if k != "replicates"}
-            empty = ("",) * row["replicates"]
-            append_result(store, SweepCellResult(**fields, tokenizer_hash="", checkpoint_hashes=empty))
+            assert append_result(store, row)
         assert store.read_bytes() == committed.read_bytes()
 
     def test_concurrent_appends_do_not_interleave(self, tmp_path, tiny_cell_result):
@@ -421,7 +442,7 @@ class TestStore:
         # and the write one step, so each cell lands once
         _, _, result = tiny_cell_result
         store = tmp_path / "results.csv"
-        cells = [replace(result, n_train=n) for n in range(1, 41)]
+        cells = [{**result, "n_train": n} for n in range(1, 41)]
         with ThreadPoolExecutor(max_workers=8) as pool:
             written = [f.result() for f in [pool.submit(append_result, store, c) for c in cells + cells]]
         rows = load_results(store)
@@ -436,6 +457,27 @@ class TestStore:
         with pytest.raises(ValueError, match=r"holds the cell binary n=60 prop=0\.0 epochs=4 seeds=\(3603426016202696700,\) twice"):
             load_results(store)
 
+
+    @pytest.mark.parametrize(
+        "column, value, why",
+        [
+            ("replicates", "3", r"counts \(3, 1, 1\) replicates, seeds and accuracies"),
+            ("seeds", "1;2", r"counts \(1, 2, 1\) replicates, seeds and accuracies"),
+            ("mean_accuracy", "0.123", "mean_accuracy other than its accuracies' mean"),
+        ],
+        ids=["replicates", "seeds", "mean_accuracy"],
+    )
+    def test_refuses_a_row_that_contradicts_itself(self, tmp_path, column, value, why):
+        # a hand-edited demo row; without the check column_slice would read
+        # its mean_accuracy as the cell's
+        header, first, *rest = DEMO_STORE.read_text().splitlines()
+        fields = first.split(",")
+        fields[COLUMN_NAMES.index(column)] = value
+        store = tmp_path / "results.csv"
+        store.write_text("\n".join([header, ",".join(fields), *rest]) + "\n")
+        cell = re.escape("binary n=60 prop=0.0 epochs=4 seeds=(")
+        with pytest.raises(ValueError, match=f"store row {cell}.* {why}: {re.escape(str(store))}$"):
+            load_results(store)
 
 class TestColumnSlice:
     def rows(self):
@@ -580,6 +622,14 @@ class TestRunSweep:
         with pytest.raises(ValueError, match="schema"):
             run_sweep(tiny_config(), store)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_returned_rows_are_the_stored_rows(self, tmp_path, workers):
+        # exactly, wall_seconds included: both are the one row dict
+        store = tmp_path / "results.csv"
+        rows, skipped, failures = run_sweep(tiny_config(proportions=(0.0, 0.5)), store, workers=workers)
+        assert (len(rows), skipped, failures) == (2, [], [])
+        assert rows == load_results(store)
+
     def test_cell_failure_is_isolated(self, tmp_path):
         # 70000 binary strings cannot be unique at length 16, so that
         # cell fails during generation while the other cell completes
@@ -655,7 +705,7 @@ class TestRunSweep:
 
         monkeypatch.undo()
         results, skipped, failures = run_sweep(cfg, store)
-        assert [r.exception_prop for r in results] == [0.5] and failures == []
+        assert [r["exception_prop"] for r in results] == [0.5] and failures == []
         assert len(skipped) == 2
         assert [row["exception_prop"] for row in load_results(store)] == [0.0, 1.0, 0.5]
 

@@ -1,8 +1,9 @@
 """Command-line surface: gen, train, eval, sweep, analyze, plot.
 
-A trained model is one file: `train` writes a checkpoint that embeds its
-tokenizer and experiment, so `eval` needs only the checkpoint and pairs,
-and refuses pairs that are not sentences of the model's experiment.
+`train` reads a cell directory that `gen` or `sweep --artifacts` wrote (word
+order if and only if it holds vocabulary.txt) and writes one file: a checkpoint
+that embeds its tokenizer and experiment, so `eval` needs only the checkpoint
+and pairs, and refuses pairs that are not sentences of the model's experiment.
 
 Exit codes: 0 success, 2 usage error, 1 runtime failure.  Failures are
 reported as one JSON object per line on stderr so callers can parse them.
@@ -34,8 +35,6 @@ from .util import stable_seed
 
 GEN_MANIFEST_FORMAT = "quantal-gen v2"
 
-EXPERIMENT_BY_FLAG = {1: corpora.WORD_ORDER, 2: corpora.BINARY}
-
 
 class UsageError(ValueError):
     """Bad argument values discovered after argparse."""
@@ -54,7 +53,7 @@ def cmd_gen(args) -> int:
         raise UsageError(f"--pairs must be >= 1, got {args.pairs}")
     if args.seed < 0:
         raise UsageError(f"--seed must be >= 0, got {args.seed}")
-    experiment = EXPERIMENT_BY_FLAG[args.exp]
+    experiment = {1: corpora.WORD_ORDER, 2: corpora.BINARY}[args.exp]
     out_dir = Path(args.out_dir)
     prop = args.prop + 0.0  # -0.0 is the 0.0 cell, as in SweepConfig: seeds hash repr(prop)
     vocab, corpus, pairs = cell_data(experiment, args.seed, args.n, prop, args.pairs)
@@ -81,10 +80,12 @@ def cmd_train(args) -> int:
         raise UsageError(f"--epochs must be >= 0 (0 = untrained), got {args.epochs}")
     if args.seed < 0:
         raise UsageError(f"--seed must be >= 0, got {args.seed}")
-    experiment = EXPERIMENT_BY_FLAG[args.exp]
-    corpus = corpora.read_corpus(args.corpus, experiment)
-    vocab = corpora.read_vocabulary(args.vocab) if args.vocab else None
+    cell = Path(args.cell)  # only word order has a vocabulary, as in cell_data
+    vocab = corpora.read_vocabulary(cell / "vocabulary.txt") if (cell / "vocabulary.txt").exists() else None
+    experiment = corpora.BINARY if vocab is None else corpora.WORD_ORDER
+    corpus = corpora.read_corpus(cell / "corpus.txt", experiment)
     tok = cell_tokenizer(experiment, corpus, vocab)
+    print(f"{experiment} cell ({'no ' if vocab is None else ''}vocabulary.txt): tokenizer {tok.vocab_size} tokens")
     state, train_config = train_replicate(
         tok, corpus, stable_seed(args.seed, "init"), args.epochs, stable_seed(args.seed, "train")
     )
@@ -175,17 +176,15 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--pairs", type=int, default=1000, help="test pairs (a config's n_test_pairs)")
     gen.set_defaults(func=cmd_gen)
 
-    tr = sub.add_parser("train", help="train a model and tokenizer on a corpus file")
-    tr.add_argument("--corpus", required=True)
-    tr.add_argument("--exp", type=int, choices=(1, 2), required=True)
+    tr = sub.add_parser("train", help="train a model and tokenizer on a cell's inputs")
+    tr.add_argument("--cell", required=True, help="directory from gen --out-dir or one sweep --artifacts cell")
     tr.add_argument("--epochs", type=int, required=True, help="0 writes the untrained model")
     tr.add_argument("--seed", type=int, required=True)
     tr.add_argument("--out", required=True, help="checkpoint path; it embeds the tokenizer")
-    tr.add_argument("--vocab", help="vocabulary.txt from gen; the tokenizer trains on it too")
     tr.set_defaults(func=cmd_train)
 
     ev = sub.add_parser("eval", help="score minimal pairs with a trained checkpoint")
-    ev.add_argument("--checkpoint", required=True, help="checkpoint from train or sweep --artifacts")
+    ev.add_argument("--checkpoint", required=True, help="checkpoint from train or a sweep --artifacts cell")
     ev.add_argument("--pairs", required=True, help="pairs.tsv of the model's experiment")
     ev.add_argument("--out", required=True, help="evaluation report path")
     ev.set_defaults(func=cmd_eval)

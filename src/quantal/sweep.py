@@ -231,11 +231,11 @@ def write_cell_inputs(out_dir: str | Path, vocab, corpus, pairs) -> dict[str, st
     if vocab is not None:
         corpora.write_vocabulary(vocab, out_dir / "vocabulary.txt")
         written["vocabulary"] = "vocabulary.txt"
+    else:  # a stale one would make `quantal train` read this cell as word order
+        (out_dir / "vocabulary.txt").unlink(missing_ok=True)
     corpora.write_corpus(corpus, out_dir / "corpus.txt")
     corpora.write_pairs(pairs, out_dir / "pairs.tsv")
-    written["corpus"] = "corpus.txt"
-    written["pairs"] = "pairs.tsv"
-    return written
+    return {**written, "corpus": "corpus.txt", "pairs": "pairs.tsv"}
 
 
 def train_replicate(tok: bpe.TokenizerModel, corpus, init_seed: int, epochs: int, train_seed: int):

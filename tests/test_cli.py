@@ -6,6 +6,7 @@ import io
 import json
 import re
 import shlex
+import shutil
 import sys
 from pathlib import Path
 
@@ -101,6 +102,16 @@ class TestGen:
         assert all(line.startswith("1") for line in lines)
         assert not (out / "vocabulary.txt").exists()
 
+    def test_regenerating_a_directory_keeps_only_the_new_cells_files(self, tmp_path):
+        # a stale vocabulary.txt would make train read a binary cell as word order
+        out = tmp_path / "d"
+        for exp, has_vocab in [(1, True), (2, False), (1, True)]:
+            assert run("gen", "--exp", exp, "--n", 4, "--prop", 0,
+                       "--seed", 5, "--out-dir", out, "--pairs", 3) == 0
+            assert (out / "vocabulary.txt").exists() == has_vocab
+            written = json.loads((out / "manifest.json").read_text())["files"].values()
+            assert sorted(p.name for p in out.iterdir()) == sorted([*written, "manifest.json"])
+
     def test_bad_proportion_is_usage_error(self, tmp_path, capsys):
         rc = run("gen", "--exp", 2, "--n", 10, "--prop", 1.5,
                  "--seed", 1, "--out-dir", tmp_path / "d")
@@ -153,17 +164,20 @@ class TestGen:
         assert stored == {file_hash(out / "corpus.txt")}
 
     @pytest.mark.parametrize("exp, experiment", [(1, corpora.WORD_ORDER), (2, corpora.BINARY)])
-    def test_gen_then_train_replays_a_sweep_cell(self, tmp_path, exp, experiment):
-        cfg = SweepConfig(experiment=experiment, sizes=(4,), proportions=(0.25,),
+    def test_gen_then_train_replays_a_sweep_cell(self, tmp_path, capsys, exp, experiment):
+        cfg = SweepConfig(experiment=experiment, sizes=(20,), proportions=(0.25,),
                           epoch_settings=(0,), replicates=1, base_seed=13, n_test_pairs=4)
         cell = run_cell(cfg, expand_grid(cfg), artifacts_dir=tmp_path / "art")
-        cell_dir = tmp_path / "art" / f"{experiment}_n4_p0.25_e0"
+        cell_dir = tmp_path / "art" / f"{experiment}_n20_p0.25_e0"
         out = tmp_path / "d"
-        assert run("gen", "--exp", exp, "--n", 4, "--prop", 0.25,
+        assert run("gen", "--exp", exp, "--n", 20, "--prop", 0.25,
                    "--seed", 13, "--out-dir", out, "--pairs", 4) == 0
-        vocab = ["--vocab", out / "vocabulary.txt"] if exp == 1 else []
-        assert run("train", "--corpus", out / "corpus.txt", "--exp", exp, "--seed", 13,
-                   "--out", tmp_path / "m.ckpt", "--epochs", 0, *vocab) == 0
+        # train reads the experiment from either directory, gen's or the sweep's
+        capsys.readouterr()
+        logs = []
+        for src, ckpt in [(out, tmp_path / "m.ckpt"), (cell_dir, tmp_path / "a.ckpt")]:
+            assert run("train", "--cell", src, "--seed", 13, "--out", ckpt, "--epochs", 0) == 0
+            logs.append(capsys.readouterr().out.splitlines()[0])
         # every file gen writes is the artifact cell directory's file, byte for byte
         written = json.loads((out / "manifest.json").read_text())["files"].values()
         shared = ["corpus.txt", "pairs.tsv"] + (["vocabulary.txt"] if exp == 1 else [])
@@ -172,11 +186,17 @@ class TestGen:
         for name in shared:
             assert file_hash(out / name) == file_hash(cell_dir / name), name
         assert file_hash(out / "corpus.txt") == cell["corpus_hash"]
-        # both checkpoints embed the cell's tokenizer text, byte for byte
+        # all three checkpoints embed the cell's tokenizer text, byte for byte
         text = embedded_tokenizer_text(tmp_path / "m.ckpt")
+        assert text == embedded_tokenizer_text(tmp_path / "a.ckpt")
         assert text == embedded_tokenizer_text(cell_dir / "replicate0.ckpt")
         tokenizer_hash = json.loads((cell_dir / "manifest.json").read_text())["cell"]["tokenizer_hash"]
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == tokenizer_hash
+        # the vocabulary listing fills word order's BPE to its target size
+        n_tokens = bpe.parse_tokenizer(text).vocab_size
+        assert (n_tokens == 4096) == (exp == 1)
+        used = "vocabulary.txt" if exp == 1 else "no vocabulary.txt"
+        assert logs == [f"{experiment} cell ({used}): tokenizer {n_tokens} tokens"] * 2
 
 
 @pytest.fixture(scope="module")
@@ -186,8 +206,7 @@ def artifacts(tmp_path_factory):
     assert run("gen", "--exp", 2, "--n", 8, "--prop", 0, "--seed", 11,
                "--out-dir", data, "--pairs", 4) == 0
     ckpt = root / "model.ckpt"
-    assert run("train", "--corpus", data / "corpus.txt", "--exp", 2,
-               "--epochs", 1, "--seed", 3, "--out", ckpt) == 0
+    assert run("train", "--cell", data, "--epochs", 1, "--seed", 3, "--out", ckpt) == 0
     return root, data, ckpt
 
 
@@ -196,8 +215,7 @@ class TestTrainEval:
         # one file: the checkpoint embeds the tokenizer and the experiment
         root, data, ckpt = artifacts
         out = tmp_path / "m.ckpt"
-        assert run("train", "--corpus", data / "corpus.txt", "--exp", 2,
-                   "--epochs", 1, "--seed", 3, "--out", out) == 0
+        assert run("train", "--cell", data, "--epochs", 1, "--seed", 3, "--out", out) == 0
         assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
         assert file_hash(out) == file_hash(ckpt)
         _, meta = load_checkpoint(out)
@@ -274,8 +292,7 @@ class TestTrainEval:
         assert run("gen", "--exp", 1, "--n", 4, "--prop", 0.0, "--seed", 5,
                    "--out-dir", wo, "--pairs", 3) == 0
         wo_ckpt = tmp_path / "wo.ckpt"
-        assert run("train", "--corpus", wo / "corpus.txt", "--exp", 1, "--epochs", 0,
-                   "--seed", 5, "--out", wo_ckpt) == 0
+        assert run("train", "--cell", wo, "--epochs", 0, "--seed", 5, "--out", wo_ckpt) == 0
         capsys.readouterr()
         for ckpt, pairs, want in [
             (binary_ckpt, wo / "pairs.tsv", "not a binary string"),
@@ -291,8 +308,7 @@ class TestTrainEval:
     def test_epochs_zero_writes_untrained_checkpoint(self, artifacts, tmp_path, capsys):
         root, data, ckpt = artifacts
         out = tmp_path / "fresh.ckpt"
-        assert run("train", "--corpus", data / "corpus.txt", "--exp", 2,
-                   "--epochs", 0, "--seed", 3, "--out", out) == 0
+        assert run("train", "--cell", data, "--epochs", 0, "--seed", 3, "--out", out) == 0
         assert "untrained checkpoint" in capsys.readouterr().out
         state, meta = load_checkpoint(out)
         assert state.step == 0
@@ -301,8 +317,7 @@ class TestTrainEval:
 
     def test_negative_epochs_is_usage_error(self, artifacts, tmp_path, capsys):
         root, data, ckpt = artifacts
-        rc = run("train", "--corpus", data / "corpus.txt", "--exp", 2,
-                 "--epochs", -1, "--seed", 3, "--out", tmp_path / "x.ckpt")
+        rc = run("train", "--cell", data, "--epochs", -1, "--seed", 3, "--out", tmp_path / "x.ckpt")
         assert rc == 2
         err = json.loads(capsys.readouterr().err)
         assert err["kind"] == "usage"
@@ -312,8 +327,7 @@ class TestTrainEval:
     def test_negative_seed_is_usage_error(self, artifacts, tmp_path, capsys):
         # as for gen: a seed is never negative
         root, data, ckpt = artifacts
-        rc = run("train", "--corpus", data / "corpus.txt", "--exp", 2,
-                 "--epochs", 1, "--seed", -5, "--out", tmp_path / "x.ckpt")
+        rc = run("train", "--cell", data, "--epochs", 1, "--seed", -5, "--out", tmp_path / "x.ckpt")
         assert rc == 2
         err = json.loads(capsys.readouterr().err)
         assert err["kind"] == "usage"
@@ -324,9 +338,31 @@ class TestTrainEval:
                              ids=["missing-epochs", "init-only"])
     def test_epochs_is_the_only_training_switch(self, artifacts, tmp_path, flags):
         root, data, ckpt = artifacts
-        rc = run("train", "--corpus", data / "corpus.txt", "--exp", 2,
-                 "--seed", 3, "--out", tmp_path / "x.ckpt", *flags)
+        rc = run("train", "--cell", data, "--seed", 3, "--out", tmp_path / "x.ckpt", *flags)
         assert rc == 2
+        assert not (tmp_path / "x.ckpt").exists()
+
+    @pytest.mark.parametrize("broken", ["binary-with-vocabulary", "no-corpus"])
+    def test_a_bad_cell_directory_is_runtime_error(self, artifacts, tmp_path, capsys, broken):
+        # vocabulary.txt makes a cell word order, so a binary corpus beside
+        # one fails to parse at its first line
+        root, data, ckpt = artifacts
+        cell = tmp_path / "cell"
+        shutil.copytree(data, cell)
+        if broken == "no-corpus":
+            (cell / "corpus.txt").unlink()
+        else:
+            assert run("gen", "--exp", 1, "--n", 4, "--prop", 0.0, "--seed", 5,
+                       "--out-dir", tmp_path / "wo", "--pairs", 3) == 0
+            shutil.copy(tmp_path / "wo" / "vocabulary.txt", cell)
+        capsys.readouterr()
+        rc = run("train", "--cell", cell, "--epochs", 0, "--seed", 3, "--out", tmp_path / "x.ckpt")
+        assert rc == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        err = json.loads(line)
+        assert err["kind"] == "runtime"
+        want = {"binary-with-vocabulary": f"{cell / 'corpus.txt'} line 1: ", "no-corpus": "corpus.txt"}
+        assert want[broken] in err["error"]
         assert not (tmp_path / "x.ckpt").exists()
 
     @pytest.mark.parametrize("broken", ["tokenizer", "pairs", "checkpoint"])
@@ -359,7 +395,7 @@ class TestTrainEval:
 # shows up in review.
 OPTIONS = {
     "gen": {"--exp", "--n", "--prop", "--seed", "--out-dir", "--pairs"},
-    "train": {"--corpus", "--exp", "--epochs", "--seed", "--out", "--vocab"},
+    "train": {"--cell", "--epochs", "--seed", "--out"},
     "eval": {"--checkpoint", "--pairs", "--out"},
     "sweep": {"--config", "--store", "--artifacts", "--workers"},
     "analyze": {"--table", "--n-train", "--epochs", "--out"},

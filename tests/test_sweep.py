@@ -27,6 +27,7 @@ from quantal.sweep import (
     run_sweep,
     save_sweep_config,
 )
+from quantal.tp import analyze_column, beats_baseline_test
 from quantal.util import sha256_bytes, stable_seed
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -843,3 +844,44 @@ class TestCommittedStores:
             f"({r50:.2f} vs {f50:.2f} tokens on average at n=50, {r300:.2f} vs {f300:.2f} at n=300, "
             f"vocab {sweep.TARGET_VOCAB[BINARY]})"
         ) in readme
+
+    def test_readme_states_the_known_behavior_of_the_committed_cells(self):
+        # every number of README's "Known behavior", recomputed from the
+        # committed stores and formatted as README prints it
+        binary, word_order = (load_results(ACCEPTANCE_DIR / f"{e}.csv") for e in (BINARY, WORD_ORDER))
+
+        def cell(table, n_train, epochs):
+            (row,) = [r for r in table if (r["n_train"], r["exception_prop"], r["epochs"]) == (n_train, 0.0, epochs)]
+            return row
+
+        def spread(table, n_train):
+            row = cell(table, n_train, 0)
+            assert row["replicates"] == 10  # README: "ten inits"
+            return f"{min(row['accuracies']):.3f}-{max(row['accuracies']):.3f} (mean {row['mean_accuracy']:.3f})"
+
+        def beats_untrained_p(table, n_train, epochs):
+            return beats_baseline_test(cell(table, n_train, epochs)["accuracies"], cell(table, n_train, 0)["accuracies"])
+
+        def mean(table, n_train, epochs):
+            return f"{cell(table, n_train, epochs)['mean_accuracy']:.3f}"
+
+        column = [
+            (row["exception_prop"], acc)
+            for row in binary
+            if (row["n_train"], row["epochs"]) == (500, 10)
+            for acc in row["accuracies"]
+        ]
+        stated = [
+            f"the committed 0-epoch cells score {spread(binary, 50)} over ten inits at n=50 "
+            f"and {spread(binary, 300)} at n=300",
+            f"with p = {beats_untrained_p(binary, 300, 10):.2g} at (n=300, 10 epochs) "
+            f"and p = {beats_untrained_p(binary, 50, 4):.2g} at (n=50, 4 epochs)",
+            f"{mean(binary, 300, 4)} at 4 epochs against {mean(binary, 300, 10)} at 10",
+            f"accuracy is {mean(word_order, 1000, 10)} at 1,000 sentences and {mean(word_order, 2000, 10)} at 2,000",
+            f"Ten untrained inits score {spread(word_order, 2000)} at 2,000 sentences",
+            f"(permutation p = {beats_untrained_p(word_order, 2000, 10):.3f})",
+            f"one point per replicate, {len(column)} on the (n=500, 10-epoch) column, "
+            f"and reads step p = {analyze_column(column, 500).regression.p_value:.3f}",
+        ]
+        readme = " ".join((ROOT / "README.md").read_text(encoding="utf-8").split())
+        assert [phrase for phrase in stated if phrase not in readme] == []

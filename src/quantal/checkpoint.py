@@ -96,7 +96,10 @@ def load_checkpoint(path: str | Path) -> tuple[ModelState, dict]:
         magic = f.read(len(MAGIC))
         if magic != MAGIC:
             raise ValueError(f"not a {MAGIC.decode().strip()!r} file: {path}")
-        header = json.loads(f.readline().decode("utf-8"))
+        try:
+            header = json.loads(f.readline().decode("utf-8"))
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise ValueError(f"bad header in checkpoint {path}: {exc}") from None
         if not isinstance(header, dict) or not header.keys() >= set(HEADER_KEYS):
             raise ValueError(f"checkpoint header must hold the keys {HEADER_KEYS}: {path}")
         try:
@@ -119,16 +122,16 @@ def load_checkpoint(path: str | Path) -> tuple[ModelState, dict]:
             )
         expected = [[name, list(shape)] for name, shape, _ in param_specs(cfg)]
         if header["tensors"] != expected:
-            raise ValueError("checkpoint tensor listing does not match its model config")
+            raise ValueError(f"checkpoint tensor listing does not match its model config: {path}")
         params = {}
         for name, shape in header["tensors"]:
             count = int(np.prod(shape, dtype=np.int64))
             raw = f.read(count * 4)
             if len(raw) != count * 4:
-                raise ValueError(f"checkpoint truncated in tensor {name}")
+                raise ValueError(f"checkpoint truncated in tensor {name}: {path}")
             params[name] = np.frombuffer(raw, dtype=TENSOR_DTYPE).reshape(shape).copy()
         if f.read(1):
-            raise ValueError("trailing bytes after final tensor")
+            raise ValueError(f"checkpoint has trailing bytes after its final tensor: {path}")
     state = ModelState(config=cfg, params=params, opt_m=None, opt_v=None)
     meta = {
         "train_config": header["train_config"],

@@ -141,12 +141,10 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    if args.kind == "column_regression" and args.n_train is None:
-        raise UsageError("column_regression plots need --n-train")
     table = load_results(args.table)
     if not table:
         raise ValueError(f"results table is empty: {args.table}")
-    if args.kind == "heatmap":
+    if args.n_train is None:
         svg = heatmap_svg(table, epochs=args.epochs, title=f"mean accuracy, {args.epochs} epochs")
     else:
         points = column_slice(table, args.n_train, args.epochs)
@@ -205,11 +203,10 @@ def build_parser() -> argparse.ArgumentParser:
     an.add_argument("--out", required=True, help="analysis report path")
     an.set_defaults(func=cmd_analyze)
 
-    pl = sub.add_parser("plot", help="render results as an SVG figure")
-    pl.add_argument("--kind", choices=("heatmap", "column_regression"), required=True)
+    pl = sub.add_parser("plot", help="render results as an SVG figure: a column's regression, or the heatmap")
     pl.add_argument("--table", required=True, help="results CSV path")
     pl.add_argument("--epochs", type=int, required=True)
-    pl.add_argument("--n-train", type=int, help="column_regression: which column")
+    pl.add_argument("--n-train", type=int, help="draw this column's regression; without it, the heatmap")
     pl.add_argument("--out", required=True, help="SVG output path")
     pl.set_defaults(func=cmd_plot)
     return parser

@@ -552,17 +552,6 @@ def output_head(state: ModelState, h: np.ndarray) -> np.ndarray:
     return h @ state.params["tok_emb"].T + state.params["out_bias"]
 
 
-def forward(state: ModelState, token_ids, attention_mask=None) -> np.ndarray:
-    """Full-vocabulary logits (real positions x vocab) for one sequence, no dropout."""
-    ids = np.asarray(token_ids, dtype=np.int64)[None, :]
-    if attention_mask is None:
-        mask = np.ones_like(ids, dtype=bool)
-    else:
-        mask = np.asarray(attention_mask, dtype=bool)[None, :]
-    hidden, _ = forward_batch(state, ids, mask, keep_cache=False)
-    return output_head(state, hidden)
-
-
 def apply_masking(token_ids, p: float, rng, mask_id: int):
     """Independently replace each position by MASK with probability p.
 

@@ -47,7 +47,7 @@ from .model import ModelConfig, TrainConfig, init_model
 from .scoring import evaluate_pairs
 from .tp import above_chance_test
 from .training import train
-from .util import finite, stable_seed, whole
+from .util import finite, sha256_bytes, stable_seed, whole
 
 
 def _listed(fmt, parse):
@@ -269,15 +269,25 @@ def _cell_key(row: dict) -> tuple:
     return tuple(row[name] for name in KEY_COLUMNS)
 
 
-def _label(coords: dict) -> str:
-    return (
-        f"{coords['experiment']} n={coords['n_train']} "
-        f"prop={coords['exception_prop']} epochs={coords['epochs']}"
-    )
+def _cell_name(cell: dict) -> str:
+    """A cell's name in log lines, failures and its artifacts directory.
+
+    Its coordinates, then the first 16 hex digits of the sha256 of its
+    KEY_COLUMNS as the store writes them, comma-joined: two cells the store
+    tells apart get two names, and a stored row's CSV text gives its name.
+    """
+    fields = ",".join(fmt(cell[name]) for name, fmt, _ in COLUMNS if name in KEY_COLUMNS)
+    coords = f"{cell['experiment']}_n{cell['n_train']}_p{cell['exception_prop']}_e{cell['epochs']}"
+    return f"{coords}_{sha256_bytes(fields.encode('utf-8'))[:16]}"
 
 
-def _cell_stem(job: CellJob) -> str:
-    return f"{job.experiment}_n{job.n_train}_p{job.exception_prop}_e{job.epochs}"
+def _cell_dir(artifacts_dir, name: str) -> Path | None:
+    """The named cell's artifacts directory, made; None without artifacts_dir."""
+    if artifacts_dir is None:
+        return None
+    cell_dir = Path(artifacts_dir) / name
+    cell_dir.mkdir(parents=True, exist_ok=True)
+    return cell_dir
 
 
 @functools.lru_cache(maxsize=1, typed=True)
@@ -293,15 +303,15 @@ def _cell_inputs(experiment: str, base_seed: int, n_train: int, prop: float, n_t
     return vocab, corpus, pairs, cell_tokenizer(experiment, corpus, vocab)
 
 
-def _replicate_task(cfg: SweepConfig, job: CellJob, artifacts_dir):
+def _replicate_task(cfg: SweepConfig, job: CellJob, cell_dir: Path | None):
     """One replicate of job's cell, trained unless 0 epochs, then scored.
 
-    With artifacts_dir set, replicate 0 writes the cell's input files (those
-    `quantal gen` writes), and each replicate its checkpoint (which embeds
-    the tokenizer) as replicate{r}.ckpt; the model is freed on return.
-    Returns (started, finished, corpus hash, accuracy, tokenizer hash,
-    checkpoint hash); the last two, which only the manifest records, are
-    None without artifacts_dir.
+    With cell_dir (the cell's artifacts directory, made) set, replicate 0
+    writes the cell's input files (those `quantal gen` writes), and each
+    replicate its checkpoint (which embeds the tokenizer) as
+    replicate{r}.ckpt; the model is freed on return.  Returns (started,
+    finished, corpus hash, accuracy, tokenizer hash, checkpoint hash); the
+    last two, which only the manifest records, are None without cell_dir.
     """
     # A module-level function, which looks the replicate's steps up only
     # when it is called: perfbench's tracer (perfbench/spans.py) replaces
@@ -311,7 +321,6 @@ def _replicate_task(cfg: SweepConfig, job: CellJob, artifacts_dir):
     vocab, corpus, pairs, tok = _cell_inputs(
         cfg.experiment, cfg.base_seed, job.n_train, job.exception_prop, cfg.n_test_pairs
     )
-    cell_dir = None if artifacts_dir is None else Path(artifacts_dir) / _cell_stem(job)
     if cell_dir is not None and job.replicate_index == 0:
         write_cell_inputs(cell_dir, vocab, corpus, pairs)
     state, train_config = train_replicate(
@@ -320,7 +329,6 @@ def _replicate_task(cfg: SweepConfig, job: CellJob, artifacts_dir):
     report = evaluate_pairs(state, tok, pairs)
     tokenizer_hash = checkpoint_hash = None
     if cell_dir is not None:
-        cell_dir.mkdir(parents=True, exist_ok=True)  # replicate 0 may not have written the inputs yet
         save_checkpoint(
             state, cell_dir / f"replicate{job.replicate_index}.ckpt", tok, cfg.experiment,
             train_config=train_config,
@@ -330,9 +338,9 @@ def _replicate_task(cfg: SweepConfig, job: CellJob, artifacts_dir):
     return started, time.monotonic(), corpus_hash, report.accuracy, tokenizer_hash, checkpoint_hash
 
 
-def _cell_result(cfg: SweepConfig, jobs, replicates, artifacts_dir) -> dict:
+def _cell_result(cfg: SweepConfig, jobs, replicates, cell_dir: Path | None) -> dict:
     """A cell's row from its replicate tasks' returns in replicate order;
-    with artifacts_dir set, its manifest is written too.
+    with cell_dir set, its manifest is written there too.
 
     The row is the dict load_results reads back: wall_seconds is rounded
     to the millisecond the store keeps, so the two are equal.
@@ -349,10 +357,9 @@ def _cell_result(cfg: SweepConfig, jobs, replicates, artifacts_dir) -> dict:
         "wall_seconds": round(max(finished) - min(started), 3),
     }
     row = {name: row[name] for name in COLUMN_NAMES}
-    if artifacts_dir is not None:
+    if cell_dir is not None:
         cell = {**row, "tokenizer_hash": tokenizer_hashes[0], "checkpoint_hashes": digests}
-        path = Path(artifacts_dir) / _cell_stem(jobs[0]) / "manifest.json"
-        write_manifest(path, cfg, cell, derived_seeds(cfg, jobs[0]))
+        write_manifest(cell_dir / "manifest.json", cfg, cell, derived_seeds(cfg, jobs[0]))
     return row
 
 
@@ -362,7 +369,8 @@ def run_cell(cfg: SweepConfig, jobs: list[CellJob], artifacts_dir: str | Path | 
     The serial path of run_sweep; a process pool runs the same task per
     replicate.  A 0-epoch cell skips training and scores the freshly
     initialized models.  With artifacts_dir set, the cell's input files,
-    a checkpoint per replicate and finally the manifest are written there.
+    a checkpoint per replicate and finally the manifest are written to its
+    directory there, named by _cell_name.
     Only one replicate's model is held in memory at a time.
     """
     if not jobs:
@@ -370,7 +378,8 @@ def run_cell(cfg: SweepConfig, jobs: list[CellJob], artifacts_dir: str | Path | 
     if len({j.cell_index for j in jobs}) != 1:
         raise ValueError("jobs must all belong to one cell")
     jobs = sorted(jobs, key=lambda j: j.replicate_index)
-    return _cell_result(cfg, jobs, [_replicate_task(cfg, job, artifacts_dir) for job in jobs], artifacts_dir)
+    cell_dir = _cell_dir(artifacts_dir, _cell_name(_cell_coords(cfg, jobs)))
+    return _cell_result(cfg, jobs, [_replicate_task(cfg, job, cell_dir) for job in jobs], cell_dir)
 
 
 def write_manifest(path: str | Path, cfg: SweepConfig, cell: dict, seeds) -> None:
@@ -404,7 +413,7 @@ def _parse_store(lines: list[list[str]], store) -> list[dict]:
         raise ValueError(f"store has a different schema: {store}")
     rows, keys = [], set()
     for row in map(_parse_row, lines[1:]):
-        cell = f"{_label(row)} seeds={row['seeds']}"
+        cell = _cell_name(row)
         counts = (row["replicates"], len(row["seeds"]), len(row["accuracies"]))
         if len(set(counts)) != 1:
             raise ValueError(f"store row {cell} counts {counts} replicates, seeds and accuracies: {store}")
@@ -478,11 +487,6 @@ def column_slice(table: list[dict], n_train: int, epochs: int) -> list[tuple[flo
     return sorted((row["exception_prop"], row["mean_accuracy"]) for row in rows)
 
 
-def save_sweep_config(cfg: SweepConfig, path: str | Path) -> None:
-    payload = {"format": CONFIG_FORMAT, **asdict(cfg)}
-    Path(path).write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
-
-
 def load_sweep_config(path: str | Path) -> SweepConfig:
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(payload, dict) or payload.pop("format", None) != CONFIG_FORMAT:
@@ -510,27 +514,31 @@ def run_sweep(
     store holds each cell once and a rerun resumes an interrupted or
     partly failed sweep.  If another sweep on the same store stores a
     cell while this one runs it, the cell counts as skipped and its row
-    is not written twice.  The store is opened for append and read before
-    any cell runs, so one that cannot be written (its directory is
-    missing, say) or has another schema is refused up front rather than
-    after every cell has trained; a missing store is created empty.
+    is not written twice.  The store is opened for append and read, and
+    artifacts_dir made, before any cell runs, so a store that cannot be
+    written (its directory is missing, say) or has another schema, or an
+    artifacts_dir that is a file, is refused up front rather than after
+    every cell has trained; a missing store is created empty.
     Returns (rows, skipped, failures): the rows written, each equal to
-    the one load_results reads back, and failures as (cell label, error
-    text).
+    the one load_results reads back, the skipped cells' _cell_name, and
+    failures as (_cell_name, error text).
     """
     open(store, "a", encoding="utf-8").close()
+    if artifacts_dir is not None:
+        Path(artifacts_dir).mkdir(parents=True, exist_ok=True)
     done = {_cell_key(row) for row in load_results(store)}
     rows, skipped, failures = [], [], []
     cells = []
     for _, group in itertools.groupby(expand_grid(cfg), key=lambda j: j.cell_index):
         jobs = list(group)
         coords = _cell_coords(cfg, jobs)
+        name = _cell_name(coords)
         if _cell_key(coords) in done:
-            skipped.append(_label(coords))
+            skipped.append(name)
             if log:
-                log(f"skip {_label(coords)} (already in store)")
+                log(f"skip {name} (already in store)")
         else:
-            cells.append((coords, jobs))
+            cells.append((name, jobs))
     # A task is one replicate.  The pool forks all its workers at once, so it
     # gets no more than there are tasks.  Each worker runs one BLAS thread:
     # workers that each bring a pool of one thread per core oversubscribe
@@ -540,30 +548,31 @@ def run_sweep(
     try:
         # A pool is handed every replicate at once; serially, each cell runs
         # when the loop below reaches it.  Either way rows land in grid order.
+        cell_dirs = [None if pool is None else _cell_dir(artifacts_dir, name) for name, _ in cells]
         submitted = [
-            None if pool is None else [pool.submit(_replicate_task, cfg, job, artifacts_dir) for job in jobs]
-            for _, jobs in cells
+            None if pool is None else [pool.submit(_replicate_task, cfg, job, cell_dir) for job in jobs]
+            for (_, jobs), cell_dir in zip(cells, cell_dirs)
         ]
-        for (coords, jobs), futures in zip(cells, submitted):
+        for (name, jobs), cell_dir, futures in zip(cells, cell_dirs, submitted):
             try:
                 if futures is None:
                     row = run_cell(cfg, jobs, artifacts_dir)
                 else:
-                    row = _cell_result(cfg, jobs, [future.result() for future in futures], artifacts_dir)
+                    row = _cell_result(cfg, jobs, [future.result() for future in futures], cell_dir)
                 written = append_result(store, row)
             except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
-                failures.append((_label(coords), repr(exc)))
+                failures.append((name, repr(exc)))
                 if log:
-                    log(f"FAILED {_label(coords)}: {exc!r}")
+                    log(f"FAILED {name}: {exc!r}")
                 continue
             if not written:
-                skipped.append(_label(coords))
+                skipped.append(name)
                 if log:
-                    log(f"skip {_label(coords)} (another sweep stored it meanwhile)")
+                    log(f"skip {name} (another sweep stored it meanwhile)")
                 continue
             rows.append(row)
             if log:
-                log(f"done {_label(coords)}: mean accuracy {row['mean_accuracy']:.3f} ({row['wall_seconds']:.0f}s)")
+                log(f"done {name}: mean accuracy {row['mean_accuracy']:.3f} ({row['wall_seconds']:.0f}s)")
     finally:
         if pool is not None:
             # Every future is done unless an exception (an interrupt, say) left

@@ -27,11 +27,11 @@ from quantal.corpora import BINARY, WORD_ORDER
 from quantal.model import (
     IGNORE_INDEX,
     ModelConfig,
-    forward,
     forward_batch,
     init_model,
     log_softmax,
     loss_and_grads,
+    output_head,
 )
 from quantal.sweep import (
     COLUMN_NAMES,
@@ -290,8 +290,9 @@ def test_criterion_7_numerical_core():
     st32 = init_model(ModelConfig(**CHECK_CONFIG), seed=3)
     short = np.array([3, 4, 5, 6, 7])
     padded = np.array([3, 4, 5, 6, 7, 0, 0])
-    alone = forward(st32, short)
-    inside = forward(st32, padded, padded != 0)[:5]
+    alone = output_head(st32, forward_batch(st32, short[None], short[None] != 0, keep_cache=False)[0])
+    inside = output_head(st32, forward_batch(st32, padded[None], padded[None] != 0, keep_cache=False)[0])
+    assert alone.shape == inside.shape == (5, CHECK_CONFIG["vocab_size"])
     worst_pad = float(np.abs(alone - inside).max())
 
     ok = worst_grad < 1e-5 and worst_norm < 1e-6 and worst_pad < 1e-5

@@ -137,19 +137,6 @@ class TestCorruption:
         with pytest.raises(ValueError, match="quantal-ckpt"):
             load_checkpoint(path)
 
-    def test_truncated_tensor(self, tmp_path):
-        path = self.make_checkpoint(tmp_path)
-        raw = path.read_bytes()
-        path.write_bytes(raw[:-5])
-        with pytest.raises(ValueError, match="truncated"):
-            load_checkpoint(path)
-
-    def test_trailing_bytes(self, tmp_path):
-        path = self.make_checkpoint(tmp_path)
-        path.write_bytes(path.read_bytes() + b"\x00")
-        with pytest.raises(ValueError, match="trailing"):
-            load_checkpoint(path)
-
     def rewrite_header(self, path, change):
         header_line, _, rest = path.read_bytes()[len(MAGIC) :].partition(b"\n")
         header = json.loads(header_line)
@@ -203,16 +190,26 @@ class TestCorruption:
         with pytest.raises(ValueError, match="train_config"):
             load_checkpoint(path)
 
-    def test_header_tensor_mismatch(self, tmp_path):
+    @pytest.mark.parametrize(
+        "corrupt, why",
+        [
+            (lambda raw: raw[:-5], "checkpoint truncated in tensor out_bias"),
+            (lambda raw: raw + b"\x00", "checkpoint has trailing bytes after its final tensor"),
+            (lambda raw: MAGIC + b"{'model_config': 1}\n" + raw.partition(b"\n")[2].partition(b"\n")[2],
+             "bad header in checkpoint .*: Expecting property name"),
+            (lambda raw: MAGIC + b"\xff\xfe\n" + raw.partition(b"\n")[2].partition(b"\n")[2],
+             "bad header in checkpoint .*: 'utf-8' codec can't decode byte 0xff"),
+            (lambda raw: raw.replace(b'"tensors": [["tok_emb", [11, 16]]', b'"tensors": [["tok_emb", [1, 1]]'),
+             "checkpoint tensor listing does not match its model config"),
+        ],
+        ids=["truncated-tensor", "trailing-bytes", "header-not-json", "header-not-utf8", "tensor-listing"],
+    )
+    def test_refusal_names_the_file(self, tmp_path, corrupt, why):
         path = self.make_checkpoint(tmp_path)
-        raw = path.read_bytes()
-        body = raw[len(MAGIC) :]
-        header_line, _, rest = body.partition(b"\n")
-        header = json.loads(header_line)
-        header["tensors"][0][1] = [1, 1]
-        path.write_bytes(MAGIC + json.dumps(header).encode() + b"\n" + rest)
-        with pytest.raises(ValueError, match="does not match"):
+        path.write_bytes(corrupt(path.read_bytes()))
+        with pytest.raises(ValueError, match=why) as refused:
             load_checkpoint(path)
+        assert str(path) in str(refused.value)
 
     def test_v1_file_is_refused(self, tmp_path):
         # a v1 header held a tokenizer hash, not the tokenizer

@@ -8,6 +8,7 @@ import re
 import shlex
 import shutil
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -22,7 +23,6 @@ from quantal.sweep import (
     expand_grid,
     load_results,
     run_cell,
-    save_sweep_config,
     train_replicate,
 )
 from quantal.util import stable_seed
@@ -168,7 +168,7 @@ class TestGen:
         cfg = SweepConfig(experiment=experiment, sizes=(20,), proportions=(0.25,),
                           epoch_settings=(0,), replicates=1, base_seed=13, n_test_pairs=4)
         cell = run_cell(cfg, expand_grid(cfg), artifacts_dir=tmp_path / "art")
-        cell_dir = tmp_path / "art" / f"{experiment}_n20_p0.25_e0"
+        cell_dir = tmp_path / "art" / sweep._cell_name(cell)
         out = tmp_path / "d"
         assert run("gen", "--exp", exp, "--n", 20, "--prop", 0.25,
                    "--seed", 13, "--out-dir", out, "--pairs", 4) == 0
@@ -244,7 +244,7 @@ class TestTrainEval:
         cfg = SweepConfig(experiment=corpora.BINARY, sizes=(8,), proportions=(0.0,),
                           epoch_settings=(1,), replicates=1, base_seed=11, n_test_pairs=4)
         cell = run_cell(cfg, expand_grid(cfg), artifacts_dir=tmp_path)
-        cell_dir = tmp_path / "binary_n8_p0.0_e1"
+        cell_dir = tmp_path / sweep._cell_name(cell)
         out = tmp_path / "r.json"
         assert run("eval", "--checkpoint", cell_dir / "replicate0.ckpt",
                    "--pairs", cell_dir / "pairs.tsv", "--out", out) == 0
@@ -259,6 +259,19 @@ class TestTrainEval:
         rc = run("eval", "--checkpoint", bad, "--pairs", data / "pairs.tsv", "--out", tmp_path / "r.json")
         assert rc == 1
         assert "vocab" in json.loads(capsys.readouterr().err)["error"]
+        assert not (tmp_path / "r.json").exists()
+
+    def test_eval_names_a_truncated_checkpoint(self, artifacts, tmp_path, capsys):
+        # the runtime line is all a user sees, so it names the file
+        root, data, ckpt = artifacts
+        bad = tmp_path / "cut.ckpt"
+        bad.write_bytes(ckpt.read_bytes()[:-5])
+        capsys.readouterr()
+        rc = run("eval", "--checkpoint", bad, "--pairs", data / "pairs.tsv", "--out", tmp_path / "r.json")
+        assert rc == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        err = json.loads(line)
+        assert err == {"kind": "runtime", "error": f"checkpoint truncated in tensor out_bias: {bad}"}
         assert not (tmp_path / "r.json").exists()
 
     @pytest.mark.parametrize("broken", ["v1", "experiment", "n_heads", "learning_rate"])
@@ -399,7 +412,7 @@ OPTIONS = {
     "eval": {"--checkpoint", "--pairs", "--out"},
     "sweep": {"--config", "--store", "--artifacts", "--workers"},
     "analyze": {"--table", "--n-train", "--epochs", "--out"},
-    "plot": {"--kind", "--table", "--epochs", "--n-train", "--out"},
+    "plot": {"--table", "--epochs", "--n-train", "--out"},
 }
 
 
@@ -468,7 +481,7 @@ class TestSweepCommand:
             n_test_pairs=4,
         )
         fields.update(overrides)
-        save_sweep_config(SweepConfig(**fields), path)
+        path.write_text(json.dumps({"format": sweep.CONFIG_FORMAT, **asdict(SweepConfig(**fields))}))
 
     def test_one_cell_sweep_writes_one_row(self, tmp_path, capsys):
         cfg = tmp_path / "sweep.json"
@@ -514,7 +527,7 @@ class TestSweepCommand:
         cfg = tmp_path / "sweep.json"
         self.write_config(cfg)
         assert run("sweep", "--config", cfg, "--store", tmp_path / "r.csv") == 0
-        assert any("done binary n=5" in text for text in out.flushed)
+        assert any("done binary_n5_p0.0_e1_" in text for text in out.flushed)
 
     def test_untrained_cell_artifacts_have_no_train_config(self, tmp_path):
         cfg = tmp_path / "sweep.json"
@@ -574,6 +587,23 @@ class TestSweepCommand:
         assert err["kind"] == "runtime" and str(store) in err["error"]
         assert ran == [] and not store.parent.exists()
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_an_artifacts_path_that_is_a_file_fails_before_any_cell_trains(self, tmp_path, capsys, monkeypatch,
+                                                                          workers):
+        # serial and pooled sweeps refuse it alike, with one runtime line
+        ran = []
+        monkeypatch.setattr(sweep, "_replicate_task", lambda *args: ran.append(args))
+        cfg = tmp_path / "sweep.json"
+        self.write_config(cfg, proportions=(0.0, 0.5))
+        artifacts = tmp_path / "art"
+        artifacts.write_text("")
+        assert run("sweep", "--config", cfg, "--store", tmp_path / "r.csv", "--artifacts", artifacts,
+                   "--workers", workers) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        err = json.loads(line)
+        assert err["kind"] == "runtime" and str(artifacts) in err["error"]
+        assert ran == [] and load_results(tmp_path / "r.csv") == []
+
     @pytest.mark.parametrize("workers", [0, -2])
     def test_nonpositive_workers_is_usage_error(self, tmp_path, capsys, workers):
         cfg = tmp_path / "sweep.json"
@@ -618,31 +648,26 @@ class TestPlotCommand:
     def test_heatmap(self, tmp_path):
         store = self.filled_store(tmp_path)
         out = tmp_path / "fig.svg"
-        assert run("plot", "--kind", "heatmap", "--table", store,
+        assert run("plot", "--table", store,
                    "--epochs", 10, "--out", out) == 0
         svg = out.read_text()
         assert svg.count('class="cell"') == 6
         assert 'class="tp-curve"' in svg
+        assert 'class="point"' not in svg  # no --n-train: the heatmap, not a column
 
     def test_column_regression(self, tmp_path):
         store = self.filled_store(tmp_path)
         out = tmp_path / "col.svg"
-        assert run("plot", "--kind", "column_regression", "--table", store,
+        assert run("plot", "--table", store,
                    "--epochs", 10, "--n-train", 55, "--out", out) == 0
         svg = out.read_text()
         assert 'class="stitch"' in svg
         assert svg.count('class="point"') == 6
-
-    def test_column_needs_n_train(self, tmp_path, capsys):
-        store = self.filled_store(tmp_path)
-        rc = run("plot", "--kind", "column_regression", "--table", store,
-                 "--epochs", 10, "--out", tmp_path / "x.svg")
-        assert rc == 2
-        assert json.loads(capsys.readouterr().err)["kind"] == "usage"
+        assert 'class="cell"' not in svg
 
     def test_empty_table_is_runtime_error(self, tmp_path, capsys):
         empty = tmp_path / "empty.csv"
         empty.write_text("")
-        rc = run("plot", "--kind", "heatmap", "--table", empty,
+        rc = run("plot", "--table", empty,
                  "--epochs", 10, "--out", tmp_path / "x.svg")
         assert rc == 1

@@ -14,7 +14,6 @@ from quantal.model import (
     adam_step,
     apply_masking,
     backward_batch,
-    forward,
     forward_batch,
     init_model,
     log_softmax,
@@ -25,6 +24,15 @@ from quantal.model import (
 from quantal.util import make_rng
 
 TINY = dict(vocab_size=11, n_layers=2, n_heads=2, hidden=16, intermediate=32, max_positions=8, dropout=0.0)
+
+
+def sentence_logits(state, token_ids, attention_mask=None):
+    """Logits (real positions x vocab) of one sequence: the inference pass,
+    then the output head."""
+    ids = np.asarray(token_ids, dtype=np.int64)[None, :]
+    mask = np.ones_like(ids, dtype=bool) if attention_mask is None else np.asarray(attention_mask)[None, :]
+    hidden, _ = forward_batch(state, ids, mask, keep_cache=False)
+    return output_head(state, hidden)
 
 
 def tiny_batch():
@@ -135,7 +143,7 @@ class TestInit:
 class TestForward:
     def test_logit_shape_and_softmax_rows(self):
         st = init_model(ModelConfig(**TINY), seed=2)
-        logits = forward(st, [3, 4, 5, 6])
+        logits = sentence_logits(st, [3, 4, 5, 6])
         assert logits.shape == (4, 11)
         assert np.isfinite(logits).all()
         sums = np.exp(log_softmax(logits, axis=-1)).sum(axis=-1)
@@ -154,8 +162,8 @@ class TestForward:
     def test_padding_invariance(self):
         st = init_model(ModelConfig(vocab_size=50, n_layers=2, n_heads=4, hidden=64, intermediate=128, max_positions=16), seed=4)
         ids = [3, 9, 14, 21, 5, 6]
-        bare = forward(st, ids)
-        padded = forward(st, ids + [0, 0, 0, 0], [True] * 6 + [False] * 4)
+        bare = sentence_logits(st, ids)
+        padded = sentence_logits(st, ids + [0, 0, 0, 0], [True] * 6 + [False] * 4)
         assert padded.shape == bare.shape  # the real positions only
         npt.assert_allclose(padded, bare, rtol=1e-5, atol=1e-5)
 
@@ -176,20 +184,20 @@ class TestForward:
     def test_too_long_rejected(self):
         st = init_model(ModelConfig(**TINY), seed=2)
         with pytest.raises(ValueError):
-            forward(st, [3] * 9)
+            sentence_logits(st, [3] * 9)
 
     def test_bad_ids_rejected(self):
         st = init_model(ModelConfig(**TINY), seed=2)
         with pytest.raises(ValueError):
-            forward(st, [3, 11])
+            sentence_logits(st, [3, 11])
         with pytest.raises(ValueError):
-            forward(st, [3, -1])
+            sentence_logits(st, [3, -1])
 
     def test_zeroed_parameters_give_zero_logits(self):
         st = init_model(ModelConfig(**TINY), seed=2)
         for name in st.params:
             st.params[name][...] = 0.0
-        logits = forward(st, [3, 4, 5])
+        logits = sentence_logits(st, [3, 4, 5])
         npt.assert_array_equal(logits, 0.0)
 
 

@@ -15,9 +15,7 @@ PACKAGE = ROOT / "src" / "quantal"
 CALLER_DIRS = ("src", "scripts", "demos", "perfbench")
 
 KEEP = {
-    "model.forward": "one sentence's logits, with which criterion 7 checks that padding does not leak",
     "tp.beats_baseline_test": "the statistic of acceptance criteria 2 and 3",
-    "sweep.save_sweep_config": "the only writer of the sweep config format",
 }
 
 

@@ -1,5 +1,6 @@
 """The maintenance scripts run from a checkout, on the checkout's code,
-and every demo and script asks quantal only for names it has."""
+and every demo, script and benchmark file asks quantal only for names it
+has."""
 
 import ast
 import importlib
@@ -15,6 +16,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = ROOT / "scripts"
 DEMOS = ROOT / "demos"
+PERFBENCH = ROOT / "perfbench"
 
 
 @pytest.mark.parametrize("script", ["populate_acceptance.py", "digest.py"])
@@ -57,11 +59,19 @@ def imported(module_name, name):
 
 def quantal_names_missing(path):
     """Each quantal name that a file imports, or reads off a quantal module
-    it imports, that quantal does not have."""
+    it imports (`from quantal import x` or `import quantal.x as y`), that
+    quantal does not have."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     modules, missing = {}, []
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "quantal":
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "quantal" and alias.asname:
+                    try:
+                        modules[alias.asname] = importlib.import_module(alias.name)
+                    except ImportError:
+                        missing.append(alias.name)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "quantal":
             for alias in node.names:
                 bound = imported(node.module, alias.name)
                 if bound is None:
@@ -76,10 +86,22 @@ def quantal_names_missing(path):
     return missing
 
 
-@pytest.mark.parametrize("path", sorted([*DEMOS.glob("*.py"), *SCRIPTS.glob("*.py")]),
+# perfbench's own files, not its tests: a name the benchmark reads must not
+# vanish from quantal unnoticed
+@pytest.mark.parametrize("path", sorted([*DEMOS.glob("*.py"), *SCRIPTS.glob("*.py"), *PERFBENCH.glob("*.py")]),
                          ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_names_taken_from_quantal_exist(path):
     assert quantal_names_missing(path) == []
+
+
+def test_every_name_the_benchmark_tracer_wraps_exists():
+    spec = importlib.util.spec_from_file_location("spans", PERFBENCH / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert len(spans.WRAPPED) > 10
+    missing = [f"{module}.{attr}" for _, module, attr in spans.WRAPPED
+               if not hasattr(importlib.import_module(module), attr)]
+    assert missing == []
 
 
 @pytest.mark.parametrize("demo", ["01_tolerance_threshold.py", "02_build_corpora.py", "03_train_tokenizer.py",
@@ -98,5 +120,9 @@ def test_a_missing_name_is_found(tmp_path):
     demo = tmp_path / "demo.py"
     demo.write_text("from quantal.scoring import CHUNK_ROWS, sentence_surprisal\n"
                     "from quantal import sweep\n"
-                    "sweep.run_sweep, sweep.CSV_HEADER\n")
-    assert quantal_names_missing(demo) == ["quantal.scoring.sentence_surprisal", "quantal.sweep.CSV_HEADER"]
+                    "import quantal.model as m\n"
+                    "import quantal.plots as plots\n"
+                    "sweep.run_sweep, sweep.CSV_HEADER, m.forward_batch, m.forward\n")
+    assert sorted(quantal_names_missing(demo)) == [
+        "quantal.model.forward", "quantal.plots", "quantal.scoring.sentence_surprisal", "quantal.sweep.CSV_HEADER",
+    ]

@@ -1,9 +1,11 @@
 """Sweep orchestration: grid seeds, cell pipeline, CSV store."""
 
+import hashlib
 import json
 import re
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +27,6 @@ from quantal.sweep import (
     load_sweep_config,
     run_cell,
     run_sweep,
-    save_sweep_config,
 )
 from quantal.tp import analyze_column, beats_baseline_test
 from quantal.util import sha256_bytes, stable_seed
@@ -43,6 +44,11 @@ N_TYPES_HEADER = (
     "experiment,n_train,exception_prop,epochs,replicates,seeds,accuracies,mean_accuracy,"
     "n_types,above_chance_p,n_test_pairs,corpus_hash,wall_seconds\n"
 )
+
+
+def save_config(cfg, path):
+    """Write cfg as a committed sweep config file holds it."""
+    path.write_text(json.dumps({"format": sweep.CONFIG_FORMAT, **asdict(cfg)}, indent=1) + "\n", encoding="utf-8")
 
 
 def tiny_config(**overrides):
@@ -72,9 +78,19 @@ def tiny_cell_result(tiny_cell_dir):
     return cfg, jobs, run_cell(cfg, jobs, artifacts_dir=tiny_cell_dir)
 
 
-def manifest_cell(artifacts_dir, stem="binary_n6_p0.0_e1"):
+def name_from_csv(header, line):
+    """A stored row's cell name, recomputed from the store's CSV text alone:
+    its coordinates, then 16 hex digits of the sha256 of its key columns'
+    fields, comma-joined."""
+    fields = dict(zip(header.split(","), line.split(",")))
+    key = ",".join(fields[name] for name in sweep.KEY_COLUMNS)
+    coords = "{experiment}_n{n_train}_p{exception_prop}_e{epochs}".format(**fields)
+    return f"{coords}_{hashlib.sha256(key.encode('utf-8')).hexdigest()[:16]}"
+
+
+def manifest_cell(artifacts_dir, row):
     """The cell a run's manifest records: its row plus the hashes the store does not keep."""
-    return json.loads((Path(artifacts_dir) / stem / "manifest.json").read_text())["cell"]
+    return json.loads((Path(artifacts_dir) / sweep._cell_name(row) / "manifest.json").read_text())["cell"]
 
 
 class TestConfig:
@@ -161,7 +177,7 @@ class TestConfig:
     def test_json_round_trip(self, tmp_path):
         cfg = tiny_config(proportions=(0.0, 0.25))
         path = tmp_path / "sweep.json"
-        save_sweep_config(cfg, path)
+        save_config(cfg, path)
         assert load_sweep_config(path) == cfg
 
     def test_rejects_other_format(self, tmp_path):
@@ -173,7 +189,7 @@ class TestConfig:
     def test_rejects_a_v1_config(self, tmp_path):
         # v1 had a surprisal_mode key; its one value was "pll"
         path = tmp_path / "sweep.json"
-        save_sweep_config(tiny_config(), path)
+        save_config(tiny_config(), path)
         payload = json.loads(path.read_text(encoding="utf-8"))
         payload.update(format="quantal-sweep v1", surprisal_mode="pll")
         path.write_text(json.dumps(payload), encoding="utf-8")
@@ -183,7 +199,7 @@ class TestConfig:
     @pytest.mark.parametrize("change", ["unknown", "missing", "array"])
     def test_rejects_malformed_payload(self, tmp_path, change):
         path = tmp_path / "sweep.json"
-        save_sweep_config(tiny_config(), path)
+        save_config(tiny_config(), path)
         payload = json.loads(path.read_text())
         if change == "unknown":
             payload["learning_rate"] = 1e-3
@@ -291,7 +307,7 @@ class TestRunCell:
     def test_replicates_differ_only_in_init(self, tiny_cell_result, tiny_cell_dir):
         cfg, jobs, result = tiny_cell_result
         assert result["seeds"][0] != result["seeds"][1]
-        hashes = manifest_cell(tiny_cell_dir)["checkpoint_hashes"]
+        hashes = manifest_cell(tiny_cell_dir, result)["checkpoint_hashes"]
         assert hashes[0] != hashes[1]
 
     def test_deterministic_modulo_wall_time(self, tiny_cell_result):
@@ -307,7 +323,8 @@ class TestRunCell:
         reordered = run_cell(cfg, list(reversed(jobs)), artifacts_dir=tmp_path)
         assert [j.replicate_index for j in jobs] == [0, 1]
         assert reordered["seeds"] == result["seeds"] == tuple(j.init_seed for j in jobs)
-        assert manifest_cell(tmp_path)["checkpoint_hashes"] == manifest_cell(tiny_cell_dir)["checkpoint_hashes"]
+        hashes = [manifest_cell(d, result)["checkpoint_hashes"] for d in (tmp_path, tiny_cell_dir)]
+        assert hashes[0] == hashes[1]
 
     def test_rejects_mixed_cells(self):
         cfg = tiny_config(sizes=(6, 7), replicates=1)
@@ -319,7 +336,9 @@ class TestRunCell:
         cfg = tiny_config(replicates=1)
         jobs = expand_grid(cfg)
         result = run_cell(cfg, jobs, artifacts_dir=tmp_path)
-        cell_dir = tmp_path / "binary_n6_p0.0_e1"
+        cell_dir = tmp_path / sweep._cell_name(result)
+        assert [p.name for p in tmp_path.iterdir()] == [cell_dir.name]
+        assert re.fullmatch(r"binary_n6_p0\.0_e1_[0-9a-f]{16}", cell_dir.name)
         written = {"corpus.txt", "pairs.tsv", "replicate0.ckpt", "manifest.json"}
         assert {path.name for path in cell_dir.iterdir()} == written
         manifest = json.loads((cell_dir / "manifest.json").read_text())
@@ -358,9 +377,9 @@ class TestRunCell:
         jobs = expand_grid(cfg)
         result = run_cell(cfg, jobs, artifacts_dir=tmp_path)
         assert result["epochs"] == 0
-        cell_dir = tmp_path / "binary_n6_p0.0_e0"
+        cell_dir = tmp_path / sweep._cell_name(result)
         vocab_size = load_checkpoint(cell_dir / "replicate0.ckpt")[1]["tokenizer"].vocab_size
-        hashes = manifest_cell(tmp_path, "binary_n6_p0.0_e0")["checkpoint_hashes"]
+        hashes = manifest_cell(tmp_path, result)["checkpoint_hashes"]
         for r, job in enumerate(jobs):
             fresh = init_model(ModelConfig(vocab_size=vocab_size), seed=job.init_seed)
             assert hashes[r] == state_digest(fresh)
@@ -370,8 +389,8 @@ class TestRunCell:
         untrained_cfg = tiny_config(epoch_settings=(0,))
         untrained = run_cell(untrained_cfg, expand_grid(untrained_cfg), artifacts_dir=tmp_path)
         assert untrained["corpus_hash"] == trained["corpus_hash"]
-        untrained_tokenizer = manifest_cell(tmp_path, "binary_n6_p0.0_e0")["tokenizer_hash"]
-        assert untrained_tokenizer == manifest_cell(tiny_cell_dir)["tokenizer_hash"]
+        untrained_tokenizer = manifest_cell(tmp_path, untrained)["tokenizer_hash"]
+        assert untrained_tokenizer == manifest_cell(tiny_cell_dir, trained)["tokenizer_hash"]
         assert not set(untrained["seeds"]) & set(trained["seeds"])
 
     def test_word_order_cell_runs(self):
@@ -455,7 +474,9 @@ class TestStore:
         header, first, second = DEMO_STORE.read_text().splitlines()[:3]
         store = tmp_path / "results.csv"
         store.write_text("\n".join([header, first, second, first]) + "\n")
-        with pytest.raises(ValueError, match=r"holds the cell binary n=60 prop=0\.0 epochs=4 seeds=\(3603426016202696700,\) twice"):
+        name = name_from_csv(header, first)
+        assert name.startswith("binary_n60_p0.0_e4_")
+        with pytest.raises(ValueError, match=f"holds the cell {re.escape(name)} twice"):
             load_results(store)
 
 
@@ -476,7 +497,7 @@ class TestStore:
         fields[COLUMN_NAMES.index(column)] = value
         store = tmp_path / "results.csv"
         store.write_text("\n".join([header, ",".join(fields), *rest]) + "\n")
-        cell = re.escape("binary n=60 prop=0.0 epochs=4 seeds=(")
+        cell = re.escape(name_from_csv(header, ",".join(fields)))
         with pytest.raises(ValueError, match=f"store row {cell}.* {why}: {re.escape(str(store))}$"):
             load_results(store)
 
@@ -576,7 +597,7 @@ class TestRunSweep:
         # the progress line gives the mean accuracy and the seconds, and no
         # above_chance_p, which measures the tokenizer rather than learning
         for line, row in zip(lines, rows, strict=True):
-            done = f"done binary n=5 prop={row['exception_prop']} epochs=1: mean accuracy {row['mean_accuracy']:.3f}"
+            done = f"done {sweep._cell_name(row)}: mean accuracy {row['mean_accuracy']:.3f}"
             assert re.fullmatch(re.escape(done) + r" \(\d+s\)", line), line
 
         again = run_sweep(cfg, store)
@@ -595,6 +616,26 @@ class TestRunSweep:
         assert (len(results), skipped, failures) == (1, [], [])
         assert len(load_results(store)) == 2
 
+    def test_cells_of_one_store_keep_apart_in_logs_and_artifacts(self, tmp_path):
+        # two cells that differ only in base seed: the store holds both, and
+        # neither may overwrite the other's artifacts nor share its log line
+        store, artifacts = tmp_path / "results.csv", tmp_path / "artifacts"
+        lines = []
+        for base_seed in (5, 6):
+            cfg = tiny_config(sizes=(20,), replicates=1, base_seed=base_seed, n_test_pairs=20)
+            assert run_sweep(cfg, store, artifacts_dir=artifacts, log=lines.append)[2] == []
+        rows = load_results(store)
+        assert len(rows) == 2 and rows[0]["seeds"] != rows[1]["seeds"]
+        cell_dirs = sorted(p.name for p in artifacts.iterdir())
+        assert len(cell_dirs) == 2
+        assert cell_dirs == sorted(sweep._cell_name(row) for row in rows)
+        for row in rows:
+            cell = manifest_cell(artifacts, row)
+            del cell["tokenizer_hash"], cell["checkpoint_hashes"]
+            assert cell == json.loads(json.dumps(row))
+        assert len(lines) == 2 and lines[0] != lines[1]
+        assert all(line.startswith("done binary_n20_p0.0_e1_") for line in lines)
+
     def test_a_cell_another_sweep_stored_meanwhile_is_not_written_twice(self, tmp_path, monkeypatch):
         # the store gains the cell's row after run_sweep has read it, as
         # when two sweeps of one config run together on one store
@@ -609,9 +650,9 @@ class TestRunSweep:
         monkeypatch.setattr(sweep, "run_cell", racing)
         lines = []
         results, skipped, failures = run_sweep(tiny_config(), store, log=lines.append)
-        assert (results, skipped, failures) == ([], ["binary n=6 prop=0.0 epochs=1"], [])
-        assert lines == ["skip binary n=6 prop=0.0 epochs=1 (another sweep stored it meanwhile)"]
-        assert len(load_results(store)) == 1
+        (row,) = load_results(store)
+        assert (results, skipped, failures) == ([], [sweep._cell_name(row)], [])
+        assert lines == [f"skip {sweep._cell_name(row)} (another sweep stored it meanwhile)"]
 
     def test_foreign_store_is_refused_before_any_cell_runs(self, tmp_path, monkeypatch):
         def no_training(*args, **kwargs):
@@ -700,7 +741,9 @@ class TestRunSweep:
         monkeypatch.setattr(sweep, "train_replicate", fail_one)
         store = tmp_path / "results.csv"
         results, skipped, failures = run_sweep(cfg, store, workers=workers)
-        assert failures == [("binary n=6 prop=0.5 epochs=1", repr(RuntimeError("replicate failed")))]
+        name = sweep._cell_name(sweep._cell_coords(cfg, [j for j in expand_grid(cfg) if j.cell_index == 1]))
+        assert name.startswith("binary_n6_p0.5_e1_")
+        assert failures == [(name, repr(RuntimeError("replicate failed")))]
         assert [row["exception_prop"] for row in load_results(store)] == [0.0, 1.0]
         assert (len(results), skipped) == (2, [])
 
@@ -799,6 +842,15 @@ class TestCommittedStores:
             assert load_results(path), path
         for path in COMMITTED_CONFIGS.values():
             load_sweep_config(path)
+
+    def test_a_stored_cell_is_named_from_its_csv_text(self):
+        # the name of each committed row is recomputable from the store's
+        # text alone, and no two rows of one store share a name
+        for path in sorted([*ACCEPTANCE_DIR.glob("*.csv"), DEMO_STORE]):
+            header, *lines = path.read_text(encoding="utf-8").splitlines()
+            names = [name_from_csv(header, line) for line in lines]
+            assert names == [sweep._cell_name(row) for row in load_results(path)], path
+            assert len(set(names)) == len(names), path
 
     @pytest.mark.parametrize("config", sorted(COMMITTED_CONFIGS))
     def test_every_configured_cell_is_stored(self, config, monkeypatch):

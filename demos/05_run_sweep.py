@@ -41,7 +41,7 @@ print()
 # Stored cells are skipped, so the second run of this script is instant.
 results, skipped, failures = run_sweep(cfg, store, log=print)
 assert not failures, failures
-print(f"\n{len(results)} cells computed, {len(skipped)} reused from the store")
+print(f"\n{len(results)} cells computed, {len(skipped)} skipped (already in the store)")
 print()
 
 rows = load_results(store)

@@ -25,8 +25,9 @@ bits.  --save writes the gradients, parameters and scores to an .npz
 file.  --against reads one written by another checkout with the same
 --tiny setting and prints, for every array that differs, how many of its
 values moved and its largest difference relative to its largest |value|
-(gradients have entries near 0), then a count of what moved; a file
-whose arrays are not this run's, by name or shape, is refused.  --tiny
+(gradients have entries near 0), then a count of what moved, and exits
+1 if any value moved; a file whose arrays are not this run's, by name
+or shape, is refused.  --tiny
 uses two-layer models, a 64-token vocabulary for the training half and a
 few pairs of small cells for the scoring half, and skips the probe: a
 smoke test that takes seconds.
@@ -168,7 +169,7 @@ def main(argv=None) -> int:
         print(f"moved {moved} of {total} values")
     if args.save:
         np.savez(args.save, **saved)
-    return 0
+    return 1 if moved else 0
 
 
 if __name__ == "__main__":

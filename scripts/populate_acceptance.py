@@ -4,9 +4,11 @@ Runs every sweep config under results/acceptance/configs/ against the
 store for its experiment.  A sweep skips the cells its store holds, so
 the script is safe to re-run and resumes after interruption.  The
 acceptance tests read these stores and never build them: a missing cell
-fails its test.
+fails its test.  Each sweep runs a replicate per CPU the process may use
+at a time; `taskset -c 0 python3 scripts/populate_acceptance.py` runs
+them in turn.
 
-Usage: python3 scripts/populate_acceptance.py [--workers N]
+Usage: python3 scripts/populate_acceptance.py
 """
 
 import argparse
@@ -27,11 +29,7 @@ def store_for(experiment: str) -> Path:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--workers", type=int, default=1, help="parallel replicates (default 1)")
-    args = parser.parse_args(argv)
-    if args.workers < 1:
-        parser.error(f"--workers must be >= 1, got {args.workers}")
+    argparse.ArgumentParser(description=__doc__).parse_args(argv)
 
     config_paths = sorted((ACCEPTANCE_DIR / "configs").glob("*.json"))
     if not config_paths:
@@ -45,7 +43,6 @@ def main(argv=None) -> int:
         _, skipped, failures = run_sweep(
             cfg,
             store_for(cfg.experiment),
-            workers=args.workers,
             log=lambda msg: print(f"  {msg}", flush=True),
         )
         all_failures.extend(failures)

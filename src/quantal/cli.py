@@ -44,6 +44,16 @@ def _emit_error(kind: str, exc: BaseException) -> None:
     print(json.dumps({"kind": kind, "error": str(exc)}), file=sys.stderr)
 
 
+def _check_writable(path) -> None:
+    """Raise the OSError that writing path would raise, before any work is
+    done; a path that did not exist is left not existing."""
+    path = Path(path)
+    made = not path.exists()
+    open(path, "a").close()
+    if made:
+        path.unlink()
+
+
 def cmd_gen(args) -> int:
     if args.n < 1:
         raise UsageError(f"--n must be >= 1, got {args.n}")
@@ -80,6 +90,7 @@ def cmd_train(args) -> int:
         raise UsageError(f"--epochs must be >= 0 (0 = untrained), got {args.epochs}")
     if args.seed < 0:
         raise UsageError(f"--seed must be >= 0, got {args.seed}")
+    _check_writable(args.out)
     cell = Path(args.cell)  # only word order has a vocabulary, as in cell_data
     vocab = corpora.read_vocabulary(cell / "vocabulary.txt") if (cell / "vocabulary.txt").exists() else None
     experiment = corpora.BINARY if vocab is None else corpora.WORD_ORDER
@@ -99,6 +110,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    _check_writable(args.out)
     state, meta = load_checkpoint(args.checkpoint)
     pairs = corpora.read_pairs(args.pairs, meta["experiment"])
     report = evaluate_pairs(state, meta["tokenizer"], pairs)
@@ -109,18 +121,12 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.workers < 1:
-        raise UsageError(f"--workers must be >= 1, got {args.workers}")
     cfg = load_sweep_config(args.config)
     results, skipped, failures = run_sweep(
-        cfg,
-        args.store,
-        artifacts_dir=args.artifacts,
-        workers=args.workers,
-        log=lambda line: print(line, flush=True),
+        cfg, args.store, artifacts_dir=args.artifacts, log=lambda line: print(line, flush=True)
     )
     print(
-        f"sweep finished: {len(results)} cells run, {len(skipped)} reused, "
+        f"sweep finished: {len(results)} cells run, {len(skipped)} skipped, "
         f"{len(failures)} failed"
     )
     if failures:
@@ -187,13 +193,12 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--out", required=True, help="evaluation report path")
     ev.set_defaults(func=cmd_eval)
 
-    sw = sub.add_parser("sweep", help="run a grid of cells from a sweep config")
+    sw = sub.add_parser(
+        "sweep", help="run a grid of cells from a sweep config, a replicate per usable CPU at a time"
+    )
     sw.add_argument("--config", required=True, help="sweep configuration JSON")
     sw.add_argument("--store", required=True, help="results CSV path; cells it holds are skipped")
     sw.add_argument("--artifacts", help="directory for per-cell artifact files")
-    sw.add_argument(
-        "--workers", type=int, default=1, help="parallel replicates, each worker on one BLAS thread"
-    )
     sw.set_defaults(func=cmd_sweep)
 
     an = sub.add_parser("analyze", help="changepoint analysis of one results column")

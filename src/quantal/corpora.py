@@ -23,11 +23,12 @@ calls reproduce byte-identical files.
 from __future__ import annotations
 
 import csv
+import io
 import string
 from dataclasses import dataclass
 from pathlib import Path
 
-from .util import make_rng, round_half_up, sha256_bytes
+from .util import make_rng, round_half_up, sha256_bytes, utf8_text
 
 WORD_ORDER = "word_order"
 BINARY = "binary"
@@ -263,7 +264,7 @@ def write_vocabulary(vocab: Vocabulary, path: str | Path) -> None:
 
 
 def read_vocabulary(path: str | Path) -> Vocabulary:
-    words = Path(path).read_text(encoding="utf-8").splitlines()
+    words = utf8_text(Path(path).read_bytes(), path).splitlines()
     if len(words) % 2 != 0:
         raise ValueError(f"vocabulary file {path} has odd word count {len(words)}")
     return Vocabulary(tuple(words))
@@ -311,7 +312,7 @@ def parse_sentence(line: str, experiment: str) -> Sentence:
 
 def read_corpus(path: str | Path, experiment: str) -> Corpus:
     """Re-parse a corpus file, recomputing each sentence's exception flag."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = utf8_text(Path(path).read_bytes(), path).splitlines()
     sentences = []
     for line_no, line in enumerate(lines, start=1):
         try:
@@ -337,16 +338,15 @@ def read_pairs(path: str | Path, experiment: str) -> MinimalPairSet:
     against ACB as well as against CAB.
     """
     pairs = []
-    with open(path, encoding="utf-8", newline="") as f:
-        reader = csv.reader(f, delimiter="\t")
-        header = next(reader, None)
-        if header != ["pair_id", "rule_sentence", "foil_sentence"]:
-            raise ValueError(f"unexpected test-pair header: {header}")
-        for row in reader:
-            try:
-                if len(row) != 3:
-                    raise ValueError(f"want 3 tab-separated fields, got {len(row)}")
-                pairs.append(tuple(parse_sentence(text, experiment) for text in row[1:]))
-            except ValueError as exc:
-                raise ValueError(f"{path} line {reader.line_num}: {exc}") from None
+    reader = csv.reader(io.StringIO(utf8_text(Path(path).read_bytes(), path), newline=""), delimiter="\t")
+    header = next(reader, None)
+    if header != ["pair_id", "rule_sentence", "foil_sentence"]:
+        raise ValueError(f"{path} line 1: unexpected test-pair header: {header}")
+    for row in reader:
+        try:
+            if len(row) != 3:
+                raise ValueError(f"want 3 tab-separated fields, got {len(row)}")
+            pairs.append(tuple(parse_sentence(text, experiment) for text in row[1:]))
+        except ValueError as exc:
+            raise ValueError(f"{path} line {reader.line_num}: {exc}") from None
     return MinimalPairSet(tuple(pairs), experiment)

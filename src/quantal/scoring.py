@@ -28,7 +28,6 @@ from __future__ import annotations
 import contextlib
 import itertools
 import json
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -39,6 +38,7 @@ from . import blas, bpe
 from .corpora import MinimalPairSet
 from .model import ModelState, forward_batch, log_softmax, output_head
 from .training import encode_texts
+from .util import usable_cpus
 
 EVAL_FORMAT = "quantal-eval v2"
 
@@ -51,10 +51,6 @@ class EvalReport:
     n_preferred: float
     accuracy: float
     per_pair_scores: tuple[tuple[float, float], ...]
-
-
-def _usable_cpus() -> int:
-    return len(os.sched_getaffinity(0))
 
 
 def surprisal_many(state: ModelState, tok: bpe.TokenizerModel, sentences) -> np.ndarray:
@@ -92,7 +88,7 @@ def surprisal_many(state: ModelState, tok: bpe.TokenizerModel, sentences) -> np.
     # longest chunks go first, so the threads finish together.  Each
     # sentence lies in one chunk, so scores equal the one-thread loop's.
     with blas.one_thread() if len(chunks) > 1 else contextlib.nullcontext(0) as pinned:
-        threads = min(len(chunks), _usable_cpus()) if pinned else 1
+        threads = min(len(chunks), usable_cpus()) if pinned else 1
         with ThreadPoolExecutor(threads) if threads > 1 else contextlib.nullcontext() as pool:
             for chunk, sums in zip(chunks, (pool.map if pool else map)(score, chunks)):
                 totals[chunk] -= sums

@@ -12,6 +12,7 @@ root element carries data-* attributes describing the axis transform.
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass
 from xml.sax.saxutils import escape
 
@@ -132,14 +133,18 @@ def tolerance_curve_path(frame: Frame) -> str:
 
 def heatmap_svg(rows, epochs: int, title: str | None = None) -> str:
     """Shaded accuracy cells over (n_train, exception_prop) at one epoch
-    setting, with the tolerance curve 1/ln N overlaid.  The frame pads the
-    data by one grid step on each side.  Rows of different experiments are
-    refused."""
+    setting, with the tolerance curve 1/ln N overlaid.  A (size,
+    proportion) with several rows (other seeds, say) is one cell, shaded
+    by the mean of their mean accuracies.  The frame pads the data by one
+    grid step on each side.  Rows of different experiments are refused."""
     rows = [row for row in rows if row["epochs"] == epochs]
     if not rows:
         raise ValueError(f"no rows at epochs={epochs}")
     require_one_kind(rows, f"epochs={epochs}")
-    cells = [(row["n_train"], row["exception_prop"], row["mean_accuracy"]) for row in rows]
+    accs = {}
+    for row in rows:
+        accs.setdefault((row["n_train"], row["exception_prop"]), []).append(row["mean_accuracy"])
+    cells = [(n_train, prop, statistics.fmean(a)) for (n_train, prop), a in accs.items()]
     xs = sorted({c[0] for c in cells})
     ys = sorted({c[1] for c in cells})
     gap_x = _min_gap(xs)

@@ -31,6 +31,7 @@ from __future__ import annotations
 import csv
 import fcntl
 import functools
+import io
 import itertools
 import json
 import time
@@ -47,7 +48,7 @@ from .model import ModelConfig, TrainConfig, init_model
 from .scoring import evaluate_pairs
 from .tp import above_chance_test
 from .training import train
-from .util import finite, sha256_bytes, stable_seed, whole
+from .util import finite, sha256_bytes, stable_seed, usable_cpus, utf8_text, whole
 
 
 def _listed(fmt, parse):
@@ -401,18 +402,27 @@ def _parse_row(fields: list[str]) -> dict:
     return {name: parse(text) for (name, _, parse), text in zip(COLUMNS, fields)}
 
 
+def _store_lines(data: bytes, store) -> list[list[str]]:
+    """A store's bytes as CSV lines, one list of fields per line."""
+    return list(csv.reader(io.StringIO(utf8_text(data, store), newline="")))
+
+
 def _parse_store(lines: list[list[str]], store) -> list[dict]:
     """A store's CSV lines, header first, parsed back to rows.
 
-    Refuses another header; a row whose replicates, seeds and accuracies
-    disagree in count, or whose mean_accuracy is not the mean of its
-    accuracies; and a cell key held twice: analysis would count one
-    measurement as two.
+    Refuses another header; a row that does not parse, naming its line;
+    a row whose replicates, seeds and accuracies disagree in count, or
+    whose mean_accuracy is not the mean of its accuracies; and a cell key
+    held twice: analysis would count one measurement as two.
     """
     if lines[0] != COLUMN_NAMES:
         raise ValueError(f"store has a different schema: {store}")
     rows, keys = [], set()
-    for row in map(_parse_row, lines[1:]):
+    for line_no, fields in enumerate(lines[1:], start=2):  # a store field holds no line break
+        try:
+            row = _parse_row(fields)
+        except ValueError as exc:
+            raise ValueError(f"{store} line {line_no}: {exc}") from None
         cell = _cell_name(row)
         counts = (row["replicates"], len(row["seeds"]), len(row["accuracies"]))
         if len(set(counts)) != 1:
@@ -434,18 +444,19 @@ def append_result(store: str | Path, row: dict) -> bool:
     holds is not written (a sweep racing another on one store may finish
     a cell the other has stored meanwhile).  Returns whether it was.
     """
-    with open(store, "a+", encoding="utf-8", newline="") as f:
+    with open(store, "a+b") as f:
         fcntl.flock(f.fileno(), fcntl.LOCK_EX)
         try:
             f.seek(0)
-            lines = list(csv.reader(f))
+            lines = _store_lines(f.read(), store)
             if lines and _cell_key(row) in map(_cell_key, _parse_store(lines, store)):
                 return False
-            f.seek(0, 2)
-            writer = csv.writer(f, lineterminator="\n")
+            text = io.StringIO()
+            writer = csv.writer(text, lineterminator="\n")
             if not lines:
                 writer.writerow(COLUMN_NAMES)
             writer.writerow([fmt(row[name]) for name, fmt, _ in COLUMNS])
+            f.write(text.getvalue().encode("utf-8"))  # append mode: at the end
             f.flush()
             return True
         finally:
@@ -457,8 +468,7 @@ def load_results(store: str | Path) -> list[dict]:
     path = Path(store)
     if not path.exists():
         return []
-    with open(path, encoding="utf-8", newline="") as f:
-        lines = list(csv.reader(f))
+    lines = _store_lines(path.read_bytes(), store)
     return _parse_store(lines, store) if lines else []
 
 
@@ -488,12 +498,15 @@ def column_slice(table: list[dict], n_train: int, epochs: int) -> list[tuple[flo
 
 
 def load_sweep_config(path: str | Path) -> SweepConfig:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        payload = json.loads(utf8_text(Path(path).read_bytes(), path))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"bad sweep config {path}: {exc}") from None
     if not isinstance(payload, dict) or payload.pop("format", None) != CONFIG_FORMAT:
         raise ValueError(f"not a {CONFIG_FORMAT!r} file: {path}")
     try:
         return SweepConfig(**payload)
-    except TypeError as exc:  # an unknown or missing key
+    except (TypeError, ValueError) as exc:  # an unknown or missing key, or a bad value
         raise ValueError(f"bad sweep config {path}: {exc}") from None
 
 
@@ -501,14 +514,16 @@ def run_sweep(
     cfg: SweepConfig,
     store: str | Path,
     artifacts_dir: str | Path | None = None,
-    workers: int = 1,
+    workers: int | None = None,
     log=None,
 ):
     """Run every cell of the grid, appending each cell's row in grid order.
 
-    With workers > 1, each replicate is a task of a process pool of at
-    most that many workers, and a cell's row is written once all of its
-    replicates have returned.  Cells are independent: one failure (of any
+    Each replicate is a task of a process pool of one worker per CPU the
+    process may use (usable_cpus), or of workers if given, but never more
+    than there are tasks to run; a cell's row is written once all of its
+    replicates have returned.  A pool of one is no pool: the cells run in
+    turn, in this process.  Cells are independent: one failure (of any
     of its replicates) is recorded for the cell and the rest proceed.
     Cells whose KEY_COLUMNS the store already holds are skipped, so a
     store holds each cell once and a rerun resumes an interrupted or
@@ -543,7 +558,7 @@ def run_sweep(
     # gets no more than there are tasks.  Each worker runs one BLAS thread:
     # workers that each bring a pool of one thread per core oversubscribe
     # the cores.
-    workers = min(workers, sum(len(jobs) for _, jobs in cells))
+    workers = min(usable_cpus() if workers is None else workers, sum(len(jobs) for _, jobs in cells))
     pool = ProcessPoolExecutor(max_workers=workers, initializer=blas.pin_one_thread) if workers > 1 else None
     try:
         # A pool is handed every replicate at once; serially, each cell runs

@@ -1,10 +1,12 @@
-"""Small shared helpers: rounding, config number checks, seed derivation, hashing."""
+"""Small shared helpers: rounding, config number checks, seed derivation,
+hashing, input-file decoding and the CPU count."""
 
 from __future__ import annotations
 
 import hashlib
 import math
 import numbers
+import os
 
 import numpy as np
 
@@ -56,3 +58,20 @@ def make_rng(seed: int) -> np.random.Generator:
 
 def sha256_bytes(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def utf8_text(data: bytes, path) -> str:
+    """An input file's bytes as UTF-8 text; a refusal names the file and the
+    line of the first byte that does not decode."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path} line {line}: not UTF-8: {exc}") from None
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on: scoring's threads and a sweep's
+    pool workers, one per CPU.  Restricting the process's CPUs (taskset,
+    say) lowers both."""
+    return len(os.sched_getaffinity(0))

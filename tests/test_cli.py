@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from quantal import bpe, corpora, sweep
+from quantal import bpe, cli, corpora, sweep
 from quantal.checkpoint import MAGIC, load_checkpoint
 from quantal.cli import build_parser, main
 from quantal.sweep import (
@@ -396,6 +396,37 @@ class TestTrainEval:
         assert rc == 1
         assert json.loads(capsys.readouterr().err)["kind"] == "runtime"
 
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_an_unwritable_out_is_refused_before_any_work(self, artifacts, tmp_path, capsys, monkeypatch, command):
+        # --out's directory is missing: the step that takes minutes on a
+        # word-order cell is never called.  A step that fails after the
+        # check leaves no file either.
+        root, data, ckpt = artifacts
+        step = {"train": "train_replicate", "eval": "evaluate_pairs"}[command]
+        inputs = {"train": ["--cell", data, "--epochs", 1, "--seed", 3],
+                  "eval": ["--checkpoint", ckpt, "--pairs", data / "pairs.tsv"]}[command]
+
+        def never(*args, **kwargs):
+            raise AssertionError(f"{step} ran before --out was checked")
+
+        monkeypatch.setattr(cli, step, never)
+        out = tmp_path / "nodir" / "out"
+        capsys.readouterr()
+        assert run(command, *inputs, "--out", out) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        err = json.loads(line)
+        assert err["kind"] == "runtime" and str(out) in err["error"]
+        assert not out.parent.exists()
+
+        def fails(*args, **kwargs):
+            raise RuntimeError(f"{step} failed")
+
+        monkeypatch.setattr(cli, step, fails)
+        out = tmp_path / "out"
+        assert run(command, *inputs, "--out", out) == 1
+        assert json.loads(capsys.readouterr().err) == {"kind": "runtime", "error": f"{step} failed"}
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_checkpoint_is_runtime_error(self, tmp_path, capsys):
         rc = run("eval", "--checkpoint", tmp_path / "nope.ckpt",
                  "--pairs", tmp_path / "nope.tsv",
@@ -404,13 +435,60 @@ class TestTrainEval:
         assert json.loads(capsys.readouterr().err)["kind"] == "runtime"
 
 
+def refused_input(case, root, data, ckpt, tmp_path):
+    """(command line, the start of its refusal) of one case: an input file broken."""
+    cell = tmp_path / "cell"
+    shutil.copytree(data, cell)
+    train = ["train", "--cell", cell, "--epochs", 0, "--seed", 3, "--out", tmp_path / "x.ckpt"]
+    store = tmp_path / "results.csv"
+    analyze = ["analyze", "--table", store, "--n-train", 55, "--epochs", 10, "--out", tmp_path / "r.txt"]
+    if case == "config-json":
+        path = tmp_path / "sweep.json"
+        path.write_text('{"format": "quantal-sweep v2", "experiment": "binary", }')
+        return ["sweep", "--config", path, "--store", store], f"bad sweep config {path}: Expecting"
+    if case.startswith("store"):
+        synthetic_store(store, {0.0: 0.9})
+        header, row = store.read_bytes().splitlines()
+        broken = {"store-field": row.replace(b"binary,55,", b"binary,5x0,"), "store-row": b"binary,1,2",
+                  "store-utf8": row.replace(b"binary", b"bin\xffary")}[case]
+        store.write_bytes(header + b"\n" + broken + b"\n")
+        want = {"store-field": "invalid literal", "store-row": "malformed row", "store-utf8": "not UTF-8"}[case]
+        return analyze, f"{store} line 2: {want}"
+    if case == "corpus-utf8":
+        path = cell / "corpus.txt"
+        lines = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(b"".join(lines[:2]) + b"\xff" + b"".join(lines[2:]))
+        return train, f"{path} line 3: not UTF-8"
+    if case == "vocabulary-utf8":
+        path = cell / "vocabulary.txt"
+        path.write_bytes(b"ab\n\xff\n")
+        return train, f"{path} line 2: not UTF-8"
+    path = cell / "pairs.tsv"
+    path.write_bytes(path.read_bytes().replace(b"\n0\t", b"\n0\xff\t"))
+    return ["eval", "--checkpoint", ckpt, "--pairs", path, "--out", tmp_path / "r.json"], f"{path} line 2: not UTF-8"
+
+
+@pytest.mark.parametrize("case", ["config-json", "store-field", "store-row", "store-utf8", "corpus-utf8",
+                                  "vocabulary-utf8", "pairs-utf8"])
+def test_a_refused_input_file_is_named(artifacts, tmp_path, capsys, case):
+    # the runtime line is all a user sees: it names the file, and the line
+    # of a store, corpus or pairs row
+    argv, want = refused_input(case, *artifacts, tmp_path)
+    capsys.readouterr()
+    assert run(*argv) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    err = json.loads(line)
+    assert err["kind"] == "runtime" and err["error"].startswith(want), err
+    assert not (tmp_path / "x.ckpt").exists() and not (tmp_path / "r.json").exists()
+
+
 # Every option of every subcommand.  A new knob must be added here, so it
 # shows up in review.
 OPTIONS = {
     "gen": {"--exp", "--n", "--prop", "--seed", "--out-dir", "--pairs"},
     "train": {"--cell", "--epochs", "--seed", "--out"},
     "eval": {"--checkpoint", "--pairs", "--out"},
-    "sweep": {"--config", "--store", "--artifacts", "--workers"},
+    "sweep": {"--config", "--store", "--artifacts"},
     "analyze": {"--table", "--n-train", "--epochs", "--out"},
     "plot": {"--table", "--epochs", "--n-train", "--out"},
 }
@@ -491,17 +569,19 @@ class TestSweepCommand:
         assert len(load_results(store)) == 1
         assert "1 cells run" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("workers", ["1", "2"])
-    def test_a_second_run_skips_stored_cells(self, tmp_path, capsys, workers):
-        # no flag asks for it: a store holds each cell once
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_a_second_run_skips_stored_cells(self, tmp_path, capsys, monkeypatch, cpus):
+        # no flag asks for it: a store holds each cell once, whether the
+        # cells run in turn (one CPU) or in a pool (two)
+        monkeypatch.setattr(sweep, "usable_cpus", lambda: cpus)
         cfg = tmp_path / "sweep.json"
         store = tmp_path / "results.csv"
         self.write_config(cfg, proportions=(0.0, 0.5))
         for _ in range(2):
-            assert run("sweep", "--config", cfg, "--store", store, "--workers", workers) == 0
+            assert run("sweep", "--config", cfg, "--store", store) == 0
         out = capsys.readouterr().out
-        assert "sweep finished: 2 cells run, 0 reused, 0 failed" in out
-        assert "sweep finished: 0 cells run, 2 reused, 0 failed" in out
+        assert "sweep finished: 2 cells run, 0 skipped, 0 failed" in out
+        assert "sweep finished: 0 cells run, 2 skipped, 0 failed" in out
         assert sorted(row["exception_prop"] for row in load_results(store)) == [0.0, 0.5]
 
     def test_reuse_flag_is_gone(self, tmp_path, capsys):
@@ -509,6 +589,14 @@ class TestSweepCommand:
         self.write_config(cfg)
         assert run("sweep", "--config", cfg, "--store", tmp_path / "r.csv", "--reuse") == 2
         assert "unrecognized arguments: --reuse" in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_workers_flag_is_gone(self, tmp_path, capsys):
+        # the pool has a worker per CPU the process may use
+        cfg = tmp_path / "sweep.json"
+        self.write_config(cfg)
+        assert run("sweep", "--config", cfg, "--store", tmp_path / "r.csv", "--workers", 2) == 2
+        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
         assert not (tmp_path / "r.csv").exists()
 
     def test_log_lines_are_flushed(self, tmp_path, monkeypatch):
@@ -572,47 +660,38 @@ class TestSweepCommand:
         assert json.loads(capsys.readouterr().err)["kind"] == "runtime"
         assert not (tmp_path / "r.csv").exists()
 
-    @pytest.mark.parametrize("workers", ["1", "2"])
-    def test_an_unwritable_store_fails_before_any_cell_trains(self, tmp_path, capsys, monkeypatch, workers):
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_an_unwritable_store_fails_before_any_cell_trains(self, tmp_path, capsys, monkeypatch, cpus):
         # the store's directory is missing: no row could be appended, so no
         # replicate may train first
+        monkeypatch.setattr(sweep, "usable_cpus", lambda: cpus)
         ran = []
         monkeypatch.setattr(sweep, "_replicate_task", lambda *args: ran.append(args))
         cfg = tmp_path / "sweep.json"
         self.write_config(cfg, proportions=(0.0, 0.5))
         store = tmp_path / "nodir" / "results.csv"
-        assert run("sweep", "--config", cfg, "--store", store, "--workers", workers) == 1
+        assert run("sweep", "--config", cfg, "--store", store) == 1
         (line,) = capsys.readouterr().err.splitlines()
         err = json.loads(line)
         assert err["kind"] == "runtime" and str(store) in err["error"]
         assert ran == [] and not store.parent.exists()
 
-    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("cpus", [1, 2])
     def test_an_artifacts_path_that_is_a_file_fails_before_any_cell_trains(self, tmp_path, capsys, monkeypatch,
-                                                                          workers):
+                                                                          cpus):
         # serial and pooled sweeps refuse it alike, with one runtime line
+        monkeypatch.setattr(sweep, "usable_cpus", lambda: cpus)
         ran = []
         monkeypatch.setattr(sweep, "_replicate_task", lambda *args: ran.append(args))
         cfg = tmp_path / "sweep.json"
         self.write_config(cfg, proportions=(0.0, 0.5))
         artifacts = tmp_path / "art"
         artifacts.write_text("")
-        assert run("sweep", "--config", cfg, "--store", tmp_path / "r.csv", "--artifacts", artifacts,
-                   "--workers", workers) == 1
+        assert run("sweep", "--config", cfg, "--store", tmp_path / "r.csv", "--artifacts", artifacts) == 1
         (line,) = capsys.readouterr().err.splitlines()
         err = json.loads(line)
         assert err["kind"] == "runtime" and str(artifacts) in err["error"]
         assert ran == [] and load_results(tmp_path / "r.csv") == []
-
-    @pytest.mark.parametrize("workers", [0, -2])
-    def test_nonpositive_workers_is_usage_error(self, tmp_path, capsys, workers):
-        cfg = tmp_path / "sweep.json"
-        self.write_config(cfg)
-        rc = run("sweep", "--config", cfg, "--store", tmp_path / "r.csv", "--workers", workers)
-        assert rc == 2
-        err = json.loads(capsys.readouterr().err)
-        assert err["kind"] == "usage" and "--workers" in err["error"]
-        assert not (tmp_path / "r.csv").exists()
 
 
 class TestAnalyzeCommand:

@@ -24,11 +24,11 @@ def load_script():
 digest = load_script()
 
 
-def run(*args):
-    """The printed lines of one --tiny run."""
+def run(*args, status=0):
+    """The printed lines of one --tiny run, which exits with status."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        assert digest.main(["--tiny", *args]) == 0
+        assert digest.main(["--tiny", *args]) == status
     return out.getvalue().splitlines()
 
 
@@ -70,7 +70,7 @@ def test_against_counts_each_moved_value(saved, tmp_path):
     arrays = {key: a.copy() for key, a in arrays.items()}
     arrays[GRAD][0, 0] += 1.0
     arrays[PLL][0, 1] *= 1.0 + 1e-6
-    second = run(*against(tmp_path, arrays))
+    second = run(*against(tmp_path, arrays), status=1)  # any moved value fails the gate
     moved = [line for line in second if " moved " in line]
     assert [line for line in second if " moved " not in line][:-1] == lines
     assert [line.split(",")[0] for line in moved] == [

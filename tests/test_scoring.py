@@ -227,7 +227,7 @@ class TestThreadedScoring:
             batches.append(pll_sentences(ids, kwargs["at"], self.tok.mask_id))
             return forward_batch(state, ids, mask, *args, **kwargs)
 
-        monkeypatch.setattr(scoring, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(scoring, "usable_cpus", lambda: cpus)
         monkeypatch.setattr(scoring, "forward_batch", recording_forward)
         # More chunks than threads, and sentences of one length split over
         # more than one chunk.

@@ -30,8 +30,8 @@ def test_help_runs_without_pythonpath(script, tmp_path):
     assert "usage:" in done.stdout
 
 
-@pytest.mark.parametrize("workers", ["0", "-2"])
-def test_populate_refuses_nonpositive_workers(workers, monkeypatch, capsys):
+def test_populate_takes_no_workers_flag(monkeypatch, capsys):
+    # each sweep has a pool worker per CPU the process may use
     spec = importlib.util.spec_from_file_location("populate_acceptance", SCRIPTS / "populate_acceptance.py")
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
@@ -41,9 +41,9 @@ def test_populate_refuses_nonpositive_workers(workers, monkeypatch, capsys):
 
     monkeypatch.setattr(script, "run_sweep", no_sweep)
     with pytest.raises(SystemExit) as exited:
-        script.main(["--workers", workers])
+        script.main(["--workers", "2"])
     assert exited.value.code == 2
-    assert f"--workers must be >= 1, got {workers}" in capsys.readouterr().err
+    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
 
 
 def imported(module_name, name):

@@ -92,6 +92,15 @@ class TestHeatmap:
         assert 'fill="#ffffff"' in svg
         assert 'fill="#000000"' in svg
 
+    def test_rows_at_one_size_and_proportion_are_one_cell(self):
+        # two base seeds, say: one rectangle, shaded by the mean, where two
+        # stacked rectangles would show only the last row drawn
+        rows = grid_rows(sizes=[50], props=[0.0], acc=0.6) + grid_rows(sizes=[50], props=[0.0], acc=0.9)
+        rows += grid_rows(sizes=[100], props=[0.0], acc=0.7)
+        cells = [el for el in ET.fromstring(heatmap_svg(rows, epochs=10)) if el.get("class") == "cell"]
+        got = [(el.get("data-n"), float(el.get("data-acc")), el.get("fill")) for el in cells]
+        assert got == [("50", pytest.approx(0.75), shade(0.75)), ("100", 0.7, shade(0.7))]
+
     def test_curve_point_at_16_back_transforms(self):
         # the span is small, so the curve samples every integer N and
         # the N=16 point, inside the data's frame, must invert to 1/ln 16

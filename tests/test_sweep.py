@@ -649,7 +649,7 @@ class TestRunSweep:
 
         monkeypatch.setattr(sweep, "run_cell", racing)
         lines = []
-        results, skipped, failures = run_sweep(tiny_config(), store, log=lines.append)
+        results, skipped, failures = run_sweep(tiny_config(), store, workers=1, log=lines.append)
         (row,) = load_results(store)
         assert (results, skipped, failures) == ([], [sweep._cell_name(row)], [])
         assert lines == [f"skip {sweep._cell_name(row)} (another sweep stored it meanwhile)"]
@@ -662,7 +662,7 @@ class TestRunSweep:
         store = tmp_path / "results.csv"
         store.write_text(V1_HEADER)
         with pytest.raises(ValueError, match="schema"):
-            run_sweep(tiny_config(), store)
+            run_sweep(tiny_config(), store, workers=1)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_returned_rows_are_the_stored_rows(self, tmp_path, workers):
@@ -687,7 +687,7 @@ class TestRunSweep:
         cfg = tiny_config(sizes=(5,), proportions=(0.0, 0.5), replicates=1)
         serial_store = tmp_path / "serial.csv"
         pooled_store = tmp_path / "pooled.csv"
-        run_sweep(cfg, serial_store)
+        run_sweep(cfg, serial_store, workers=1)
         run_sweep(cfg, pooled_store, workers=2)
 
         def keyed(store):
@@ -765,11 +765,18 @@ class TestRunSweep:
         _, skipped, _ = run_sweep(cfg, store, workers=64)
         assert sizes == [3, 2] and len(skipped) == 1
 
+    @pytest.mark.parametrize("cpus, sizes", [(2, [2]), (64, [3]), (1, [])], ids=["2cpus", "64cpus", "1cpu"])
+    def test_default_pool_has_a_worker_per_usable_cpu(self, tmp_path, monkeypatch, inline_pool, cpus, sizes):
+        # capped at the 3 replicate tasks; one CPU runs the cell in turn, with no pool
+        monkeypatch.setattr(sweep, "usable_cpus", lambda: cpus)
+        results, _, failures = run_sweep(tiny_config(replicates=3), tmp_path / "results.csv")
+        assert inline_pool == sizes and (len(results), failures) == (1, [])
+
     def test_serial_sweep_builds_a_size_and_proportion_once(self, tmp_path, tokenizer_builds):
         # data seeds ignore the epoch setting, so the 0- and 1-epoch cells
         # share one build, as do the replicates within each
         cfg = tiny_config(epoch_settings=(0, 1), replicates=2)
-        results, _, failures = run_sweep(cfg, tmp_path / "results.csv")
+        results, _, failures = run_sweep(cfg, tmp_path / "results.csv", workers=1)
         assert (len(results), failures) == (2, [])
         assert len(tokenizer_builds) == 1
 
@@ -860,7 +867,7 @@ class TestCommittedStores:
 
         monkeypatch.setattr(sweep, "run_cell", no_training)
         cfg, store = committed_config(config)
-        results, skipped, failures = run_sweep(cfg, store)
+        results, skipped, failures = run_sweep(cfg, store, workers=1)
         n_cells = len(cfg.sizes) * len(cfg.proportions) * len(cfg.epoch_settings)
         assert (results, failures) == ([], [])
         assert len(skipped) == n_cells

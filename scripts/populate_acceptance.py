@@ -4,9 +4,9 @@ Runs every sweep config under results/acceptance/configs/ against the
 store for its experiment.  A sweep skips the cells its store holds, so
 the script is safe to re-run and resumes after interruption.  The
 acceptance tests read these stores and never build them: a missing cell
-fails its test.  Each sweep runs a replicate per CPU the process may use
-at a time; `taskset -c 0 python3 scripts/populate_acceptance.py` runs
-them in turn.
+fails its test.  Each sweep trains a replicate per CPU the process may
+use at a time, and scores 0-epoch cells in this process; `taskset -c 0
+python3 scripts/populate_acceptance.py` runs them all in turn.
 
 Usage: python3 scripts/populate_acceptance.py
 """

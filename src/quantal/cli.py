@@ -194,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.set_defaults(func=cmd_eval)
 
     sw = sub.add_parser(
-        "sweep", help="run a grid of cells from a sweep config, a replicate per usable CPU at a time"
+        "sweep", help="run a grid of cells from a sweep config, training a replicate per usable CPU at a time"
     )
     sw.add_argument("--config", required=True, help="sweep configuration JSON")
     sw.add_argument("--store", required=True, help="results CSV path; cells it holds are skipped")

@@ -11,13 +11,14 @@ cell_data, cell_tokenizer, write_cell_inputs and train_replicate, which
 
 Every replicate runs through one task, _replicate_task: serially,
 run_cell calls it for each replicate in turn; with a process pool, each
-replicate is one pool task.  Either way one row builder, _cell_result,
-turns a cell's replicate returns into its row, and rows are appended in
-grid order, so a pooled store equals a serial one apart from
-wall_seconds.  A cell's inputs (data and tokenizer) are a pure function
-of the config and the cell's size and proportion, so each process caches
-the last ones it built: the replicates and epoch settings of a (size,
-proportion) that one process runs in a row share one build.
+replicate is one pool task.  By default a pool takes only the cells that
+train, and a cell that only scores runs serially.  Either way one row
+builder, _cell_result, turns a cell's replicate returns into its row,
+and rows are appended in grid order, so a pooled store equals a serial
+one apart from wall_seconds.  A cell's inputs (data and tokenizer) are a
+pure function of the config and the cell's size and proportion, so each
+process caches the last ones it built: the replicates and epoch settings
+of a (size, proportion) that one process runs in a row share one build.
 
 An epoch setting of 0 makes an untrained baseline cell: the same corpus,
 tokenizer, test pairs and scoring path as its trained neighbours, with
@@ -519,11 +520,14 @@ def run_sweep(
 ):
     """Run every cell of the grid, appending each cell's row in grid order.
 
-    Each replicate is a task of a process pool of one worker per CPU the
-    process may use (usable_cpus), or of workers if given, but never more
-    than there are tasks to run; a cell's row is written once all of its
-    replicates have returned.  A pool of one is no pool: the cells run in
-    turn, in this process.  Cells are independent: one failure (of any
+    Each replicate of a cell that trains is a task of a process pool of
+    one worker per CPU the process may use (usable_cpus), but never more
+    than there are such tasks; a cell's row is written once all of its
+    replicates have returned.  A cell that only scores (0 epochs) runs in
+    this process, whose scoring threads already use every usable CPU.
+    Given workers, every cell's replicates go to a pool of at most that
+    many.  A pool of one is no pool: the cells run in turn, in this
+    process.  Cells are independent: one failure (of any
     of its replicates) is recorded for the cell and the rest proceed.
     Cells whose KEY_COLUMNS the store already holds are skipped, so a
     store holds each cell once and a rerun resumes an interrupted or
@@ -554,19 +558,26 @@ def run_sweep(
                 log(f"skip {name} (already in store)")
         else:
             cells.append((name, jobs))
-    # A task is one replicate.  The pool forks all its workers at once, so it
-    # gets no more than there are tasks.  Each worker runs one BLAS thread:
-    # workers that each bring a pool of one thread per core oversubscribe
-    # the cores.
-    workers = min(usable_cpus() if workers is None else workers, sum(len(jobs) for _, jobs in cells))
+    # A task is one replicate.  By default a pool takes only the replicates
+    # that train: on a 2-CPU machine a 0-epoch word-order cell ran 7% slower
+    # pooled than in this process, as each worker holds its own model and
+    # scores on a share of the CPUs one process already scores on.  The pool
+    # forks all its workers at once, so it gets no more than there are
+    # tasks.  Each worker runs one BLAS thread: workers that each bring a
+    # pool of one thread per core oversubscribe the cores.
+    pooled = [workers is not None or jobs[0].epochs > 0 for _, jobs in cells]
+    tasks = sum(len(jobs) for (_, jobs), in_pool in zip(cells, pooled) if in_pool)
+    workers = min(usable_cpus() if workers is None else workers, tasks)
     pool = ProcessPoolExecutor(max_workers=workers, initializer=blas.pin_one_thread) if workers > 1 else None
+    if pool is None:
+        pooled = [False] * len(cells)
     try:
-        # A pool is handed every replicate at once; serially, each cell runs
-        # when the loop below reaches it.  Either way rows land in grid order.
-        cell_dirs = [None if pool is None else _cell_dir(artifacts_dir, name) for name, _ in cells]
+        # A pool is handed its replicates at once; any other cell runs when
+        # the loop below reaches it.  Either way rows land in grid order.
+        cell_dirs = [_cell_dir(artifacts_dir, name) if in_pool else None for (name, _), in_pool in zip(cells, pooled)]
         submitted = [
-            None if pool is None else [pool.submit(_replicate_task, cfg, job, cell_dir) for job in jobs]
-            for (_, jobs), cell_dir in zip(cells, cell_dirs)
+            [pool.submit(_replicate_task, cfg, job, cell_dir) for job in jobs] if in_pool else None
+            for (_, jobs), cell_dir, in_pool in zip(cells, cell_dirs, pooled)
         ]
         for (name, jobs), cell_dir, futures in zip(cells, cell_dirs, submitted):
             try:

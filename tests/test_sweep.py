@@ -589,7 +589,7 @@ class TestRunSweep:
         cfg = tiny_config(sizes=(5,), proportions=(0.0, 0.5), replicates=1)
         store = tmp_path / "results.csv"
         lines = []
-        results, skipped, failures = run_sweep(cfg, store, log=lines.append)
+        results, skipped, failures = run_sweep(cfg, store, workers=1, log=lines.append)
         assert len(results) == 2
         assert skipped == [] and failures == []
         rows = load_results(store)
@@ -600,7 +600,7 @@ class TestRunSweep:
             done = f"done {sweep._cell_name(row)}: mean accuracy {row['mean_accuracy']:.3f}"
             assert re.fullmatch(re.escape(done) + r" \(\d+s\)", line), line
 
-        again = run_sweep(cfg, store)
+        again = run_sweep(cfg, store, workers=1)
         assert again[0] == [] and len(again[1]) == 2 and again[2] == []
         assert len(load_results(store)) == 2
 
@@ -609,9 +609,9 @@ class TestRunSweep:
         # same coordinates, different seeds or test pairs: the second sweep
         # must run
         store = tmp_path / "results.csv"
-        run_sweep(tiny_config(sizes=(5,), replicates=1, base_seed=1), store)
+        run_sweep(tiny_config(sizes=(5,), replicates=1, base_seed=1), store, workers=1)
         results, skipped, failures = run_sweep(
-            tiny_config(**{"sizes": (5,), "replicates": 1, "base_seed": 1, **changed}), store
+            tiny_config(**{"sizes": (5,), "replicates": 1, "base_seed": 1, **changed}), store, workers=1
         )
         assert (len(results), skipped, failures) == (1, [], [])
         assert len(load_results(store)) == 2
@@ -674,14 +674,16 @@ class TestRunSweep:
 
     def test_cell_failure_is_isolated(self, tmp_path):
         # 70000 binary strings cannot be unique at length 16, so that
-        # cell fails during generation while the other cell completes
+        # cell fails during generation while the other cell completes,
+        # run in turn or in a pool
         cfg = tiny_config(sizes=(5, 70000), replicates=1)
-        store = tmp_path / "results.csv"
-        results, skipped, failures = run_sweep(cfg, store)
-        assert len(results) == 1
-        assert len(failures) == 1
-        assert "70000" in failures[0][0]
-        assert len(load_results(store)) == 1
+        for workers in (1, 2):
+            store = tmp_path / f"workers{workers}.csv"
+            results, skipped, failures = run_sweep(cfg, store, workers=workers)
+            assert len(results) == 1
+            assert len(failures) == 1
+            assert "70000" in failures[0][0]
+            assert len(load_results(store)) == 1
 
     def test_worker_pool_matches_serial(self, tmp_path):
         cfg = tiny_config(sizes=(5,), proportions=(0.0, 0.5), replicates=1)
@@ -748,7 +750,7 @@ class TestRunSweep:
         assert (len(results), skipped) == (2, [])
 
         monkeypatch.undo()
-        results, skipped, failures = run_sweep(cfg, store)
+        results, skipped, failures = run_sweep(cfg, store, workers=workers)
         assert [r["exception_prop"] for r in results] == [0.5] and failures == []
         assert len(skipped) == 2
         assert [row["exception_prop"] for row in load_results(store)] == [0.0, 1.0, 0.5]
@@ -771,6 +773,28 @@ class TestRunSweep:
         monkeypatch.setattr(sweep, "usable_cpus", lambda: cpus)
         results, _, failures = run_sweep(tiny_config(replicates=3), tmp_path / "results.csv")
         assert inline_pool == sizes and (len(results), failures) == (1, [])
+
+    def test_default_pool_takes_only_cells_that_train(self, tmp_path, monkeypatch, inline_pool):
+        # a 0-epoch cell only scores, and runs in this process, whose
+        # scoring threads use every CPU; given workers, the pool takes it too
+        monkeypatch.setattr(sweep, "usable_cpus", lambda: 64)
+        in_process = []
+        run_cell = sweep.run_cell
+
+        def recorded(cfg, jobs, *args):
+            in_process.append(jobs[0].epochs)
+            return run_cell(cfg, jobs, *args)
+
+        monkeypatch.setattr(sweep, "run_cell", recorded)
+        cfg = tiny_config(epoch_settings=(0, 1), replicates=3)
+        results, _, failures = run_sweep(cfg, tmp_path / "default.csv")
+        assert (inline_pool, in_process) == ([3], [0])
+        assert [row["epochs"] for row in results] == [0, 1] and failures == []
+        run_sweep(cfg, tmp_path / "given.csv", workers=64)
+        assert (inline_pool, in_process) == ([3, 6], [0])
+        # only cells that score: no pool at all
+        results, _, _ = run_sweep(tiny_config(epoch_settings=(0,), replicates=3), tmp_path / "scores.csv")
+        assert (inline_pool, in_process) == ([3, 6], [0, 0]) and len(results) == 1
 
     def test_serial_sweep_builds_a_size_and_proportion_once(self, tmp_path, tokenizer_builds):
         # data seeds ignore the epoch setting, so the 0- and 1-epoch cells
